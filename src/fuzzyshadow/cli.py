@@ -12,7 +12,8 @@ density               prefix-density report for a construction or orbit file
 sweep                 tabulate orbit validity and witness verdicts over
                       (eps, delta, t0) combinations
 
-Exit codes: 0 for found/pass, 1 for a negative verdict, 2 for usage errors.
+Exit codes: 0 for found/pass, 1 for a negative verdict, 2 for usage errors,
+including numeric parameters out of range.
 Reports are deterministic JSON (no timestamps); stdout carries one summary
 line per run.  Map graphs are emitted as self-contained SVG.
 """
@@ -20,8 +21,8 @@ line per run.  Map graphs are emitted as self-contained SVG.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,35 +43,7 @@ REPRODUCE_CASES = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Bag of run parameters shared by the wrapper commands."""
-
-    map_spec: str | None = None
-    metric: str | None = None
-    tnorm: str = "product"
-    eps: float | None = None
-    delta: float | None = None
-    t0: float = 1.0
-    grid: float | None = None
-    seed: int = 0
-    n_max: int = 64
-    out: str = "out"
-    lo: float = 0.0
-    hi: float = 1.0
-    lo_open: bool = False
-
-
 # -- small helpers ---------------------------------------------------------------
-
-
-def _build_metric(cfg: RunConfig) -> fm.FuzzyMetric:
-    t = tnorm.TNorm(cfg.tnorm)
-    return fm.metric_from_name(cfg.metric, t, cfg.lo, cfg.hi, cfg.lo_open)
-
-
-def _default_grid(cfg: RunConfig) -> float:
-    return cfg.grid if cfg.grid is not None else shadowing.DEFAULT_FUZZY_GRID
 
 
 def _write(outdir: str, name: str, text: str) -> Path:
@@ -192,7 +165,7 @@ def _case_remark_4_2(seed: int) -> tuple[bool, dict, dict]:
         horizon = fm.uniform_horizon(metric, 0.1, resolution=1e-2)
         orbit = orbits.perturbed_orbit(f, x0=0.3, n=1000, noise=0.05, seed=seed)
         verdict = shadowing.shadow_search(orbit, f, metric, eps=0.1, t0=horizon)
-        ok = horizon is not None and abs(horizon - 9.0) <= 9.0 and verdict.found
+        ok = horizon is not None and abs(horizon - 9.0) <= 1e-6 and verdict.found
         passed = passed and ok
         per_beta[label] = {
             "uniform_horizon": horizon,
@@ -353,23 +326,20 @@ _CASE_HANDLERS = {
 
 
 def _cmd_check_metric(args) -> int:
-    t = tnorm.TNorm(args.tnorm)
-    metric = fm.metric_from_name(args.name, t)
-    report = fm.check_axioms(metric, samples=args.samples, seed=args.seed)
-    payload = {"command": "check-metric", "report": report.to_dict()}
-    path = _write_report(args.out, f"check-metric-{args.name}.json", payload)
-    status = "PASS" if report.all_passed else f"FAIL {report.failing()}"
-    print(f"check-metric {args.name}: {status} ({path})")
-    return 0 if report.all_passed else 1
+    metric = fm.metric_from_name(args.name, tnorm.TNorm(args.tnorm))
+    return _finish_check(args, fm.check_axioms(metric, samples=args.samples, seed=args.seed))
 
 
 def _cmd_check_tnorm(args) -> int:
-    report = tnorm.check_axioms(tnorm.TNorm(args.name), samples=args.samples,
-                                seed=args.seed)
-    payload = {"command": "check-tnorm", "report": report.to_dict()}
-    path = _write_report(args.out, f"check-tnorm-{args.name}.json", payload)
+    t = tnorm.TNorm(args.name)
+    return _finish_check(args, tnorm.check_axioms(t, samples=args.samples, seed=args.seed))
+
+
+def _finish_check(args, report) -> int:
+    payload = {"command": args.command, "report": report.to_dict()}
+    path = _write_report(args.out, f"{args.command}-{args.name}.json", payload)
     status = "PASS" if report.all_passed else f"FAIL {report.failing()}"
-    print(f"check-tnorm {args.name}: {status} ({path})")
+    print(f"{args.command} {args.name}: {status} ({path})")
     return 0 if report.all_passed else 1
 
 
@@ -395,165 +365,175 @@ def _cmd_reproduce(args) -> int:
     return 0 if passed else 1
 
 
-def _load_orbit(path: str) -> orbits.OrbitSequence:
-    return orbits.OrbitSequence.from_csv(path)
+def _map_and_metric(args):
+    return (systems.map_from_spec(args.map_spec),
+            fm.metric_from_name(args.metric, None, args.lo, args.hi, args.lo_open))
 
 
 def _cmd_shadow(args) -> int:
-    cfg = _config_from(args)
-    f = systems.map_from_spec(cfg.map_spec)
-    metric = _build_metric(cfg)
-    seq = _load_orbit(args.orbit)
-    verdict = shadowing.shadow_search(seq, f, metric, eps=cfg.eps, t0=cfg.t0,
-                                      resolution=_default_grid(cfg))
+    f, metric = _map_and_metric(args)
+    seq = orbits.OrbitSequence.from_csv(args.orbit)
+    verdict = shadowing.shadow_search(seq, f, metric, eps=args.eps, t0=args.t0,
+                                      resolution=args.grid)
     payload = {
         "command": "shadow",
-        "map": cfg.map_spec,
-        "metric": cfg.metric,
-        "delta": cfg.delta,
+        "map": args.map_spec,
+        "metric": args.metric,
         "orbit": args.orbit,
         **verdict.to_dict(),
     }
-    path = _write_report(cfg.out, "shadow.json", payload)
-    print(f"shadow {cfg.map_spec}/{cfg.metric}: "
+    path = _write_report(args.out, "shadow.json", payload)
+    print(f"shadow {args.map_spec}/{args.metric}: "
           f"{'witness ' + repr(verdict.witness) if verdict.found else 'no witness'} ({path})")
     return 0 if verdict.found else 1
 
 
 def _cmd_chain(args) -> int:
-    cfg = _config_from(args)
-    f = systems.map_from_spec(cfg.map_spec)
-    metric = _build_metric(cfg)
-    chain = orbits.chain_search(args.src, args.dst, f, metric, delta=cfg.delta,
-                                t0=cfg.t0, resolution=cfg.grid or 1e-3)
+    f, metric = _map_and_metric(args)
+    for flag, x in (("--from", args.src), ("--to", args.dst)):
+        if not f.contains(x):
+            raise ValueError(f"{flag} {x!r} outside domain of {f.name}")
+    chain = orbits.chain_search(args.src, args.dst, f, metric, delta=args.delta,
+                                t0=args.t0, resolution=args.grid)
     mixing = None
     if args.lengths:
         mixing = orbits.chain_mixing_check(args.src, args.dst, f, metric,
-                                           delta=cfg.delta, t0=cfg.t0,
-                                           resolution=cfg.grid or 1e-3,
-                                           n_max=cfg.n_max)
+                                           delta=args.delta, t0=args.t0,
+                                           resolution=args.grid, n_max=args.n_max)
     payload = {
         "command": "chain",
-        "map": cfg.map_spec,
-        "metric": cfg.metric,
+        "map": args.map_spec,
+        "metric": args.metric,
         "from": args.src,
         "to": args.dst,
-        "delta": cfg.delta,
-        "t0": cfg.t0,
-        "grid": cfg.grid or 1e-3,
+        "delta": args.delta,
+        "t0": args.t0,
+        "grid": args.grid,
         "found": chain is not None,
         "length": None if chain is None else len(chain),
         "states": None if chain is None else chain.states.tolist(),
         "length_spectrum": None if mixing is None else mixing.to_dict(),
     }
-    path = _write_report(cfg.out, "chain.json", payload)
+    path = _write_report(args.out, "chain.json", payload)
     print(f"chain {args.src:g}->{args.dst:g}: "
           f"{'length ' + str(len(chain)) if chain is not None else 'none'} ({path})")
     return 0 if chain is not None else 1
 
 
 def _cmd_mix(args) -> int:
-    cfg = _config_from(args)
-    f = systems.map_from_spec(cfg.map_spec)
-    metric = _build_metric(cfg)
-    u = fm.Ball(args.u_center, args.u_radius, cfg.t0)
-    v = fm.Ball(args.v_center, args.v_radius, cfg.t0)
-    report = shadowing.topological_mixing_probe(f, u, v, metric, n_max=cfg.n_max,
-                                                resolution=cfg.grid or 1e-3)
+    f, metric = _map_and_metric(args)
+    u = fm.Ball(args.u_center, args.u_radius, args.t0)
+    v = fm.Ball(args.v_center, args.v_radius, args.t0)
+    report = shadowing.topological_mixing_probe(f, u, v, metric, n_max=args.n_max,
+                                                resolution=args.grid)
     payload = {
         "command": "mix",
-        "map": cfg.map_spec,
-        "metric": cfg.metric,
-        "t0": cfg.t0,
-        "grid": cfg.grid or 1e-3,
+        "map": args.map_spec,
+        "metric": args.metric,
+        "t0": args.t0,
+        "grid": args.grid,
         "u": {"center": args.u_center, "radius": args.u_radius},
         "v": {"center": args.v_center, "radius": args.v_radius},
         **report.to_dict(),
     }
-    path = _write_report(cfg.out, "mix.json", payload)
+    path = _write_report(args.out, "mix.json", payload)
     print(f"mix: {len(report.present)} step counts hit, onset {report.n0} ({path})")
     return 0 if report.present else 1
 
 
 def _cmd_density(args) -> int:
-    cfg = _config_from(args)
     if args.construction is not None:
-        if args.construction != "theorem-3.3":
-            raise ValueError(f"unknown construction {args.construction!r}")
         skeleton = orbits.transitivity_skeleton(args.n)
         report = orbits.density(orbits.IndexSet(skeleton, universe=args.n))
         source = {"construction": args.construction, "n": args.n}
     else:
         if args.orbit is None:
             raise ValueError("density needs --construction or --orbit")
-        if cfg.delta is None:
-            raise ValueError("density --orbit needs --delta")
-        f = systems.map_from_spec(cfg.map_spec)
-        metric = _build_metric(cfg)
-        seq = _load_orbit(args.orbit)
-        iset = orbits.npo_set(seq, f, metric, delta=cfg.delta, t0=cfg.t0)
+        if None in (args.map_spec, args.metric, args.delta):
+            raise ValueError("density --orbit needs --map, --metric and --delta")
+        f, metric = _map_and_metric(args)
+        seq = orbits.OrbitSequence.from_csv(args.orbit)
+        iset = orbits.npo_set(seq, f, metric, delta=args.delta, t0=args.t0)
         report = orbits.density(iset)
-        source = {"orbit": args.orbit, "map": cfg.map_spec, "metric": cfg.metric,
-                  "delta": cfg.delta, "t0": cfg.t0}
+        source = {"orbit": args.orbit, "map": args.map_spec, "metric": args.metric,
+                  "delta": args.delta, "t0": args.t0}
     payload = {"command": "density", **source, "report": report.to_dict()}
-    path = _write_report(cfg.out, "density.json", payload)
-    _write(cfg.out, "density.csv", _density_csv(report))
+    path = _write_report(args.out, "density.json", payload)
+    _write(args.out, "density.csv", _density_csv(report))
     print(f"density: final {report.final_density!r}, "
           f"{'plausibly zero' if report.plausibly_zero else 'not vanishing'} ({path})")
     return 0 if report.plausibly_zero else 1
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _config_from(args)
-    f = systems.map_from_spec(cfg.map_spec)
-    metric = _build_metric(cfg)
-    seq = _load_orbit(args.orbit)
+    f, metric = _map_and_metric(args)
+    seq = orbits.OrbitSequence.from_csv(args.orbit)
     rows = []
     for delta in args.deltas:
         for t0 in args.t0s:
             valid = orbits.validate_f_pseudo_orbit(seq, f, metric, delta, t0).is_empty
             for eps in args.epss:
                 verdict = shadowing.shadow_search(seq, f, metric, eps=eps, t0=t0,
-                                                  resolution=_default_grid(cfg))
+                                                  resolution=args.grid)
                 rows.append({
                     "delta": delta, "t0": t0, "eps": eps,
                     "orbit_valid": valid, "witness": verdict.witness,
                 })
-    payload = {"command": "sweep", "map": cfg.map_spec, "metric": cfg.metric,
-               "orbit": args.orbit, "grid": _default_grid(cfg), "rows": rows}
-    path = _write_report(cfg.out, "sweep.json", payload)
+    payload = {"command": "sweep", "map": args.map_spec, "metric": args.metric,
+               "orbit": args.orbit, "grid": args.grid, "rows": rows}
+    path = _write_report(args.out, "sweep.json", payload)
     lines = ["delta,t0,eps,orbit_valid,witness"]
     lines += [f"{r['delta']!r},{r['t0']!r},{r['eps']!r},{int(r['orbit_valid'])},"
               f"{'' if r['witness'] is None else repr(r['witness'])}" for r in rows]
-    _write(cfg.out, "sweep.csv", "\n".join(lines) + "\n")
+    _write(args.out, "sweep.csv", "\n".join(lines) + "\n")
     print(f"sweep: {len(rows)} rows ({path})")
     return 0
-
-
-def _config_from(args) -> RunConfig:
-    cfg = RunConfig()
-    for name in ("map_spec", "metric", "tnorm", "eps", "delta", "t0", "grid",
-                 "seed", "n_max", "out", "lo", "hi", "lo_open"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    return cfg
 
 
 # -- parser ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, metric_required: bool = True) -> None:
+def _checked(convert, ok, what: str):
+    """argparse type: ``convert`` the text, then require ``ok`` of the value."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+def _list_of(item):
+    def parse(text: str) -> list:
+        values = [item(v) for v in text.split(",") if v]
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list {text!r}")
+        return values
+    return parse
+
+
+_FINITE = _checked(float, math.isfinite, "a finite number")
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a finite positive number")
+_UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+
+
+def _add_common(p: argparse.ArgumentParser, grid: float | None,
+                *, metric_required: bool = True) -> None:
     p.add_argument("--map", dest="map_spec", required=metric_required,
                    help='map spec: "tent:<beta>" | "example43" | "g:<alpha>"')
     p.add_argument("--metric", required=metric_required,
                    choices=fm.METRIC_NAMES, help="fuzzy metric name")
-    p.add_argument("--tnorm", default="product", choices=tnorm.KINDS)
-    p.add_argument("--lo", type=float, default=0.0, help="standard-metric lower bound")
-    p.add_argument("--hi", type=float, default=1.0, help="standard-metric upper bound")
+    p.add_argument("--lo", type=_FINITE, default=0.0, help="standard-metric lower bound")
+    p.add_argument("--hi", type=_FINITE, default=1.0, help="standard-metric upper bound")
     p.add_argument("--lo-open", dest="lo_open", action="store_true",
                    help="exclude the lower bound from the standard-metric space")
-    p.add_argument("--grid", type=float, default=None, help="search grid resolution")
-    p.add_argument("--seed", type=int, default=0)
+    if grid is not None:
+        p.add_argument("--grid", type=_POSITIVE, default=grid,
+                       help=f"search grid resolution (default {grid:g})")
     p.add_argument("--out", default="out", help="artifact directory")
 
 
@@ -567,14 +547,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-metric", help="axiom harness for a fuzzy metric")
     p.add_argument("name", help="metric name")
     p.add_argument("--tnorm", default="product", choices=tnorm.KINDS)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_COUNT, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_check_metric)
 
     p = sub.add_parser("check-tnorm", help="axiom harness for a t-norm")
     p.add_argument("name", help="t-norm name")
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_COUNT, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_check_tnorm)
@@ -586,59 +566,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("shadow", help="tracing-witness search over an orbit file")
-    _add_common(p)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, default=None, help="recorded in the report")
-    p.add_argument("--t0", type=float, default=1.0)
+    _add_common(p, shadowing.DEFAULT_FUZZY_GRID)
+    p.add_argument("--eps", type=_UNIT, required=True)
+    p.add_argument("--t0", type=_POSITIVE, default=1.0)
     p.add_argument("--orbit", required=True, help='orbit CSV with header "index,value"')
     p.set_defaults(func=_cmd_shadow)
 
     p = sub.add_parser("chain", help="chain search between two states")
-    _add_common(p)
-    p.add_argument("--from", dest="src", type=float, required=True)
-    p.add_argument("--to", dest="dst", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--t0", type=float, default=1.0)
-    p.add_argument("--n-max", dest="n_max", type=int, default=64)
+    _add_common(p, 1e-3)
+    p.add_argument("--from", dest="src", type=_FINITE, required=True)
+    p.add_argument("--to", dest="dst", type=_FINITE, required=True)
+    p.add_argument("--delta", type=_UNIT, required=True)
+    p.add_argument("--t0", type=_POSITIVE, default=1.0)
+    p.add_argument("--n-max", dest="n_max", type=_COUNT, default=64)
     p.add_argument("--lengths", action="store_true",
                    help="also report which chain lengths exist")
     p.set_defaults(func=_cmd_chain)
 
     p = sub.add_parser("mix", help="ball-to-ball image intersection probe")
-    _add_common(p)
-    p.add_argument("--u-center", type=float, required=True)
-    p.add_argument("--u-radius", type=float, required=True)
-    p.add_argument("--v-center", type=float, required=True)
-    p.add_argument("--v-radius", type=float, required=True)
-    p.add_argument("--t0", type=float, default=1.0)
-    p.add_argument("--n-max", dest="n_max", type=int, default=64)
+    _add_common(p, 1e-3)
+    p.add_argument("--u-center", type=_FINITE, required=True)
+    p.add_argument("--u-radius", type=_UNIT, required=True)
+    p.add_argument("--v-center", type=_FINITE, required=True)
+    p.add_argument("--v-radius", type=_UNIT, required=True)
+    p.add_argument("--t0", type=_POSITIVE, default=1.0)
+    p.add_argument("--n-max", dest="n_max", type=_COUNT, default=64)
     p.set_defaults(func=_cmd_mix)
 
     p = sub.add_parser("density", help="prefix-density report")
-    _add_common(p, metric_required=False)
+    _add_common(p, None, metric_required=False)
     p.add_argument("--construction", choices=("theorem-3.3",), default=None)
-    p.add_argument("--n", type=int, default=10**6, help="construction universe length")
+    p.add_argument("--n", type=_COUNT, default=10**6, help="construction universe length")
     p.add_argument("--orbit", default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--t0", type=float, default=1.0)
+    p.add_argument("--delta", type=_UNIT, default=None)
+    p.add_argument("--t0", type=_POSITIVE, default=1.0)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("sweep", help="tabulate verdicts over parameter combinations")
-    _add_common(p)
+    _add_common(p, shadowing.DEFAULT_FUZZY_GRID)
     p.add_argument("--orbit", required=True)
-    p.add_argument("--eps-list", dest="epss", type=_float_list, required=True)
-    p.add_argument("--delta-list", dest="deltas", type=_float_list, required=True)
-    p.add_argument("--t0-list", dest="t0s", type=_float_list, default=[1.0])
+    p.add_argument("--eps-list", dest="epss", type=_list_of(_UNIT), required=True)
+    p.add_argument("--delta-list", dest="deltas", type=_list_of(_UNIT), required=True)
+    p.add_argument("--t0-list", dest="t0s", type=_list_of(_POSITIVE), default=[1.0])
     p.set_defaults(func=_cmd_sweep)
 
     return parser
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from None
 
 
 def main(argv=None) -> int:

@@ -47,6 +47,8 @@ class OrbitSequence:
         self.states = np.asarray(self.states, dtype=float).ravel()
         if self.states.size == 0:
             raise ValueError("orbit sequence must be nonempty")
+        if not np.isfinite(self.states).all():
+            raise ValueError("orbit states must be finite")
 
     def __len__(self) -> int:
         return int(self.states.size)
@@ -164,17 +166,40 @@ def _cofinite_onset(present: set[int], n_max: int, n_min: int = 1) -> int | None
 # -- validators ----------------------------------------------------------------
 
 
-def validate_f_pseudo_orbit(seq: OrbitSequence, f, m, delta: float, t0: float) -> IndexSet:
-    """Indices i where the fuzzy transition bound fails, i.e.
-    M(f(x_i), x_{i+1}, t0) <= 1 - delta.  Empty means the sequence is a valid
-    delta-pseudo-orbit of f at horizon t0."""
+def fuzzy_score(m, t0: float):
+    """Pair score of fuzzy comparisons: the nearness M(x, y, t0)."""
+    return lambda x, y: m.eval_array(x, y, t0)
+
+
+def classical_score(x, y):
+    """Pair score of classical comparisons: the negated distance -|x - y|, so
+    that a larger score is closer in both cases and a distance bound d < delta
+    reads score > -delta."""
+    return -np.abs(x - y)
+
+
+def _violations(scores: np.ndarray, floor: float) -> IndexSet:
+    return IndexSet(np.flatnonzero(scores <= floor), universe=scores.size)
+
+
+def _transition_violations(seq: OrbitSequence, f, score, floor: float) -> IndexSet:
     states = seq.states
     if states.size < 2:
         raise ValueError("need at least two states to validate transitions")
     stepped = np.asarray(f.eval_array(states[:-1]), dtype=float)
-    near = m.eval_array(stepped, states[1:], t0)
-    bad = np.flatnonzero(near <= 1.0 - delta)
-    return IndexSet(bad, universe=states.size - 1)
+    return _violations(score(stepped, states[1:]), floor)
+
+
+def _tracing_violations(seq: OrbitSequence, x: float, f, score, floor: float) -> IndexSet:
+    states = seq.states
+    return _violations(score(orbit_states(f, x, states.size), states), floor)
+
+
+def validate_f_pseudo_orbit(seq: OrbitSequence, f, m, delta: float, t0: float) -> IndexSet:
+    """Indices i where the fuzzy transition bound fails, i.e.
+    M(f(x_i), x_{i+1}, t0) <= 1 - delta.  Empty means the sequence is a valid
+    delta-pseudo-orbit of f at horizon t0."""
+    return _transition_violations(seq, f, fuzzy_score(m, t0), 1.0 - delta)
 
 
 def npo_set(seq: OrbitSequence, f, m, delta: float, t0: float) -> IndexSet:
@@ -185,39 +210,30 @@ def npo_set(seq: OrbitSequence, f, m, delta: float, t0: float) -> IndexSet:
 
 def ns_set(seq: OrbitSequence, x: float, f, m, delta: float, t0: float) -> IndexSet:
     """Indices i where the tracing bound fails: M(f^i(x), x_i, t0) <= 1 - delta."""
-    states = seq.states
-    traced = _orbit_array(f, x, states.size)
-    near = m.eval_array(traced, states, t0)
-    bad = np.flatnonzero(near <= 1.0 - delta)
-    return IndexSet(bad, universe=states.size)
+    return _tracing_violations(seq, x, f, fuzzy_score(m, t0), 1.0 - delta)
 
 
 def classical_validate(seq: OrbitSequence, f, delta: float) -> IndexSet:
     """Classical twin of the fuzzy validator: violations are steps with
     d(f(x_i), x_{i+1}) >= delta."""
-    states = seq.states
-    if states.size < 2:
-        raise ValueError("need at least two states to validate transitions")
-    stepped = np.asarray(f.eval_array(states[:-1]), dtype=float)
-    bad = np.flatnonzero(np.abs(stepped - states[1:]) >= delta)
-    return IndexSet(bad, universe=states.size - 1)
+    return _transition_violations(seq, f, classical_score, -delta)
 
 
 def classical_ns_set(seq: OrbitSequence, x: float, f, eps: float) -> IndexSet:
     """Classical tracing violations: indices with d(f^i(x), x_i) >= eps."""
-    states = seq.states
-    traced = _orbit_array(f, x, states.size)
-    bad = np.flatnonzero(np.abs(traced - states) >= eps)
-    return IndexSet(bad, universe=states.size)
+    return _tracing_violations(seq, x, f, classical_score, -eps)
 
 
-def _orbit_array(f, x: float, n: int) -> np.ndarray:
-    out = np.empty(n)
+def orbit_states(f, x: float, n: int) -> np.ndarray:
+    """The first n states x, f(x), ..., f^(n-1)(x) of the true orbit of x."""
     v = float(x)
-    for i in range(n):
+    if not f.contains(v):
+        raise ValueError(f"{x!r} outside domain of {f.name}")
+    out = np.empty(n)
+    out[:1] = v
+    for i in range(1, n):
+        v = f.eval(v)
         out[i] = v
-        if i + 1 < n:
-            v = f.eval(v)
     return out
 
 
@@ -285,8 +301,8 @@ def build_transitivity_orbit(x: float, y: float, f, length: int) -> OrbitSequenc
     states[0] = x
     # longest segment needed: k_max + 1 entries where 1 + k_max*(k_max+1) >= length
     k_needed = int(math.isqrt(length)) + 1
-    orbit_x = _orbit_array(f, x, k_needed + 1)
-    orbit_y = _orbit_array(f, y, k_needed + 1)
+    orbit_x = orbit_states(f, x, k_needed + 1)
+    orbit_y = orbit_states(f, y, k_needed + 1)
     i = 1
     k = 0
     while i < length:

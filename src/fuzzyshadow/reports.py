@@ -50,6 +50,16 @@ class AxiomReport:
         }
 
 
+def record(checks: list, name: str, ok_mask, witness) -> None:
+    """Append the outcome of one axiom sweep to ``checks``; a failure carries
+    ``witness(i)`` for the lowest failing index i."""
+    ok_mask = np.asarray(ok_mask)
+    if ok_mask.all():
+        checks.append(AxiomCheck(name, True))
+    else:
+        checks.append(AxiomCheck(name, False, witness(int(np.argmax(~ok_mask)))))
+
+
 def to_jsonable(obj: Any) -> Any:
     """Recursively convert numpy scalars/arrays and dataclasses to JSON types."""
     if is_dataclass(obj) and not isinstance(obj, type):

@@ -9,7 +9,7 @@ being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,7 +19,10 @@ from .orbits import (
     MixingReport,
     OrbitSequence,
     _cofinite_onset,
+    _tracing_violations,
+    classical_score,
     density,
+    fuzzy_score,
     ns_set,
 )
 from .systems import ConstructionError, example43_map
@@ -59,18 +62,7 @@ class ShadowingVerdict:
         return self.witness is not None
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": "witness-found" if self.found else "no-witness",
-            "witness": self.witness,
-            "worst_index": self.worst_index,
-            "worst_value": self.worst_value,
-            "grid": self.grid,
-            "candidates": self.candidates,
-            "eps": self.eps,
-            "t0": self.t0,
-            "mode": self.mode,
-            "near_miss": self.near_miss,
-        }
+        return {"verdict": "witness-found" if self.found else "no-witness", **asdict(self)}
 
 
 def shadow_search(seq: OrbitSequence, f, m: FuzzyMetric, eps: float, t0: float,
@@ -83,104 +75,56 @@ def shadow_search(seq: OrbitSequence, f, m: FuzzyMetric, eps: float, t0: float,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    states = seq.states
     cands = m.grid(resolution)
-    total = cands.size
-    target = 1.0 - eps
-
-    X = cands.copy()
-    idx = np.arange(total)
-    run_min = np.ones(total)
-    run_arg = np.zeros(total, dtype=np.int64)
-
-    best_val = -np.inf
-    best_cand = float(cands[0])
-    best_arg = 0
-
-    def absorb(values, args, candidates):
-        nonlocal best_val, best_cand, best_arg
-        if values.size == 0:
-            return
-        j = int(np.argmax(values))
-        if values[j] > best_val:
-            best_val = float(values[j])
-            best_cand = float(candidates[j])
-            best_arg = int(args[j])
-
-    for i, target_state in enumerate(states):
-        vals = np.asarray(m.eval_array(X, target_state, t0), dtype=float)
-        improved = vals < run_min[idx]
-        run_min[idx[improved]] = vals[improved]
-        run_arg[idx[improved]] = i
-        dead = vals <= target
-        if dead.any():
-            gone = idx[dead]
-            absorb(run_min[gone], run_arg[gone], cands[gone])
-            keep = ~dead
-            idx = idx[keep]
-            X = X[keep]
-            if idx.size == 0:
-                break
-        if i + 1 < states.size:
-            X = np.asarray(f.eval_array(X), dtype=float)
-
-    if idx.size:
-        w = int(idx[0])
-        witness = float(cands[w])
-        _verify_fuzzy_witness(witness, seq, f, m, eps, t0)
-        return ShadowingVerdict(witness, int(run_arg[w]), float(run_min[w]),
-                                resolution, total, eps, t0)
-    return ShadowingVerdict(None, best_arg, best_val, resolution, total, eps, t0,
-                            near_miss=best_cand)
-
-
-def _verify_fuzzy_witness(x: float, seq: OrbitSequence, f, m, eps: float, t0: float) -> None:
-    v = x
-    for i, s in enumerate(seq.states):
-        if not m.eval_array(v, float(s), t0) > 1.0 - eps:
-            raise AssertionError(f"witness re-verification failed at index {i}")
-        if i + 1 < len(seq):
-            v = f.eval(v)
+    witness, arg, value, near = _survivor_search(seq, f, cands, fuzzy_score(m, t0), 1.0 - eps)
+    return ShadowingVerdict(witness, arg, value, resolution, cands.size, eps, t0,
+                            near_miss=near)
 
 
 def classical_shadow_search(seq: OrbitSequence, f, eps: float,
                             resolution: float = DEFAULT_CLASSICAL_GRID) -> ShadowingVerdict:
-    """Distance-based twin of shadow_search: candidates survive an index when
-    d(f^i(x), x_i) < eps.  Worst values are distances."""
+    """Classical tracing: candidates survive an index when d(f^i(x), x_i) < eps.
+
+    Runs the survivor loop of shadow_search on the negated distance; worst
+    values are reported as distances.
+    """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    states = seq.states
     cands = f.grid(resolution)
-    total = cands.size
+    witness, arg, value, near = _survivor_search(seq, f, cands, classical_score, -eps)
+    # scores are negated distances; 0.0 - v maps a zero score to +0.0
+    return ShadowingVerdict(witness, arg, 0.0 - value, resolution, cands.size, eps, None,
+                            mode="classical", near_miss=near)
 
+
+def _survivor_search(seq: OrbitSequence, f, cands: np.ndarray, score,
+                     floor: float) -> tuple[float | None, int, float, float | None]:
+    """The survivor loop behind both tracing searches.
+
+    Candidates are advanced alongside the sequence and dropped at their first
+    index with score(f^i(x), x_i) <= floor.  Returns (witness, worst index,
+    worst score, near miss): for the smallest survivor, its re-verified value
+    and its weakest step, with no near miss; with no survivor, no witness and
+    the eliminated candidate whose least score was largest.
+    """
+    states = seq.states
     X = cands.copy()
-    idx = np.arange(total)
-    run_max = np.zeros(total)
-    run_arg = np.zeros(total, dtype=np.int64)
-
-    best_val = np.inf
-    best_cand = float(cands[0])
-    best_arg = 0
-
-    def absorb(values, args, candidates):
-        nonlocal best_val, best_cand, best_arg
-        if values.size == 0:
-            return
-        j = int(np.argmin(values))
-        if values[j] < best_val:
-            best_val = float(values[j])
-            best_cand = float(candidates[j])
-            best_arg = int(args[j])
+    idx = np.arange(cands.size)
+    run_min = np.full(cands.size, np.inf)
+    run_arg = np.zeros(cands.size, dtype=np.int64)
+    best_val, best_arg, best_cand = -np.inf, 0, float(cands[0])
 
     for i, target_state in enumerate(states):
-        dist = np.abs(X - target_state)
-        worse = dist > run_max[idx]
-        run_max[idx[worse]] = dist[worse]
-        run_arg[idx[worse]] = i
-        dead = dist >= eps
+        vals = np.asarray(score(X, target_state), dtype=float)
+        improved = vals < run_min[idx]
+        run_min[idx[improved]] = vals[improved]
+        run_arg[idx[improved]] = i
+        dead = vals <= floor
         if dead.any():
             gone = idx[dead]
-            absorb(run_max[gone], run_arg[gone], cands[gone])
+            j = gone[int(np.argmax(run_min[gone]))]
+            if run_min[j] > best_val:
+                best_val, best_arg, best_cand = float(run_min[j]), int(run_arg[j]), float(cands[j])
             keep = ~dead
             idx = idx[keep]
             X = X[keep]
@@ -189,19 +133,13 @@ def classical_shadow_search(seq: OrbitSequence, f, eps: float,
         if i + 1 < states.size:
             X = np.asarray(f.eval_array(X), dtype=float)
 
-    if idx.size:
-        w = int(idx[0])
-        witness = float(cands[w])
-        v = witness
-        for i, s in enumerate(states):
-            if not abs(v - float(s)) < eps:
-                raise AssertionError(f"witness re-verification failed at index {i}")
-            if i + 1 < states.size:
-                v = f.eval(v)
-        return ShadowingVerdict(witness, int(run_arg[w]), float(run_max[w]),
-                                resolution, total, eps, None, mode="classical")
-    return ShadowingVerdict(None, best_arg, best_val, resolution, total, eps, None,
-                            mode="classical", near_miss=best_cand)
+    if idx.size == 0:
+        return None, best_arg, best_val, best_cand
+    w = int(idx[0])
+    bad = _tracing_violations(seq, cands[w], f, score, floor)
+    if not bad.is_empty:
+        raise AssertionError(f"witness re-verification failed at index {bad.indices[0]}")
+    return float(cands[w]), int(run_arg[w]), float(run_min[w]), None
 
 
 def build_nonshadowable_orbit(delta: float, f=None) -> OrbitSequence:

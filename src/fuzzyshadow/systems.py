@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .orbits import OrbitSequence
+from .fuzzy_metric import interval_grid
+from .orbits import OrbitSequence, orbit_states
 
 
 class ConstructionError(RuntimeError):
@@ -93,12 +94,7 @@ class IntervalMap:
         return self.domain_lo <= x <= self.domain_hi
 
     def grid(self, resolution: float) -> np.ndarray:
-        steps = int(round((self.domain_hi - self.domain_lo) / resolution))
-        if steps < 1:
-            raise ValueError("resolution too coarse for the domain")
-        if self.lo_open:
-            return np.linspace(self.domain_lo + resolution, self.domain_hi, steps)
-        return np.linspace(self.domain_lo, self.domain_hi, steps + 1)
+        return interval_grid(self.domain_lo, self.domain_hi, self.lo_open, resolution)
 
     # -- evaluation --------------------------------------------------------------
 
@@ -127,15 +123,7 @@ class IntervalMap:
         """States x, f(x), ..., f^n(x) as a true-orbit sequence."""
         if n < 0:
             raise ValueError("iteration count must be nonnegative")
-        out = np.empty(n + 1)
-        v = float(x)
-        if not self.contains(v):
-            raise ValueError(f"{x!r} outside domain of {self.name}")
-        for i in range(n + 1):
-            out[i] = v
-            if i < n:
-                v = self.eval(v)
-        return OrbitSequence(out, provenance="true-orbit")
+        return OrbitSequence(orbit_states(self, x, n + 1), provenance="true-orbit")
 
     def fixed_points(self) -> tuple[float, ...]:
         """Solve slope*x + intercept = x exactly on each piece."""
@@ -264,15 +252,6 @@ class IteratedMap:
 
     def iterate(self, x: float, n: int) -> float:
         return self.base.iterate(x, self.k * n)
-
-    def orbit(self, x: float, n: int) -> OrbitSequence:
-        out = np.empty(n + 1)
-        v = float(x)
-        for i in range(n + 1):
-            out[i] = v
-            if i < n:
-                v = self.eval(v)
-        return OrbitSequence(out, provenance="true-orbit")
 
 
 def power_map(f: IntervalMap, k: int) -> IteratedMap:

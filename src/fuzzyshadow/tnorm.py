@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reports import AxiomCheck, AxiomReport
+from .reports import AxiomReport, record
 
 TOLERANCE = 1e-12
 _BISECTION_STEPS = 64
@@ -74,10 +74,6 @@ class TNorm:
         return hi if hi.ndim else float(hi)
 
 
-def tnorm_from_name(name: str) -> TNorm:
-    return TNorm(name)
-
-
 def check_axioms(t: TNorm, samples: int = 10_000, seed: int = 0) -> AxiomReport:
     """Sampled verification of the four t-norm axioms.
 
@@ -90,26 +86,20 @@ def check_axioms(t: TNorm, samples: int = 10_000, seed: int = 0) -> AxiomReport:
     a, b, c, d = rng.uniform(0.0, 1.0, size=(4, samples))
 
     checks = []
-
-    def record(name, ok_mask, witness):
-        ok_mask = np.asarray(ok_mask)
-        if ok_mask.all():
-            checks.append(AxiomCheck(name, True))
-        else:
-            i = int(np.argmax(~ok_mask))
-            checks.append(AxiomCheck(name, False, witness(i)))
-
     record(
+        checks,
         "commutative",
         np.abs(t.apply(a, b) - t.apply(b, a)) <= TOLERANCE,
         lambda i: {"a": float(a[i]), "b": float(b[i])},
     )
     record(
+        checks,
         "associative",
         np.abs(t.apply(t.apply(a, b), c) - t.apply(a, t.apply(b, c))) <= TOLERANCE,
         lambda i: {"a": float(a[i]), "b": float(b[i]), "c": float(c[i])},
     )
     record(
+        checks,
         "identity",
         t.apply(a, np.ones_like(a)) == a,
         lambda i: {"a": float(a[i])},
@@ -117,6 +107,7 @@ def check_axioms(t: TNorm, samples: int = 10_000, seed: int = 0) -> AxiomReport:
     lo_a, hi_a = np.minimum(a, c), np.maximum(a, c)
     lo_b, hi_b = np.minimum(b, d), np.maximum(b, d)
     record(
+        checks,
         "monotone",
         t.apply(lo_a, lo_b) <= t.apply(hi_a, hi_b),
         lambda i: {
@@ -129,6 +120,7 @@ def check_axioms(t: TNorm, samples: int = 10_000, seed: int = 0) -> AxiomReport:
     h = 1e-7
     a_clip = np.minimum(a, 1.0 - h)
     record(
+        checks,
         "continuous",
         np.abs(t.apply(a_clip + h, b) - t.apply(a_clip, b)) <= h + TOLERANCE,
         lambda i: {"a": float(a_clip[i]), "b": float(b[i]), "h": h},

@@ -139,3 +139,62 @@ def test_unknown_case_rejected(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["reproduce", "example-9.9", "--out", str(tmp_path)])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["shadow", "--map", "tent:2", "--metric", "standard", "--eps", "0.1", "--grid", "0"],
+    ["shadow", "--map", "tent:2", "--metric", "standard", "--eps", "1.5"],
+    ["shadow", "--map", "tent:2", "--metric", "standard", "--eps", "0.1", "--t0", "-1"],
+    ["chain", "--map", "tent:2", "--metric", "standard", "--from", "0.2", "--to", "0.8",
+     "--delta", "0.1", "--grid", "0"],
+    ["chain", "--map", "tent:2", "--metric", "standard", "--from", "0.2", "--to", "0.8",
+     "--delta", "0.1", "--n-max", "0"],
+    ["chain", "--map", "tent:2", "--metric", "standard", "--from", "0.2", "--to", "0.8",
+     "--delta", "0.1", "--t0", "nan"],
+    ["chain", "--map", "tent:2", "--metric", "standard", "--from", "0.2", "--to", "0.8",
+     "--delta", "0.1", "--t0", "inf"],
+    ["mix", "--map", "tent:2", "--metric", "standard", "--u-center", "0.2",
+     "--u-radius", "0.1", "--v-center", "0.8", "--v-radius", "0.1", "--grid", "0"],
+    ["mix", "--map", "tent:2", "--metric", "standard", "--u-center", "0.2",
+     "--u-radius", "0.1", "--v-center", "0.8", "--v-radius", "0.1", "--n-max", "0"],
+    ["density", "--construction", "theorem-3.3", "--n", "0"],
+    ["density", "--map", "tent:2", "--metric", "standard", "--delta", "2"],
+    ["sweep", "--map", "tent:2", "--metric", "standard", "--eps-list", "0.1",
+     "--delta-list", "2"],
+    ["sweep", "--map", "tent:2", "--metric", "standard", "--eps-list", "0,0.1",
+     "--delta-list", "0.1"],
+    ["sweep", "--map", "tent:2", "--metric", "standard", "--eps-list", "0.1",
+     "--delta-list", "0.1", "--t0-list", "1,0"],
+    ["sweep", "--map", "tent:2", "--metric", "standard", "--eps-list", ",",
+     "--delta-list", "0.1"],
+    ["check-metric", "standard", "--samples", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_out_of_range_parameters_exit_2(tmp_path, orbit_file, capsys, argv):
+    if argv[0] in ("shadow", "sweep", "density") and "--construction" not in argv:
+        argv = argv + ["--orbit", orbit_file]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(out)])
+    assert err.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_chain_endpoint_outside_domain(tmp_path, capsys, flag):
+    ends = {"--from": "0.2", "--to": "0.8"}
+    ends[flag] = "1.5"
+    rc = main(["chain", "--map", "tent:2", "--metric", "standard",
+               "--from", ends["--from"], "--to", ends["--to"], "--delta", "0.1",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"{flag} 1.5 outside domain" in capsys.readouterr().err
+
+
+def test_nonfinite_orbit_file_rejected(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("index,value\n0,0.3\n1,nan\n")
+    rc = main(["density", "--orbit", str(bad), "--map", "tent:2",
+               "--metric", "standard", "--delta", "0.1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err

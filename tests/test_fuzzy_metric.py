@@ -74,21 +74,20 @@ def test_ratio_phi_discreteness(ratio_phi_metric):
     vals = ratio_phi_metric.eval_array(x[distinct], y[distinct], 0.5)
     assert np.all(vals <= 0.5)
     ball = fm.Ball(float(x[0]), 0.5, 0.5)
-    for v in y[:50]:
-        if v != ball.center:
-            assert not fm.ball_membership(ratio_phi_metric, ball, float(v))
+    others = y[:50][y[:50] != ball.center]
+    assert not fm.ball_members(ratio_phi_metric, ball, others).any()
 
 
 def test_ball_membership_cases(standard_metric):
     ball = fm.Ball(0.5, 0.1, 1.0)
-    assert fm.ball_membership(standard_metric, ball, 0.5)
-    assert fm.ball_membership(standard_metric, ball, 0.6)
-    assert fm.ball_membership(standard_metric, ball, 0.59)
+    assert fm.ball_members(standard_metric, ball, 0.5)
+    assert fm.ball_members(standard_metric, ball, 0.6)
+    assert fm.ball_members(standard_metric, ball, 0.59)
     # nearness at 0.5 + 1/9 evaluates to 0.8999999999999999, not above 1 - r
-    assert not fm.ball_membership(standard_metric, ball, 0.5 + 1.0 / 9.0)
+    assert not fm.ball_members(standard_metric, ball, 0.5 + 1.0 / 9.0)
     # exact boundary: M(0, 1, 1) = 0.5, excluded open, included closed
-    assert not fm.ball_membership(standard_metric, fm.Ball(0.0, 0.5, 1.0), 1.0)
-    assert fm.ball_membership(standard_metric, fm.Ball(0.0, 0.5, 1.0, closed=True), 1.0)
+    assert not fm.ball_members(standard_metric, fm.Ball(0.0, 0.5, 1.0), 1.0)
+    assert fm.ball_members(standard_metric, fm.Ball(0.0, 0.5, 1.0, closed=True), 1.0)
 
 
 def test_ball_validation():
