@@ -349,51 +349,97 @@ def perturbed_orbit(f, x0: float, n: int, noise: float, seed: int = 0) -> OrbitS
 # -- chain search over the transition graph ---------------------------------------
 
 
+def require_in_domain(f, states: np.ndarray) -> np.ndarray:
+    """Return sorted states unchanged after checking that they lie in the
+    domain of f; the domain is an interval, so the two ends decide."""
+    for v in (states[0], states[-1]):
+        if not f.contains(v):
+            raise ValueError(f"state {float(v)!r} outside domain of {f.name}")
+    return states
+
+
 def _chain_nodes(x: float, y: float, f, m, resolution: float) -> np.ndarray:
     pts = m.grid(resolution)
-    return np.unique(np.concatenate([pts, [x, y]]))
+    return require_in_domain(f, np.unique(np.concatenate([pts, [x, y]])))
+
+
+def _reach_runs(stepped: np.ndarray, nodes: np.ndarray, m, t0: float,
+                delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each stepped state s, the run [lo, hi) of node indices v with
+    M(s, nodes[v], t0) > 1 - delta.
+
+    With k = searchsorted(nodes, s), every metric's float kernel is
+    nondecreasing in v below k and nonincreasing from k on: |s - v|, t + d
+    and t / (t + d) are monotone under IEEE rounding, and so are the ratios
+    v/s and s/v, a constant horizon weight, and the value 1 at v == s.  The
+    near nodes below k are therefore a suffix of [0, k) and those from k on a
+    prefix of [k, n), so the near set is one run, and a binary search of the
+    exact predicate on each side finds its ends with 2 log2(n) evaluations.
+    """
+    count, n = stepped.size, nodes.size
+    k = np.searchsorted(nodes, stepped)
+    # rows [0, count) seek the first near index below k, rows [count, 2count)
+    # the first far index from k on; each search keeps its answer in [lo, hi]
+    lo = np.concatenate([np.zeros_like(k), k])
+    hi = np.concatenate([k, np.full_like(k, n)])
+    states = np.concatenate([stepped, stepped])
+    below = np.arange(2 * count) < count
+    target = 1.0 - delta
+    while True:
+        rows = np.flatnonzero(lo < hi)
+        if not rows.size:
+            return lo[:count], lo[count:]
+        mid = (lo[rows] + hi[rows]) // 2
+        near = m.eval_array(states[rows], nodes[mid], t0) > target
+        up = near != below[rows]
+        lo[rows[up]] = mid[up] + 1
+        hi[rows[~up]] = mid[~up]
+
+
+def _covered(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the n node indices inside at least one run [lo, hi)."""
+    edges = np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1)
+    return np.cumsum(edges[:n]) > 0
 
 
 def chain_search(x: float, y: float, f, m, delta: float, t0: float,
                  resolution: float = 1e-3) -> OrbitSequence | None:
     """Shortest chain from x to y through the grid transition graph, or None.
 
-    Nodes are the metric grid plus both endpoints; u -> v is an edge when
-    M(f(u), v, t0) > 1 - delta.  Breadth-first search guarantees a minimal
-    length chain; among equally near parents the smallest state value wins,
-    which makes results deterministic.
+    Nodes are the metric grid plus both endpoints, all of which must lie in
+    the domain of f; u -> v is an edge when M(f(u), v, t0) > 1 - delta.
+    Breadth-first search guarantees a minimal length chain; among parents in
+    one level the smallest state value wins, which makes results deterministic.
     """
+    nodes = _chain_nodes(x, y, f, m, resolution)
     if x == y:
         return OrbitSequence(np.array([x]), provenance="constructed")
-    nodes = _chain_nodes(x, y, f, m, resolution)
     ix = int(np.searchsorted(nodes, x))
     iy = int(np.searchsorted(nodes, y))
-    target = 1.0 - delta
 
     visited = np.zeros(nodes.size, dtype=bool)
-    parent = np.full(nodes.size, -1, dtype=np.int64)
     visited[ix] = True
     frontier = np.array([ix], dtype=np.int64)
+    levels = []
 
     while frontier.size:
         stepped = np.asarray(f.eval_array(nodes[frontier]), dtype=float)
-        reach = m.eval_array(stepped[:, None], nodes[None, :], t0) > target
-        reach[:, visited] = False
-        hit = reach.any(axis=0)
+        lo, hi = _reach_runs(stepped, nodes, m, t0, delta)
+        levels.append((frontier, lo, hi))
+        hit = _covered(lo, hi, nodes.size) & ~visited
         if not hit.any():
             return None
-        new_idx = np.flatnonzero(hit)
-        # argmax over the frontier axis returns the first reaching parent;
-        # the frontier is kept in ascending node order, so ties break low.
-        parent[new_idx] = frontier[np.argmax(reach[:, new_idx], axis=0)]
-        visited[new_idx] = True
+        visited |= hit
         if visited[iy]:
+            # each level's frontier is ascending, so the first covering run
+            # belongs to the smallest parent state
             chain = [iy]
-            while chain[-1] != ix:
-                chain.append(int(parent[chain[-1]]))
+            for fr, lo, hi in reversed(levels):
+                v = chain[-1]
+                chain.append(int(fr[np.flatnonzero((lo <= v) & (v < hi))[0]]))
             chain.reverse()
             return OrbitSequence(nodes[chain], provenance="constructed")
-        frontier = new_idx
+        frontier = np.flatnonzero(hit)
     return None
 
 
@@ -408,7 +454,6 @@ def chain_mixing_check(x: float, y: float, f, m, delta: float, t0: float,
     nodes = _chain_nodes(x, y, f, m, resolution)
     ix = int(np.searchsorted(nodes, x))
     iy = int(np.searchsorted(nodes, y))
-    target = 1.0 - delta
 
     reachable = np.zeros(nodes.size, dtype=bool)
     reachable[ix] = True
@@ -419,7 +464,7 @@ def chain_mixing_check(x: float, y: float, f, m, delta: float, t0: float,
         if n == n_max:
             break
         stepped = np.asarray(f.eval_array(nodes[reachable]), dtype=float)
-        nxt = (m.eval_array(stepped[:, None], nodes[None, :], t0) > target).any(axis=0)
+        nxt = _covered(*_reach_runs(stepped, nodes, m, t0, delta), nodes.size)
         if np.array_equal(nxt, reachable):
             # stationary frontier: the presence pattern repeats for all larger n
             if reachable[iy]:

@@ -24,6 +24,7 @@ from .orbits import (
     density,
     fuzzy_score,
     ns_set,
+    require_in_domain,
 )
 from .systems import ConstructionError, example43_map
 
@@ -207,10 +208,11 @@ def topological_mixing_probe(f, U: Ball, V: Ball, m: FuzzyMetric, n_max: int = 6
     """Step counts n <= n_max after which some grid point of U lands in V.
 
     Grid points inside U are iterated exactly; membership of their images in
-    V uses the ball's own comparison.  Raises EmptyBallError when either ball
-    captures no grid point.
+    V uses the ball's own comparison.  Raises ValueError when the metric grid
+    leaves the domain of f, and EmptyBallError when either ball captures no
+    grid point.
     """
-    pts = m.grid(resolution)
+    pts = require_in_domain(f, m.grid(resolution))
     u_mask = ball_members(m, U, pts)
     v_mask = ball_members(m, V, pts)
     if not u_mask.any():

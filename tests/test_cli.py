@@ -191,6 +191,20 @@ def test_chain_endpoint_outside_domain(tmp_path, capsys, flag):
     assert f"{flag} 1.5 outside domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["chain", "--from", "0.2", "--to", "0.8", "--delta", "0.1", "--lengths"],
+    ["mix", "--u-center", "0.05", "--u-radius", "0.3", "--v-center", "-1.5",
+     "--v-radius", "0.1", "--n-max", "8"],
+], ids=lambda argv: argv[0])
+def test_metric_grid_outside_map_domain(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = main(argv + ["--map", "tent:2", "--metric", "standard", "--lo", "-2", "--hi", "3",
+                      "--out", str(out)])
+    assert rc == 2
+    assert "-2.0 outside domain of tent:2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nonfinite_orbit_file_rejected(tmp_path, capsys):
     bad = tmp_path / "nan.csv"
     bad.write_text("index,value\n0,0.3\n1,nan\n")

@@ -232,6 +232,40 @@ def test_chain_mixing_unreachable(three_piece, ratio_phi_metric):
     assert rep.n0 is None
 
 
+def test_chain_nodes_outside_map_domain(tent2, standard_metric):
+    # a metric grid on [-2, 3] would step tent:2 by extrapolating its pieces
+    wide = StandardFuzzyMetric(lo=-2.0, hi=3.0)
+    with pytest.raises(ValueError, match="outside domain of tent:2"):
+        chain_search(0.2, -1.5, tent2, wide, 0.1, 1.0, 1e-2)
+    with pytest.raises(ValueError, match="outside domain of tent:2"):
+        chain_mixing_check(0.2, 0.8, tent2, wide, 0.1, 1.0, 1e-2, n_max=8)
+    for x, y in ((1.5, 0.2), (0.2, 1.5), (1.5, 1.5)):
+        with pytest.raises(ValueError, match="1.5 outside domain"):
+            chain_search(x, y, tent2, standard_metric, 0.1, 1.0, 1e-2)
+
+
+class _CountingMetric(StandardFuzzyMetric):
+    """Standard metric that counts the kernel points it evaluates."""
+
+    def __init__(self):
+        super().__init__()
+        self.points = 0
+
+    def _kernel(self, x, y, t):
+        out = super()._kernel(x, y, t)
+        self.points += out.size
+        return out
+
+
+def test_chain_mixing_kernel_points_far_below_node_pairs(tent2):
+    # a dense frontier x nodes step costs at least nodes**2 points per step
+    m = _CountingMetric()
+    nodes = m.grid(1e-3).size
+    rep = chain_mixing_check(0.2, 0.8, tent2, m, 0.1, 1.0, 1e-3, n_max=64)
+    assert rep.n0 is not None
+    assert m.points < nodes**2 / 10
+
+
 def test_csv_roundtrip(tmp_path, tent2):
     seq = tent2.orbit(0.3, 20)
     path = tmp_path / "orbit.csv"

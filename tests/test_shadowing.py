@@ -163,6 +163,17 @@ def test_probe_empty_ball_error(three_piece, ratio_phi_metric):
             ratio_phi_metric, n_max=4, resolution=1e-3)
 
 
+def test_probe_grid_outside_map_domain(tent2, three_piece):
+    wide = fm.StandardFuzzyMetric(lo=-2.0, hi=3.0)
+    with pytest.raises(ValueError, match="outside domain of tent:2"):
+        topological_mixing_probe(tent2, fm.Ball(0.05, 0.3, 1.0), fm.Ball(-1.5, 0.1, 1.0),
+                                 wide, n_max=8, resolution=1e-2)
+    # the closed unit grid holds 0, which example43's domain (0, 1] excludes
+    with pytest.raises(ValueError, match="0.0 outside domain of example43"):
+        topological_mixing_probe(three_piece, fm.Ball(0.2, 0.1, 1.0), fm.Ball(0.8, 0.1, 1.0),
+                                 fm.StandardFuzzyMetric(), n_max=8, resolution=1e-2)
+
+
 def test_tracing_and_mixing_hold_together(tent2, standard_metric):
     # on the same instance, the flat-horizon tracing succeeds AND both mixing
     # probes are cofinite: premises and conclusion of the implication chain
