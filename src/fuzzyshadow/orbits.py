@@ -178,6 +178,15 @@ def classical_score(x, y):
     return -np.abs(x - y)
 
 
+def require_in_domain(f, states: np.ndarray) -> np.ndarray:
+    """Return states unchanged after checking that they lie in the domain of
+    f; the domain is an interval, so the least and the greatest state decide."""
+    for v in (states.min(), states.max()):
+        if not f.contains(v):
+            raise ValueError(f"state {float(v)!r} outside domain of {f.name}")
+    return states
+
+
 def _violations(scores: np.ndarray, floor: float) -> IndexSet:
     return IndexSet(np.flatnonzero(scores <= floor), universe=scores.size)
 
@@ -186,13 +195,14 @@ def _transition_violations(seq: OrbitSequence, f, score, floor: float) -> IndexS
     states = seq.states
     if states.size < 2:
         raise ValueError("need at least two states to validate transitions")
-    stepped = np.asarray(f.eval_array(states[:-1]), dtype=float)
-    return _violations(score(stepped, states[1:]), floor)
+    require_in_domain(f, states)
+    return _violations(score(f.eval_array(states[:-1]), states[1:]), floor)
 
 
-def _tracing_violations(seq: OrbitSequence, x: float, f, score, floor: float) -> IndexSet:
-    states = seq.states
-    return _violations(score(orbit_states(f, x, states.size), states), floor)
+def _trace_scores(seq: OrbitSequence, x: float, f, score) -> np.ndarray:
+    """Scores score(f^i(x), x_i) of the true orbit of x against the sequence."""
+    states = require_in_domain(f, seq.states)
+    return score(orbit_states(f, x, states.size), states)
 
 
 def validate_f_pseudo_orbit(seq: OrbitSequence, f, m, delta: float, t0: float) -> IndexSet:
@@ -210,7 +220,7 @@ def npo_set(seq: OrbitSequence, f, m, delta: float, t0: float) -> IndexSet:
 
 def ns_set(seq: OrbitSequence, x: float, f, m, delta: float, t0: float) -> IndexSet:
     """Indices i where the tracing bound fails: M(f^i(x), x_i, t0) <= 1 - delta."""
-    return _tracing_violations(seq, x, f, fuzzy_score(m, t0), 1.0 - delta)
+    return _violations(_trace_scores(seq, x, f, fuzzy_score(m, t0)), 1.0 - delta)
 
 
 def classical_validate(seq: OrbitSequence, f, delta: float) -> IndexSet:
@@ -221,14 +231,14 @@ def classical_validate(seq: OrbitSequence, f, delta: float) -> IndexSet:
 
 def classical_ns_set(seq: OrbitSequence, x: float, f, eps: float) -> IndexSet:
     """Classical tracing violations: indices with d(f^i(x), x_i) >= eps."""
-    return _tracing_violations(seq, x, f, classical_score, -eps)
+    return _violations(_trace_scores(seq, x, f, classical_score), -eps)
 
 
 def orbit_states(f, x: float, n: int) -> np.ndarray:
     """The first n states x, f(x), ..., f^(n-1)(x) of the true orbit of x."""
     v = float(x)
     if not f.contains(v):
-        raise ValueError(f"{x!r} outside domain of {f.name}")
+        raise ValueError(f"{v!r} outside domain of {f.name}")
     out = np.empty(n)
     out[:1] = v
     for i in range(1, n):
@@ -347,15 +357,6 @@ def perturbed_orbit(f, x0: float, n: int, noise: float, seed: int = 0) -> OrbitS
 
 
 # -- chain search over the transition graph ---------------------------------------
-
-
-def require_in_domain(f, states: np.ndarray) -> np.ndarray:
-    """Return sorted states unchanged after checking that they lie in the
-    domain of f; the domain is an interval, so the two ends decide."""
-    for v in (states[0], states[-1]):
-        if not f.contains(v):
-            raise ValueError(f"state {float(v)!r} outside domain of {f.name}")
-    return states
 
 
 def _chain_nodes(x: float, y: float, f, m, resolution: float) -> np.ndarray:

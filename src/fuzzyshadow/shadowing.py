@@ -19,7 +19,8 @@ from .orbits import (
     MixingReport,
     OrbitSequence,
     _cofinite_onset,
-    _tracing_violations,
+    _trace_scores,
+    _violations,
     classical_score,
     density,
     fuzzy_score,
@@ -40,12 +41,14 @@ class EmptyBallError(ValueError):
 class ShadowingVerdict:
     """Outcome of a tracing search.
 
-    ``witness`` is the smallest-valued tracing start point, or None.  The
-    worst index/value describe the reported candidate: for a witness, its
-    weakest tracing step; otherwise the best near-miss seen before each
-    candidate was eliminated.  ``mode`` states which comparison the values
-    use: fuzzy verdicts store a nearness (larger is better), classical ones
-    a distance (smaller is better).
+    ``witness`` is the smallest-valued tracing start point, or None.  For a
+    witness, ``worst_index`` is its weakest tracing step (the first on ties)
+    and ``worst_value`` its value there.  With no witness, ``worst_index`` is
+    the index where the last grid candidates were eliminated, ``near_miss``
+    the one of them that came closest to the sequence there (the smallest on
+    ties) and ``worst_value`` its value there.  ``mode`` states which
+    comparison the values use: fuzzy verdicts store a nearness (larger is
+    better), classical ones a distance (smaller is better).
     """
 
     witness: float | None
@@ -76,7 +79,7 @@ def shadow_search(seq: OrbitSequence, f, m: FuzzyMetric, eps: float, t0: float,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    cands = m.grid(resolution)
+    cands = require_in_domain(f, m.grid(resolution))
     witness, arg, value, near = _survivor_search(seq, f, cands, fuzzy_score(m, t0), 1.0 - eps)
     return ShadowingVerdict(witness, arg, value, resolution, cands.size, eps, t0,
                             near_miss=near)
@@ -102,45 +105,34 @@ def _survivor_search(seq: OrbitSequence, f, cands: np.ndarray, score,
                      floor: float) -> tuple[float | None, int, float, float | None]:
     """The survivor loop behind both tracing searches.
 
-    Candidates are advanced alongside the sequence and dropped at their first
-    index with score(f^i(x), x_i) <= floor.  Returns (witness, worst index,
-    worst score, near miss): for the smallest survivor, its re-verified value
-    and its weakest step, with no near miss; with no survivor, no witness and
-    the eliminated candidate whose least score was largest.
+    Ascending candidates are advanced alongside the sequence and dropped at
+    their first index with score(f^i(x), x_i) <= floor; only the survivors'
+    grid indices and states are kept.  Returns (witness, worst index, worst
+    score, near miss).  The witness is the smallest survivor, re-verified; its
+    worst index and score are the first least score of that re-check.  With
+    no survivor, the worst index is where the last candidates died and the
+    near miss is the one of them scoring highest there (the smallest on ties).
     """
-    states = seq.states
-    X = cands.copy()
-    idx = np.arange(cands.size)
-    run_min = np.full(cands.size, np.inf)
-    run_arg = np.zeros(cands.size, dtype=np.int64)
-    best_val, best_arg, best_cand = -np.inf, 0, float(cands[0])
-
+    states = require_in_domain(f, seq.states)
+    X, idx = cands, np.arange(cands.size)
     for i, target_state in enumerate(states):
-        vals = np.asarray(score(X, target_state), dtype=float)
-        improved = vals < run_min[idx]
-        run_min[idx[improved]] = vals[improved]
-        run_arg[idx[improved]] = i
+        vals = score(X, target_state)
         dead = vals <= floor
         if dead.any():
-            gone = idx[dead]
-            j = gone[int(np.argmax(run_min[gone]))]
-            if run_min[j] > best_val:
-                best_val, best_arg, best_cand = float(run_min[j]), int(run_arg[j]), float(cands[j])
-            keep = ~dead
-            idx = idx[keep]
-            X = X[keep]
-            if idx.size == 0:
-                break
+            if dead.all():
+                j = int(np.argmax(vals))
+                return None, i, float(vals[j]), float(cands[idx[j]])
+            idx, X = idx[~dead], X[~dead]
         if i + 1 < states.size:
-            X = np.asarray(f.eval_array(X), dtype=float)
+            X = f.eval_array(X)
 
-    if idx.size == 0:
-        return None, best_arg, best_val, best_cand
-    w = int(idx[0])
-    bad = _tracing_violations(seq, cands[w], f, score, floor)
+    w = float(cands[idx[0]])
+    scores = _trace_scores(seq, w, f, score)
+    bad = _violations(scores, floor)
     if not bad.is_empty:
         raise AssertionError(f"witness re-verification failed at index {bad.indices[0]}")
-    return float(cands[w]), int(run_arg[w]), float(run_min[w]), None
+    k = int(np.argmin(scores))
+    return w, k, float(scores[k]), None
 
 
 def build_nonshadowable_orbit(delta: float, f=None) -> OrbitSequence:
@@ -185,17 +177,16 @@ def ergodic_shadow_search(seq: OrbitSequence, f, m: FuzzyMetric, eps: float, t0:
     report's plausibly_zero flag is the tracing verdict at the package-wide
     density threshold.
     """
-    states = seq.states
-    cands = np.unique(np.concatenate([m.grid(resolution), [float(states[0])]]))
+    states = require_in_domain(f, seq.states)
+    cands = require_in_domain(f, np.unique(np.concatenate([m.grid(resolution), states[:1]])))
     target = 1.0 - eps
 
-    X = cands.copy()
+    X = cands
     counts = np.zeros(cands.size, dtype=np.int64)
     for i, s in enumerate(states):
-        vals = np.asarray(m.eval_array(X, float(s), t0), dtype=float)
-        counts += vals <= target
+        counts += m.eval_array(X, float(s), t0) <= target
         if i + 1 < states.size:
-            X = np.asarray(f.eval_array(X), dtype=float)
+            X = f.eval_array(X)
 
     best = int(np.argmin(counts))  # ties break toward the smaller state value
     candidate = float(cands[best])
@@ -223,7 +214,7 @@ def topological_mixing_probe(f, U: Ball, V: Ball, m: FuzzyMetric, n_max: int = 6
     X = pts[u_mask]
     present: set[int] = set()
     for n in range(1, n_max + 1):
-        X = np.asarray(f.eval_array(X), dtype=float)
+        X = f.eval_array(X)
         if ball_members(m, V, X).any():
             present.add(n)
     ordered = tuple(sorted(present))

@@ -46,6 +46,8 @@ class IntervalMap:
         self._validate_cover()
         self._validate_continuity()
         self._validate_self_map()
+        self.domain_lo = float(self.pieces[0].lo)
+        self.domain_hi = float(self.pieces[-1].hi)
         # float mirrors for evaluation
         self._breaks = np.array([float(p.hi) for p in self.pieces[:-1]])
         self._slopes = np.array([float(p.slope) for p in self.pieces])
@@ -80,14 +82,6 @@ class IntervalMap:
 
     # -- domain ----------------------------------------------------------------
 
-    @property
-    def domain_lo(self) -> float:
-        return float(self.pieces[0].lo)
-
-    @property
-    def domain_hi(self) -> float:
-        return float(self.pieces[-1].hi)
-
     def contains(self, x: float) -> bool:
         if self.lo_open:
             return self.domain_lo < x <= self.domain_hi
@@ -100,7 +94,7 @@ class IntervalMap:
 
     def eval(self, x: float) -> float:
         if not self.contains(x):
-            raise ValueError(f"{x!r} outside domain of {self.name}")
+            raise ValueError(f"{float(x)!r} outside domain of {self.name}")
         i = int(np.searchsorted(self._breaks, x, side="left"))
         return float(self._slopes[i] * x + self._icepts[i])
 
@@ -114,7 +108,7 @@ class IntervalMap:
             raise ValueError("iteration count must be nonnegative")
         v = float(x)
         if not self.contains(v):
-            raise ValueError(f"{x!r} outside domain of {self.name}")
+            raise ValueError(f"{v!r} outside domain of {self.name}")
         for _ in range(n):
             v = self.eval(v)
         return v
@@ -225,15 +219,8 @@ class IteratedMap:
         self.base = base
         self.k = k
         self.lo_open = base.lo_open
+        self.domain_lo, self.domain_hi = base.domain_lo, base.domain_hi
         self.name = f"{base.name}^{k}"
-
-    @property
-    def domain_lo(self) -> float:
-        return self.base.domain_lo
-
-    @property
-    def domain_hi(self) -> float:
-        return self.base.domain_hi
 
     def contains(self, x: float) -> bool:
         return self.base.contains(x)

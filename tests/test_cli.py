@@ -195,13 +195,32 @@ def test_chain_endpoint_outside_domain(tmp_path, capsys, flag):
     ["chain", "--from", "0.2", "--to", "0.8", "--delta", "0.1", "--lengths"],
     ["mix", "--u-center", "0.05", "--u-radius", "0.3", "--v-center", "-1.5",
      "--v-radius", "0.1", "--n-max", "8"],
+    ["shadow", "--eps", "0.9", "--t0", "10", "--grid", "1e-2", "--orbit", "ORBIT"],
 ], ids=lambda argv: argv[0])
-def test_metric_grid_outside_map_domain(tmp_path, capsys, argv):
+def test_metric_grid_outside_map_domain(tmp_path, capsys, argv, orbit_file):
     out = tmp_path / "out"
+    argv = [orbit_file if a == "ORBIT" else a for a in argv]
     rc = main(argv + ["--map", "tent:2", "--metric", "standard", "--lo", "-2", "--hi", "3",
                       "--out", str(out)])
     assert rc == 2
     assert "-2.0 outside domain of tent:2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--delta", "0.1"],
+    ["sweep", "--eps-list", "0.1", "--delta-list", "0.1"],
+    ["shadow", "--eps", "0.1"],
+], ids=lambda argv: argv[0])
+def test_orbit_states_outside_map_domain(tmp_path, capsys, argv):
+    # tent:2 would extrapolate f(1.7) = -1.4 and count transition 2 as valid
+    bad = tmp_path / "escaping.csv"
+    bad.write_text("index,value\n0,0.3\n1,0.6\n2,1.7\n3,-1.4\n4,0.5\n")
+    out = tmp_path / "out"
+    rc = main(argv + ["--orbit", str(bad), "--map", "tent:2", "--metric", "standard",
+                      "--out", str(out)])
+    assert rc == 2
+    assert "-1.4 outside domain of tent:2" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -266,6 +266,23 @@ def test_chain_mixing_kernel_points_far_below_node_pairs(tent2):
     assert m.points < nodes**2 / 10
 
 
+@pytest.mark.parametrize("validate", [
+    lambda seq, f, m: validate_f_pseudo_orbit(seq, f, m, 0.1, 1.0),
+    lambda seq, f, m: npo_set(seq, f, m, 0.1, 1.0),
+    lambda seq, f, m: classical_validate(seq, f, 0.1),
+    lambda seq, f, m: ns_set(seq, 0.3, f, m, 0.1, 1.0),
+    lambda seq, f, m: orbits.classical_ns_set(seq, 0.3, f, 0.1),
+], ids=["validate", "npo", "classical-validate", "ns", "classical-ns"])
+def test_validators_reject_states_outside_map_domain(tent2, standard_metric, validate):
+    # f(1.7) = -1.4 extrapolates tent:2's pieces, so transition 2 would pass
+    seq = OrbitSequence(np.array([0.3, 0.6, 1.7, -1.4, 0.5]))
+    with pytest.raises(ValueError, match=r"state -1\.4 outside domain of tent:2"):
+        validate(seq, tent2, standard_metric)
+    # an open lower end excludes 0 itself
+    with pytest.raises(ValueError, match="state 0.0 outside domain of example43"):
+        validate(OrbitSequence(np.array([0.3, 0.0, 0.3])), example43_map(), standard_metric)
+
+
 def test_csv_roundtrip(tmp_path, tent2):
     seq = tent2.orbit(0.3, 20)
     path = tmp_path / "orbit.csv"

@@ -174,6 +174,28 @@ def test_probe_grid_outside_map_domain(tent2, three_piece):
                                  fm.StandardFuzzyMetric(), n_max=8, resolution=1e-2)
 
 
+def test_search_grid_outside_map_domain(tent2):
+    # the orbit's own start traces it, but a grid on [-2, 3] would be stepped
+    # by extrapolating tent:2's pieces
+    orb = tent2.orbit(0.3, 5)
+    wide = fm.StandardFuzzyMetric(lo=-2.0, hi=3.0)
+    with pytest.raises(ValueError, match=r"state -2\.0 outside domain of tent:2"):
+        shadow_search(orb, tent2, wide, eps=0.9, t0=10.0, resolution=1e-2)
+    with pytest.raises(ValueError, match=r"state -2\.0 outside domain of tent:2"):
+        ergodic_shadow_search(orb, tent2, wide, eps=0.9, t0=10.0, resolution=1e-2)
+
+
+@pytest.mark.parametrize("search", [
+    lambda seq, f, m: shadow_search(seq, f, m, eps=0.1, t0=1.0, resolution=1e-2),
+    lambda seq, f, m: classical_shadow_search(seq, f, eps=0.1, resolution=1e-2),
+    lambda seq, f, m: ergodic_shadow_search(seq, f, m, eps=0.1, t0=1.0, resolution=1e-2),
+], ids=["fuzzy", "classical", "ergodic"])
+def test_search_orbit_outside_map_domain(tent2, standard_metric, search):
+    seq = OrbitSequence(np.array([0.3, 0.6, 1.7, -1.4, 0.5]))
+    with pytest.raises(ValueError, match=r"state -1\.4 outside domain of tent:2"):
+        search(seq, tent2, standard_metric)
+
+
 def test_tracing_and_mixing_hold_together(tent2, standard_metric):
     # on the same instance, the flat-horizon tracing succeeds AND both mixing
     # probes are cofinite: premises and conclusion of the implication chain

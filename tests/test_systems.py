@@ -107,6 +107,14 @@ def test_domain_membership(three_piece, tent2):
     assert tent2.contains(0.0)
     with pytest.raises(ValueError):
         three_piece.eval(0.0)
+    assert (tent2.domain_lo, tent2.domain_hi) == (0.0, 1.0)
+    cube = power_map(three_piece, 3)
+    assert (cube.domain_lo, cube.domain_hi, cube.lo_open) == (0.0, 1.0, True)
+    # messages print the float, not a numpy scalar's repr
+    for call in (lambda x: tent2.eval(x), lambda x: tent2.iterate(x, 2),
+                 lambda x: tent2.orbit(x, 2)):
+        with pytest.raises(ValueError, match=r"^1\.5 outside domain of tent:2$"):
+            call(np.float64(1.5))
 
 
 def test_perturbation_g_properties(three_piece):

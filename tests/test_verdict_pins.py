@@ -1,8 +1,13 @@
-"""Verdicts pinned to the values of the separate fuzzy and classical searches
-that the shared survivor loop replaced, chains and length spectra pinned to
-the values of the dense frontier x nodes reach step, and the diameter-pair
-uniform horizon and the interval reach runs against the dense scans they
-replaced."""
+"""Search verdicts, chains and length spectra pinned to recorded values, and
+the fast kernels checked against the dense scans they replaced.
+
+Witness verdicts are pinned to the values of the separate fuzzy and
+classical searches that the shared survivor loop replaced, no-witness
+verdicts to the evidence of the dense candidate x index score matrix, which
+the survivor loop is also property-tested against.  Chains and length
+spectra are pinned to the values of the dense frontier x nodes reach step;
+the diameter-pair uniform horizon and the interval reach runs are tested
+against the dense scans they replaced."""
 
 import json
 import math
@@ -17,6 +22,7 @@ from fuzzyshadow import orbits, shadowing, systems
 
 
 def _searches():
+    """case: (seq, map, metric or None for classical, eps, t0, grid)."""
     t2, ts, e43 = systems.tent(2.0), systems.tent(math.sqrt(2)), systems.example43_map()
     std = fm.StandardFuzzyMetric()
     noisy = orbits.perturbed_orbit(t2, 0.3, 100, 0.05, seed=1)
@@ -26,23 +32,27 @@ def _searches():
     cross = shadowing.build_nonshadowable_orbit(0.01)
     fixed = orbits.OrbitSequence(np.zeros(4))
     h = fm.uniform_horizon(fm.StandardFuzzyMetric(lo_open=True), 0.2)
-    fuzzy, classical = shadowing.shadow_search, shadowing.classical_shadow_search
     return {
-        "fuzzy-tent2-flat": lambda: fuzzy(noisy, t2, std, 0.1, 9.5, 1e-3),
-        "fuzzy-tent2-tight": lambda: fuzzy(noisy, t2, std, 0.01, 0.5, 1e-3),
-        "fuzzy-sqrt2-quiet": lambda: fuzzy(quiet, ts, std, 0.05, 0.1, 1e-4),
-        "fuzzy-e43-ratio-phi": lambda: fuzzy(cross, e43, fm.RatioPhiFuzzyMetric(), 0.2, 1.0, 1e-3),
-        "fuzzy-e43-ratio": lambda: fuzzy(cross, e43, fm.RatioFuzzyMetric(), 0.2, 1.0, 1e-3),
-        "fuzzy-e43-standard": lambda: fuzzy(cross, e43, fm.StandardFuzzyMetric(lo_open=True),
-                                            0.2, h, 1e-3),
-        "classical-e43-crossing": lambda: classical(cross, e43, 0.125, 1e-4),
-        "classical-tent2-noisy": lambda: classical(noisy, t2, 0.05, 1e-3),
-        "classical-sqrt2-quiet": lambda: classical(quiet, ts, 0.05, 1e-4),
-        "classical-fixed-point": lambda: classical(fixed, t2, 0.1, 1e-2),
-        "classical-sqrt2-walk": lambda: classical(walk, ts, 0.1, 1e-3),
-        "classical-sqrt2-rough": lambda: classical(rough, ts, 0.1, 1e-3),
-        "classical-tent2-orbit": lambda: classical(t2.orbit(0.3, 20), t2, 0.01, 1e-3),
+        "fuzzy-tent2-flat": (noisy, t2, std, 0.1, 9.5, 1e-3),
+        "fuzzy-tent2-tight": (noisy, t2, std, 0.01, 0.5, 1e-3),
+        "fuzzy-sqrt2-quiet": (quiet, ts, std, 0.05, 0.1, 1e-4),
+        "fuzzy-e43-ratio-phi": (cross, e43, fm.RatioPhiFuzzyMetric(), 0.2, 1.0, 1e-3),
+        "fuzzy-e43-ratio": (cross, e43, fm.RatioFuzzyMetric(), 0.2, 1.0, 1e-3),
+        "fuzzy-e43-standard": (cross, e43, fm.StandardFuzzyMetric(lo_open=True), 0.2, h, 1e-3),
+        "classical-e43-crossing": (cross, e43, None, 0.125, None, 1e-4),
+        "classical-tent2-noisy": (noisy, t2, None, 0.05, None, 1e-3),
+        "classical-sqrt2-quiet": (quiet, ts, None, 0.05, None, 1e-4),
+        "classical-fixed-point": (fixed, t2, None, 0.1, None, 1e-2),
+        "classical-sqrt2-walk": (walk, ts, None, 0.1, None, 1e-3),
+        "classical-sqrt2-rough": (rough, ts, None, 0.1, None, 1e-3),
+        "classical-tent2-orbit": (t2.orbit(0.3, 20), t2, None, 0.01, None, 1e-3),
     }
+
+
+def _search(seq, f, m, eps, t0, grid):
+    if m is None:
+        return shadowing.classical_shadow_search(seq, f, eps, grid)
+    return shadowing.shadow_search(seq, f, m, eps, t0, grid)
 
 
 PINNED = {
@@ -52,24 +62,24 @@ PINNED = {
         "t0": 9.5, "mode": "fuzzy", "near_miss": None,
     },
     "fuzzy-tent2-tight": {
-        "verdict": "no-witness", "witness": None, "worst_index": 1,
-        "worst_value": 0.9897419923841172, "grid": 0.001, "candidates": 1001, "eps": 0.01,
-        "t0": 0.5, "mode": "fuzzy", "near_miss": 0.298,
+        "verdict": "no-witness", "witness": None, "worst_index": 2,
+        "worst_value": 0.9281913234835582, "grid": 0.001, "candidates": 1001, "eps": 0.01,
+        "t0": 0.5, "mode": "fuzzy", "near_miss": 0.299,
     },
     "fuzzy-sqrt2-quiet": {
-        "verdict": "no-witness", "witness": None, "worst_index": 3,
-        "worst_value": 0.9499993862776588, "grid": 0.0001, "candidates": 10001, "eps": 0.05,
-        "t0": 0.1, "mode": "fuzzy", "near_miss": 0.30110000000000003,
+        "verdict": "no-witness", "witness": None, "worst_index": 17,
+        "worst_value": 0.9443740006633238, "grid": 0.0001, "candidates": 10001, "eps": 0.05,
+        "t0": 0.1, "mode": "fuzzy", "near_miss": 0.29910000000000003,
     },
     "fuzzy-e43-ratio-phi": {
-        "verdict": "no-witness", "witness": None, "worst_index": 0, "worst_value": 0.8,
-        "grid": 0.001, "candidates": 1000, "eps": 0.2, "t0": 1.0, "mode": "fuzzy",
-        "near_miss": 0.2,
+        "verdict": "no-witness", "witness": None, "worst_index": 25,
+        "worst_value": 0.7751102075099623, "grid": 0.001, "candidates": 1000, "eps": 0.2,
+        "t0": 1.0, "mode": "fuzzy", "near_miss": 0.312,
     },
     "fuzzy-e43-ratio": {
-        "verdict": "no-witness", "witness": None, "worst_index": 0, "worst_value": 0.8,
-        "grid": 0.001, "candidates": 1000, "eps": 0.2, "t0": 1.0, "mode": "fuzzy",
-        "near_miss": 0.2,
+        "verdict": "no-witness", "witness": None, "worst_index": 25,
+        "worst_value": 0.7751102075099623, "grid": 0.001, "candidates": 1000, "eps": 0.2,
+        "t0": 1.0, "mode": "fuzzy", "near_miss": 0.312,
     },
     "fuzzy-e43-standard": {
         "verdict": "witness-found", "witness": 0.001, "worst_index": 46,
@@ -77,19 +87,19 @@ PINNED = {
         "t0": 3.960000000000003, "mode": "fuzzy", "near_miss": None,
     },
     "classical-e43-crossing": {
-        "verdict": "no-witness", "witness": None, "worst_index": 0, "worst_value": 0.125,
-        "grid": 0.0001, "candidates": 10000, "eps": 0.125, "t0": None, "mode": "classical",
-        "near_miss": 0.125,
+        "verdict": "no-witness", "witness": None, "worst_index": 25,
+        "worst_value": 0.14498117600696603, "grid": 0.0001, "candidates": 10000,
+        "eps": 0.125, "t0": None, "mode": "classical", "near_miss": 0.3749,
     },
     "classical-tent2-noisy": {
-        "verdict": "no-witness", "witness": None, "worst_index": 0,
-        "worst_value": 0.050000000000000044, "grid": 0.001, "candidates": 1001, "eps": 0.05,
-        "t0": None, "mode": "classical", "near_miss": 0.35000000000000003,
+        "verdict": "no-witness", "witness": None, "worst_index": 7,
+        "worst_value": 0.052452476272217496, "grid": 0.001, "candidates": 1001, "eps": 0.05,
+        "t0": None, "mode": "classical", "near_miss": 0.28800000000000003,
     },
     "classical-sqrt2-quiet": {
-        "verdict": "no-witness", "witness": None, "worst_index": 0,
-        "worst_value": 0.050000000000000044, "grid": 0.0001, "candidates": 10001,
-        "eps": 0.05, "t0": None, "mode": "classical", "near_miss": 0.35000000000000003,
+        "verdict": "no-witness", "witness": None, "worst_index": 24,
+        "worst_value": 0.06284480990016472, "grid": 0.0001, "candidates": 10001,
+        "eps": 0.05, "t0": None, "mode": "classical", "near_miss": 0.3028,
     },
     "classical-fixed-point": {
         "verdict": "witness-found", "witness": 0.0, "worst_index": 0, "worst_value": 0.0,
@@ -102,9 +112,9 @@ PINNED = {
         "t0": None, "mode": "classical", "near_miss": None,
     },
     "classical-sqrt2-rough": {
-        "verdict": "no-witness", "witness": None, "worst_index": 0,
-        "worst_value": 0.10000000000000003, "grid": 0.001, "candidates": 1001, "eps": 0.1,
-        "t0": None, "mode": "classical", "near_miss": 0.4,
+        "verdict": "no-witness", "witness": None, "worst_index": 41,
+        "worst_value": 0.12702111020109963, "grid": 0.001, "candidates": 1001, "eps": 0.1,
+        "t0": None, "mode": "classical", "near_miss": 0.33,
     },
     "classical-tent2-orbit": {
         "verdict": "witness-found", "witness": 0.3, "worst_index": 0, "worst_value": 0.0,
@@ -116,7 +126,7 @@ PINNED = {
 
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_verdict_pinned(case):
-    got = _searches()[case]().to_dict()
+    got = _search(*_searches()[case]).to_dict()
     # compared as JSON text, so a -0.0 distance cannot pass for 0.0
     assert json.dumps(got, sort_keys=True) == json.dumps(PINNED[case], sort_keys=True)
 
@@ -253,3 +263,77 @@ def test_reach_runs_match_dense_matrix(case, delta, t0):
     for row, a, b in zip(dense, lo, hi):
         assert np.array_equal(row, (a <= idx) & (idx < b))
     assert np.array_equal(orbits._covered(lo, hi, nodes.size), dense.any(axis=0))
+
+
+def _dense_survivors(seq, f, cands, score, floor):
+    """The full candidate x index score matrix, read the way the survivor
+    loop reports: the smallest candidate that never dies, with its weakest
+    step; otherwise the largest first-death index and the candidate with the
+    highest score there, the smallest on ties."""
+    states = seq.states
+    X = np.empty((cands.size, states.size))
+    X[:, 0] = cands
+    for i in range(1, states.size):
+        X[:, i] = f.eval_array(X[:, i - 1])
+    scores = score(X, states[None, :])
+    dead = scores <= floor
+    alive = np.flatnonzero(~dead.any(axis=1))
+    if alive.size:
+        w = alive[0]
+        k = int(np.argmin(scores[w]))
+        return float(cands[w]), k, float(scores[w, k]), None
+    first = dead.argmax(axis=1)
+    i = int(first.max())
+    last = np.flatnonzero(first == i)
+    j = last[np.argmax(scores[last, i])]
+    return None, i, float(scores[j, i]), float(cands[j])
+
+
+@st.composite
+def _survivor_inputs(draw):
+    name = draw(st.sampled_from(("classical", *fm.METRIC_NAMES)))
+    if name in ("ratio", "ratio-phi"):
+        f = systems.example43_map()  # the ratio metrics live on (0, 1]
+    else:
+        f = draw(st.sampled_from([systems.tent(2.0), systems.tent(math.sqrt(2)),
+                                  systems.tent(1.6), systems.example43_map()]))
+    resolution = 1.0 / draw(st.integers(4, 400))
+    if name == "classical":
+        cands, score = f.grid(resolution), orbits.classical_score
+        floor = -draw(st.floats(1e-3, 0.5))
+    else:
+        m = (fm.StandardFuzzyMetric(lo_open=f.lo_open) if name == "standard"
+             else fm.metric_from_name(name))
+        cands, score = m.grid(resolution), orbits.fuzzy_score(m, draw(st.floats(0.01, 4.0)))
+        floor = 1.0 - draw(st.floats(0.005, 0.995))
+    # a start on the grid keeps some candidate alive past index 0
+    x0 = draw(st.one_of(st.sampled_from(cands.tolist()),
+                        st.floats(f.domain_lo, f.domain_hi, exclude_min=f.lo_open)))
+    seq = orbits.perturbed_orbit(f, x0, draw(st.integers(0, 14)),
+                                 draw(st.sampled_from([0.0, 1e-3, 1e-2, 0.1])),
+                                 seed=draw(st.integers(0, 99)))
+    return seq, f, cands, score, floor
+
+
+# candidates at distance exactly eps from the one state die under "<= floor"
+@example(case=(orbits.OrbitSequence(np.array([0.25])), systems.tent(2.0),
+               systems.tent(2.0).grid(0.25), orbits.classical_score, -0.25))
+@settings(max_examples=300, deadline=None)
+@given(case=_survivor_inputs())
+def test_survivor_search_matches_dense_matrix(case):
+    assert shadowing._survivor_search(*case) == _dense_survivors(*case)
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_evidence_matches_dense_matrix(case):
+    seq, f, m, eps, t0, grid = _searches()[case]
+    if m is None:
+        witness, index, value, near = _dense_survivors(seq, f, f.grid(grid),
+                                                       orbits.classical_score, -eps)
+        value = 0.0 - value
+    else:
+        witness, index, value, near = _dense_survivors(seq, f, m.grid(grid),
+                                                       orbits.fuzzy_score(m, t0), 1.0 - eps)
+    pin = PINNED[case]
+    assert json.dumps([witness, index, value, near]) == json.dumps(
+        [pin["witness"], pin["worst_index"], pin["worst_value"], pin["near_miss"]])
