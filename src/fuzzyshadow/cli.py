@@ -366,8 +366,18 @@ def _cmd_reproduce(args) -> int:
 
 
 def _map_and_metric(args):
-    return (systems.map_from_spec(args.map_spec),
-            fm.metric_from_name(args.metric, None, args.lo, args.hi, args.lo_open))
+    """The map and the metric of a command, after checking that the map's
+    domain lies inside the metric's space, so that no state the map reaches
+    falls outside the metric (0 under a ratio metric, say)."""
+    f = systems.map_from_spec(args.map_spec)
+    metric = fm.metric_from_name(args.metric, None, args.lo, args.hi, args.lo_open)
+    # an open lower end of the domain is never reached, so it may sit on the
+    # metric's lower end whether that end is open or closed
+    low_inside = metric.lo <= f.domain_lo if f.lo_open else metric.contains(f.domain_lo)
+    if not (low_inside and metric.contains(f.domain_hi)):
+        raise ValueError(f"domain of {f.name} is not inside the {metric.name} "
+                         f"space {metric.describe_space()}")
+    return f, metric
 
 
 def _cmd_shadow(args) -> int:

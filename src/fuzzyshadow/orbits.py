@@ -57,11 +57,11 @@ class OrbitSequence:
         return float(self.states[i])
 
     def to_csv(self, path) -> None:
+        # the bytes csv.writer writes: a float repr needs no quoting, and
+        # rows end in "\r\n"
+        rows = "".join(f"{i},{v!r}\r\n" for i, v in enumerate(self.states.tolist()))
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "value"])
-            for i, v in enumerate(self.states):
-                writer.writerow([i, repr(float(v))])
+            fh.write("index,value\r\n" + rows)
 
     @classmethod
     def from_csv(cls, path) -> "OrbitSequence":
@@ -234,17 +234,25 @@ def classical_ns_set(seq: OrbitSequence, x: float, f, eps: float) -> IndexSet:
     return _violations(_trace_scores(seq, x, f, classical_score), -eps)
 
 
-def orbit_states(f, x: float, n: int) -> np.ndarray:
-    """The first n states x, f(x), ..., f^(n-1)(x) of the true orbit of x."""
+def _orbit_start(f, x: float, n: int) -> float:
+    """x as a float, after checking that it lies in the domain of f and that
+    the count n is nonnegative."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     v = float(x)
     if not f.contains(v):
         raise ValueError(f"{v!r} outside domain of {f.name}")
-    out = np.empty(n)
-    out[:1] = v
-    for i in range(1, n):
+    return v
+
+
+def orbit_states(f, x: float, n: int) -> np.ndarray:
+    """The first n states x, f(x), ..., f^(n-1)(x) of the true orbit of x."""
+    v = _orbit_start(f, x, n)
+    states = [v]
+    for _ in range(n - 1):
         v = f.eval(v)
-        out[i] = v
-    return out
+        states.append(v)
+    return np.array(states[:n])
 
 
 # -- density -------------------------------------------------------------------
@@ -343,17 +351,18 @@ def interleave_for_power(seq: OrbitSequence, k: int, f) -> OrbitSequence:
 
 def perturbed_orbit(f, x0: float, n: int, noise: float, seed: int = 0) -> OrbitSequence:
     """Orbit of x0 with seeded uniform per-step noise, clipped to the domain."""
-    rng = np.random.default_rng(seed)
+    v = _orbit_start(f, x0, n)
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise ValueError(f"noise must be finite and nonnegative, got {noise!r}")
+    # one draw of n kicks is the stream of n scalar draws
+    kicks = np.random.default_rng(seed).uniform(-noise, noise, n).tolist()
     lo, hi = f.domain_lo, f.domain_hi
     floor = lo + (hi - lo) * 1e-12 if f.lo_open else lo
-    states = np.empty(n + 1)
-    v = float(x0)
-    states[0] = v
-    for i in range(1, n + 1):
-        v = f.eval(v) + rng.uniform(-noise, noise)
-        v = min(hi, max(floor, v))
-        states[i] = v
-    return OrbitSequence(states, provenance="perturbed")
+    states = [v]
+    for kick in kicks:
+        v = min(hi, max(floor, f.eval(v) + kick))
+        states.append(v)
+    return OrbitSequence(np.array(states), provenance="perturbed")
 
 
 # -- chain search over the transition graph ---------------------------------------

@@ -8,6 +8,7 @@ construction time; evaluation then runs in double precision.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,10 +49,13 @@ class IntervalMap:
         self._validate_self_map()
         self.domain_lo = float(self.pieces[0].lo)
         self.domain_hi = float(self.pieces[-1].hi)
-        # float mirrors for evaluation
+        # float mirrors for evaluation: numpy arrays for eval_array, Python
+        # lists for the scalar eval, which pays no numpy per-call overhead
         self._breaks = np.array([float(p.hi) for p in self.pieces[:-1]])
         self._slopes = np.array([float(p.slope) for p in self.pieces])
         self._icepts = np.array([float(p.intercept) for p in self.pieces])
+        self._break_list = self._breaks.tolist()
+        self._coeffs = tuple(zip(self._slopes.tolist(), self._icepts.tolist()))
 
     # -- exact validation ----------------------------------------------------
 
@@ -93,10 +97,14 @@ class IntervalMap:
     # -- evaluation --------------------------------------------------------------
 
     def eval(self, x: float) -> float:
+        # bisect_left picks the piece searchsorted(side="left") picks in
+        # eval_array, and Python floats round the product and the sum as the
+        # float64 arrays do, so both paths give the same bits
+        x = float(x)
         if not self.contains(x):
-            raise ValueError(f"{float(x)!r} outside domain of {self.name}")
-        i = int(np.searchsorted(self._breaks, x, side="left"))
-        return float(self._slopes[i] * x + self._icepts[i])
+            raise ValueError(f"{x!r} outside domain of {self.name}")
+        slope, intercept = self._coeffs[bisect_left(self._break_list, x)]
+        return slope * x + intercept
 
     def eval_array(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)

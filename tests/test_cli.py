@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -231,3 +232,27 @@ def test_nonfinite_orbit_file_rejected(tmp_path, capsys):
                "--metric", "standard", "--delta", "0.1", "--out", str(tmp_path)])
     assert rc == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["shadow", "--map", "tent:2", "--metric", "ratio", "--eps", "0.1", "--grid", "1e-2",
+     "--orbit", "ORBIT"],
+    ["density", "--map", "tent:2", "--metric", "ratio-phi", "--delta", "0.1",
+     "--orbit", "ORBIT"],
+    ["chain", "--map", "tent:sqrt2", "--metric", "ratio", "--from", "0.2", "--to", "0.8",
+     "--delta", "0.1"],
+    ["shadow", "--map", "tent:2", "--metric", "standard", "--lo", "0.2", "--hi", "0.8",
+     "--eps", "0.1", "--orbit", "ORBIT"],
+], ids=["shadow-ratio", "density-ratio-phi", "chain-ratio", "shadow-narrow-standard"])
+def test_map_domain_outside_metric_space(tmp_path, capsys, argv):
+    # tent orbits reach 0, where a ratio metric divides 0 by 0
+    orbit = tmp_path / "to-zero.csv"
+    orbit.write_text("index,value\n0,0.5\n1,1.0\n2,0.0\n3,0.0\n")
+    out = tmp_path / "out"
+    argv = [str(orbit) if a == "ORBIT" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv + ["--out", str(out)])
+    assert rc == 2
+    assert "is not inside the" in capsys.readouterr().err
+    assert not out.exists()

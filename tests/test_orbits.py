@@ -1,3 +1,6 @@
+import csv
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -25,7 +28,7 @@ from fuzzyshadow.orbits import (
     transitivity_skeleton,
     validate_f_pseudo_orbit,
 )
-from fuzzyshadow.systems import example43_map, tent
+from fuzzyshadow.systems import example43_map, map_from_spec, tent
 
 
 def brute_force_skeleton(n):
@@ -198,6 +201,73 @@ def test_perturbed_orbit_validity(tent2, standard_metric):
     assert validate_f_pseudo_orbit(seq, tent2, standard_metric, 0.01, 1.0).is_empty
 
 
+# SHA-256 of states.tobytes(), recorded from the per-step loop that drew one
+# scalar kick at a time; noise 0.5 and 0.3 clip at hi and at example43's and
+# g's open floor
+@pytest.mark.parametrize("spec, x0, noise, seed, digest", [
+    ("tent:2", 0.3, 0.5, 0, "b70ffc1fe5e0121033b5fff43e517c83177b9f611089da4063c8186b86acc13f"),
+    ("tent:2", 0.7, 0.01, 1, "2412f4ae51750ee82fe64e25e7593db8da3cd4299c8bb3900c27c6b0b8728e77"),
+    ("tent:2", 0.45, 0.2, 2, "377c0bca84e4d765a6c6f302b4ced8e2019350a3ca6111b4542731824981a167"),
+    ("tent:sqrt2", 0.3, 0.5, 0, "43b57dc0143352a0c9854389354330a58ab5aa26d2eff4b62a889d64d6da9408"),
+    ("tent:sqrt2", 0.6, 0.01, 1, "3f3572c9e7f38a02138d0702544882c2ccd5cfcdd6289b194e3f4414b06c05d5"),
+    ("tent:sqrt2", 0.2, 0.2, 2, "124e21144d07dff6ab9141831f0444bfc2c5e3b4e68f102bd1a35cdca830371a"),
+    ("example43", 0.3, 0.5, 0, "34a46eb1d17569b567ec87705cee1eb74286307fd73c8c823293e73307127cd4"),
+    ("example43", 0.6, 0.01, 1, "c64da49bcbdfbe3437994520994d1077944fc62a558914e8e6c6424cf9a11a7b"),
+    ("example43", 0.05, 0.3, 2, "346f0cec518877b0e1bdcdc2f877e2f04314d1f4878f5fee1c1e37817098a739"),
+    ("g:1/256", 0.3, 0.5, 0, "263f1a1de5c50ae8da041a8a56ada20d5d3105cb3ab266508d59b5fb2c3063e3"),
+    ("g:1/256", 0.9, 0.01, 1, "61d559ef07e4358b37b7a1baa98f6340ee7c12822b4aefbcc87282c007c4e8e0"),
+    ("g:1/256", 0.1, 0.3, 2, "635d04dc9944d29e83c1bc3b5ac401c26cd7600f2c2afa1b2e8d7a3cb4950892"),
+])
+def test_perturbed_orbit_pinned(spec, x0, noise, seed, digest):
+    f = map_from_spec(spec)
+    states = perturbed_orbit(f, x0, 200, noise, seed).states
+    assert hashlib.sha256(states.tobytes()).hexdigest() == digest
+    if noise >= 0.3:
+        floor = 1e-12 if f.lo_open else 0.0
+        assert (states == 1.0).any() and (states == floor).any()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda f: perturbed_orbit(f, 1.5, 0, 0.01), r"^1\.5 outside domain of tent:2$"),
+    (lambda f: perturbed_orbit(f, -0.1, 5, 0.01), r"^-0\.1 outside domain of tent:2$"),
+    (lambda f: perturbed_orbit(f, 0.3, 5, float("nan")), "noise must be finite"),
+    (lambda f: perturbed_orbit(f, 0.3, 5, float("inf")), "noise must be finite"),
+    (lambda f: perturbed_orbit(f, 0.3, 5, -0.01), "noise must be finite and nonnegative"),
+    (lambda f: perturbed_orbit(f, 0.3, -1, 0.01), "n must be nonnegative"),
+    (lambda f: orbits.orbit_states(f, 0.3, -1), "n must be nonnegative"),
+], ids=["x0-above", "x0-below", "noise-nan", "noise-inf", "noise-negative", "n-negative",
+        "orbit-states-n-negative"])
+def test_orbit_inputs_rejected(tent2, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tent2)
+
+
+def test_perturbed_orbit_without_steps(tent2):
+    assert perturbed_orbit(tent2, 0.3, 0, 0.01).states.tolist() == [0.3]
+    quiet = perturbed_orbit(tent2, 0.3, 10, 0.0).states
+    assert np.array_equal(quiet, orbits.orbit_states(tent2, 0.3, 11))
+
+
+def _reference_orbit(f, x, n):
+    """x, f(x), ..., f^(n-1)(x), one eval_array call per step."""
+    out = []
+    v = np.array([float(x)])
+    for _ in range(n):
+        out.append(float(v[0]))
+        v = f.eval_array(v)
+    return np.array(out, dtype=float)
+
+
+@pytest.mark.parametrize("spec", ["tent:2", "tent:sqrt2", "example43", "g:1/256"])
+@pytest.mark.parametrize("n", [0, 1, 2, 500])
+def test_orbit_states_matches_reference(spec, n):
+    f = map_from_spec(spec)
+    for x in (0.5, 0.3, 1.0, np.float64(0.77)):
+        got = orbits.orbit_states(f, x, n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == _reference_orbit(f, x, n).tobytes()
+
+
 def test_chain_trivial_and_found(tent2, standard_metric):
     e = example43_map()
     rp = RatioPhiFuzzyMetric()
@@ -290,6 +360,20 @@ def test_csv_roundtrip(tmp_path, tent2):
     back = OrbitSequence.from_csv(path)
     assert back.provenance == "file"
     assert np.array_equal(back.states, seq.states)
+
+
+def test_csv_bytes_match_csv_writer(tmp_path, tent2):
+    seq = OrbitSequence(np.concatenate([perturbed_orbit(tent2, 0.3, 50, 0.05).states,
+                                        [1e-300, 5e-324, 1e22, -0.0, 0.1]]))
+    path = tmp_path / "orbit.csv"
+    seq.to_csv(path)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "value"])
+        for i, v in enumerate(seq.states):
+            writer.writerow([i, repr(float(v))])
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_csv_errors(tmp_path):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fuzzyshadow import systems
 from fuzzyshadow.systems import (
@@ -115,6 +117,40 @@ def test_domain_membership(three_piece, tent2):
                  lambda x: tent2.orbit(x, 2)):
         with pytest.raises(ValueError, match=r"^1\.5 outside domain of tent:2$"):
             call(np.float64(1.5))
+
+
+# x on [0, 1/3], (1 - x)/2 above: at float(1/3) the right piece rounds one
+# ulp above the left, so picking the wrong piece there shows in the bits,
+# which it does not on the dyadic breakpoints of the paper's maps
+_KINK = IntervalMap((Piece(Fraction(0), Fraction(1, 3), Fraction(1), Fraction(0)),
+                     Piece(Fraction(1, 3), Fraction(1), Fraction(-1, 2), Fraction(1, 2))),
+                    name="kink:1/3")
+_EVAL_MAPS = tuple(map_from_spec(spec) for spec in ("tent:2", "tent:sqrt2", "example43",
+                                                    "g:1/256")) + (_KINK,)
+
+
+@st.composite
+def _map_and_state(draw):
+    """A map with a state of its domain: any state, or one at a breakpoint, a
+    domain end or one ulp either side of a breakpoint."""
+    f = draw(st.sampled_from(_EVAL_MAPS))
+    lo = math.nextafter(f.domain_lo, math.inf) if f.lo_open else f.domain_lo
+    breaks = [float(p.hi) for p in f.pieces[:-1]]
+    special = [lo, f.domain_hi, *breaks,
+               *(math.nextafter(b, side) for b in breaks for side in (-math.inf, math.inf))]
+    if not f.lo_open:
+        special.append(-0.0)
+    x = draw(st.one_of(st.sampled_from(special),
+                       st.floats(lo, f.domain_hi, allow_nan=False)))
+    return f, x
+
+
+@given(_map_and_state())
+def test_scalar_eval_matches_eval_array_bits(case):
+    f, x = case
+    y = f.eval(x)
+    assert type(y) is float
+    assert y.hex() == float(f.eval_array([x])[0]).hex()
 
 
 def test_perturbation_g_properties(three_piece):
