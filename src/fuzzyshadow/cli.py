@@ -134,8 +134,7 @@ def _case_example_4_1(seed: int) -> tuple[bool, dict, dict]:
     orbit = orbits.perturbed_orbit(f, x0=0.3, n=1000, noise=0.05, seed=seed)
     valid = orbits.validate_f_pseudo_orbit(orbit, f, metric, 0.01, horizon).is_empty
     verdict = shadowing.shadow_search(orbit, f, metric, eps=0.1, t0=horizon)
-    chain = orbits.chain_mixing_check(0.2, 0.8, f, metric, delta=0.1, t0=1.0,
-                                      resolution=1e-3, n_max=64)
+    chain = orbits.chain_mixing_check(0.2, 0.8, f, metric, delta=0.1, t0=1.0, n_max=64)
     # exact float trajectories of the slope-2 tent map degenerate after ~53
     # doublings (finite binary mantissas), so the image probe stops at 48
     probe = shadowing.topological_mixing_probe(
@@ -371,12 +370,7 @@ def _map_and_metric(args):
     falls outside the metric (0 under a ratio metric, say)."""
     f = systems.map_from_spec(args.map_spec)
     metric = fm.metric_from_name(args.metric, None, args.lo, args.hi, args.lo_open)
-    # an open lower end of the domain is never reached, so it may sit on the
-    # metric's lower end whether that end is open or closed
-    low_inside = metric.lo <= f.domain_lo if f.lo_open else metric.contains(f.domain_lo)
-    if not (low_inside and metric.contains(f.domain_hi)):
-        raise ValueError(f"domain of {f.name} is not inside the {metric.name} "
-                         f"space {metric.describe_space()}")
+    fm.require_map_in_space(f, metric)
     return f, metric
 
 
@@ -404,12 +398,11 @@ def _cmd_chain(args) -> int:
         if not f.contains(x):
             raise ValueError(f"{flag} {x!r} outside domain of {f.name}")
     chain = orbits.chain_search(args.src, args.dst, f, metric, delta=args.delta,
-                                t0=args.t0, resolution=args.grid)
+                                t0=args.t0, n_max=args.n_max)
     mixing = None
     if args.lengths:
         mixing = orbits.chain_mixing_check(args.src, args.dst, f, metric,
-                                           delta=args.delta, t0=args.t0,
-                                           resolution=args.grid, n_max=args.n_max)
+                                           delta=args.delta, t0=args.t0, n_max=args.n_max)
     payload = {
         "command": "chain",
         "map": args.map_spec,
@@ -418,7 +411,6 @@ def _cmd_chain(args) -> int:
         "to": args.dst,
         "delta": args.delta,
         "t0": args.t0,
-        "grid": args.grid,
         "found": chain is not None,
         "length": None if chain is None else len(chain),
         "states": None if chain is None else chain.states.tolist(),
@@ -583,12 +575,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_shadow)
 
     p = sub.add_parser("chain", help="chain search between two states")
-    _add_common(p, 1e-3)
+    _add_common(p, None)
     p.add_argument("--from", dest="src", type=_FINITE, required=True)
     p.add_argument("--to", dest="dst", type=_FINITE, required=True)
     p.add_argument("--delta", type=_UNIT, required=True)
     p.add_argument("--t0", type=_POSITIVE, default=1.0)
-    p.add_argument("--n-max", dest="n_max", type=_COUNT, default=64)
+    p.add_argument("--n-max", dest="n_max", type=_COUNT, default=64,
+                   help="longest chain length searched (default 64)")
     p.add_argument("--lengths", action="store_true",
                    help="also report which chain lengths exist")
     p.set_defaults(func=_cmd_chain)

@@ -13,8 +13,8 @@ horizon t, and nearness never decreases as the horizon grows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -42,11 +42,51 @@ def interval_grid(lo: float, hi: float, lo_open: bool, resolution: float) -> np.
     return np.linspace(lo, hi, steps + 1)
 
 
+def require_in_domain(f, states: np.ndarray) -> np.ndarray:
+    """Return states unchanged after checking that they lie in the domain of
+    f; the domain is an interval, so the least and the greatest state decide."""
+    for v in (states.min(), states.max()):
+        if not f.contains(v):
+            raise ValueError(f"state {float(v)!r} outside domain of {f.name}")
+    return states
+
+
+@dataclass(frozen=True)
+class Interval:
+    """Interval of reals with exact rational ends, each one open or closed;
+    it is empty when lo > hi, or when lo == hi and an end is open."""
+
+    lo: Fraction
+    hi: Fraction
+    lo_closed: bool = True
+    hi_closed: bool = True
+
+    @classmethod
+    def point(cls, x) -> "Interval":
+        v = Fraction(x)
+        return cls(v, v)
+
+    @property
+    def is_empty(self) -> bool:
+        return self.lo > self.hi or (self.lo == self.hi and not (self.lo_closed and self.hi_closed))
+
+    def __contains__(self, x) -> bool:
+        return not (self & Interval.point(x)).is_empty
+
+    def __and__(self, other: "Interval") -> "Interval":
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        return Interval(lo, hi,
+                        all(i.lo_closed for i in (self, other) if i.lo == lo),
+                        all(i.hi_closed for i in (self, other) if i.hi == hi))
+
+
 class FuzzyMetric:
     """Base evaluator over states in a real interval.
 
-    Subclasses implement ``_kernel`` on raw arrays; this class owns domain
-    validation, grids, and seeded state sampling.
+    Subclasses implement ``_kernel`` on raw arrays, and ``ball_interval``, the
+    exact union of the open balls {z : M(u, z, t) > 1 - radius} over the u of
+    a nonempty Interval; this class owns domain validation, grids, and seeded
+    state sampling.
     """
 
     name = "base"
@@ -94,6 +134,10 @@ class FuzzyMetric:
         if not t > 0.0:
             raise ValueError(f"horizon must be positive, got {t!r}")
 
+    @property
+    def space(self) -> Interval:
+        return Interval(Fraction(self.lo), Fraction(self.hi), not self.lo_open, True)
+
     def describe_space(self) -> str:
         left = "(" if self.lo_open else "["
         return f"{left}{self.lo:g}, {self.hi:g}]"
@@ -118,6 +162,11 @@ class StandardFuzzyMetric(FuzzyMetric):
     def _kernel(self, x, y, t):
         return t / (t + np.abs(x - y))
 
+    def ball_interval(self, iv: Interval, radius: float, t: float) -> Interval:
+        # t/(t + d) > 1 - radius  iff  d < t*radius/(1 - radius), the bridge threshold
+        r = Fraction(t) * Fraction(radius) / (1 - Fraction(radius))
+        return Interval(iv.lo - r, iv.hi + r, False, False)
+
 
 class _RatioBase(FuzzyMetric):
     """Common plumbing for the two min/max ratio metrics on (0, 1]."""
@@ -127,6 +176,14 @@ class _RatioBase(FuzzyMetric):
 
     def _ratio(self, x, y):
         return np.minimum(x, y) / np.maximum(x, y)
+
+    def ball_interval(self, iv: Interval, radius: float, t: float) -> Interval:
+        # a distinct z is near u > 0 iff min/max > q, i.e. u*q < z < u/q; with
+        # q >= 1 no distinct point is near, so every ball is a singleton
+        q = self._ball_ratio(Fraction(radius), Fraction(t))
+        if q >= 1:
+            return iv
+        return Interval(iv.lo * q, iv.hi / q, False, False)
 
 
 class RatioPhiFuzzyMetric(_RatioBase):
@@ -139,6 +196,9 @@ class RatioPhiFuzzyMetric(_RatioBase):
         weight = np.minimum(t, 1.0)
         return np.where(x == y, 1.0, self._ratio(x, y) * weight)
 
+    def _ball_ratio(self, radius: Fraction, t: Fraction) -> Fraction:
+        return (1 - radius) / min(t, 1)
+
 
 class RatioFuzzyMetric(_RatioBase):
     """Bare min/max ratio; the horizon plays no role."""
@@ -147,6 +207,9 @@ class RatioFuzzyMetric(_RatioBase):
 
     def _kernel(self, x, y, t):
         return np.where(x == y, 1.0, self._ratio(x, y))
+
+    def _ball_ratio(self, radius: Fraction, t: Fraction) -> Fraction:
+        return 1 - radius
 
 
 def metric_from_name(name: str, tnorm: TNorm | None = None, lo: float = 0.0,
@@ -159,6 +222,17 @@ def metric_from_name(name: str, tnorm: TNorm | None = None, lo: float = 0.0,
     if name == "ratio":
         return RatioFuzzyMetric(tnorm)
     raise ValueError(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")
+
+
+def require_map_in_space(f, m: FuzzyMetric) -> None:
+    """Check that the domain of f lies inside the space of m, so that no state
+    the map reaches falls outside the metric (0 under a ratio metric, say)."""
+    # an open lower end of the domain is never reached, so it may sit on the
+    # metric's lower end whether that end is open or closed
+    low_inside = m.lo <= f.domain_lo if f.lo_open else m.contains(f.domain_lo)
+    if not (low_inside and m.contains(f.domain_hi)):
+        raise ValueError(f"domain of {f.name} is not inside the {m.name} "
+                         f"space {m.describe_space()}")
 
 
 def bridge_threshold(delta: float, t0: float) -> float:
@@ -300,29 +374,6 @@ def uniform_horizon(m: FuzzyMetric, eps: float, resolution: float = 1e-2) -> flo
     return hi
 
 
-# -- convergence (finite-prefix proxy) ----------------------------------------
-
-
-def converges(m: FuzzyMetric, seq, limit: float, eps: float,
-              horizons, tail_fraction: float = 0.5) -> bool:
-    """True when the trailing portion of a finite sequence stays eps-near the limit.
-
-    The trailing ceil(tail_fraction * len) entries must satisfy
-    M(x_n, limit, t) > 1 - eps for every supplied horizon; a finite-prefix
-    stand-in for convergence, which no finite computation can certify.
-    """
-    states = np.asarray(getattr(seq, "states", seq), dtype=float)
-    if states.size == 0:
-        raise ValueError("sequence must be nonempty")
-    k = max(1, math.ceil(states.size * tail_fraction))
-    tail = states[states.size - k:]
-    target = 1.0 - eps
-    for t in horizons:
-        if not np.all(m.eval_array(tail, limit, t) > target):
-            return False
-    return True
-
-
 # -- continuity certification --------------------------------------------------
 
 
@@ -354,7 +405,7 @@ def certify_fuzzy_continuity(m: FuzzyMetric, f, eps: float, t: float,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    pts = m.grid(resolution)
+    pts = require_in_domain(f, m.grid(resolution))
     imgs = np.asarray(f.eval_array(pts), dtype=float)
     pairs = pts.size * pts.size
 
@@ -401,7 +452,9 @@ class ModulusReport:
 
 def check_ratio_modulus(f, factor: float, resolution: float = 1e-3) -> ModulusReport:
     """Verify min/max ratio of images strictly dominates factor times the
-    source ratio, over the full grid-pair square."""
+    source ratio, over the full grid-pair square; the domain of f must lie in
+    the ratio space (0, 1]."""
+    require_map_in_space(f, RatioFuzzyMetric())
     pts = f.grid(resolution)
     img = np.asarray(f.eval_array(pts), dtype=float)
     lhs = np.minimum.outer(img, img) / np.maximum.outer(img, img)
@@ -412,8 +465,11 @@ def check_ratio_modulus(f, factor: float, resolution: float = 1e-3) -> ModulusRe
 def check_metric_domination(m: FuzzyMetric, g, f, factor: float, t: float,
                             resolution: float = 1e-3) -> ModulusReport:
     """Verify M(g(x), g(y), t) strictly dominates factor * M(f(x), f(y), t)
-    over the full grid-pair square."""
-    pts = f.grid(resolution)
+    over the full grid-pair square of f; the grid must lie in the domain of
+    g, and both domains in the space of m."""
+    require_map_in_space(f, m)
+    require_map_in_space(g, m)
+    pts = require_in_domain(g, f.grid(resolution))
     gi = np.asarray(g.eval_array(pts), dtype=float)
     fi = np.asarray(f.eval_array(pts), dtype=float)
     lhs = m.eval_array(gi[:, None], gi[None, :], t)

@@ -1,5 +1,5 @@
 """Pseudo-orbit machinery: validators, violation index sets, density curves,
-chain search over transition graphs, and the two interleaving constructions.
+chains over exact reach intervals, and the two interleaving constructions.
 
 Conventions, fixed package-wide:
 
@@ -10,7 +10,11 @@ Conventions, fixed package-wide:
   when the distance is >= delta;
 * prefix densities count violations in [0, n) and divide by n.  Infinite
   sequences are represented by finite prefixes, so density verdicts are
-  finite-prefix judgments against an explicit threshold, never limit claims.
+  finite-prefix judgments against an explicit threshold, never limit claims;
+* chains live on the continuum, not on a grid: under every metric here a
+  ball is an interval, and a continuous piecewise-linear map sends an
+  interval to an interval, so the ends of all chains of length n from x form
+  one interval R_n, computed with exact rational ends.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .fuzzy_metric import Interval, require_in_domain
 
 DENSITY_THRESHOLD = 0.01
 _DENSITY_LADDER_BASE = 100
@@ -176,15 +182,6 @@ def classical_score(x, y):
     that a larger score is closer in both cases and a distance bound d < delta
     reads score > -delta."""
     return -np.abs(x - y)
-
-
-def require_in_domain(f, states: np.ndarray) -> np.ndarray:
-    """Return states unchanged after checking that they lie in the domain of
-    f; the domain is an interval, so the least and the greatest state decide."""
-    for v in (states.min(), states.max()):
-        if not f.contains(v):
-            raise ValueError(f"state {float(v)!r} outside domain of {f.name}")
-    return states
 
 
 def _violations(scores: np.ndarray, floor: float) -> IndexSet:
@@ -365,121 +362,79 @@ def perturbed_orbit(f, x0: float, n: int, noise: float, seed: int = 0) -> OrbitS
     return OrbitSequence(np.array(states), provenance="perturbed")
 
 
-# -- chain search over the transition graph ---------------------------------------
+# -- chains over exact reach intervals --------------------------------------------
 
 
-def _chain_nodes(x: float, y: float, f, m, resolution: float) -> np.ndarray:
-    pts = m.grid(resolution)
-    return require_in_domain(f, np.unique(np.concatenate([pts, [x, y]])))
-
-
-def _reach_runs(stepped: np.ndarray, nodes: np.ndarray, m, t0: float,
-                delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """For each stepped state s, the run [lo, hi) of node indices v with
-    M(s, nodes[v], t0) > 1 - delta.
-
-    With k = searchsorted(nodes, s), every metric's float kernel is
-    nondecreasing in v below k and nonincreasing from k on: |s - v|, t + d
-    and t / (t + d) are monotone under IEEE rounding, and so are the ratios
-    v/s and s/v, a constant horizon weight, and the value 1 at v == s.  The
-    near nodes below k are therefore a suffix of [0, k) and those from k on a
-    prefix of [k, n), so the near set is one run, and a binary search of the
-    exact predicate on each side finds its ends with 2 log2(n) evaluations.
-    """
-    count, n = stepped.size, nodes.size
-    k = np.searchsorted(nodes, stepped)
-    # rows [0, count) seek the first near index below k, rows [count, 2count)
-    # the first far index from k on; each search keeps its answer in [lo, hi]
-    lo = np.concatenate([np.zeros_like(k), k])
-    hi = np.concatenate([k, np.full_like(k, n)])
-    states = np.concatenate([stepped, stepped])
-    below = np.arange(2 * count) < count
-    target = 1.0 - delta
-    while True:
-        rows = np.flatnonzero(lo < hi)
-        if not rows.size:
-            return lo[:count], lo[count:]
-        mid = (lo[rows] + hi[rows]) // 2
-        near = m.eval_array(states[rows], nodes[mid], t0) > target
-        up = near != below[rows]
-        lo[rows[up]] = mid[up] + 1
-        hi[rows[~up]] = mid[~up]
-
-
-def _covered(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """Mask of the n node indices inside at least one run [lo, hi)."""
-    edges = np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1)
-    return np.cumsum(edges[:n]) > 0
+def _reach_sets(x: float, y: float, f, m, delta: float, t0: float, n_max: int):
+    """Yield R_1 = {x} and R_{k+1} = B(f(R_k)) & X up to R_{n_max}: B is the
+    union of the open balls of radius delta at horizon t0, X the space of m,
+    and R_n the set of last states of the chains of length n from x.  Stops
+    early after a set that repeats forever (stationary or empty).  x, y and X
+    must lie in the domain of f, so that f is never applied outside it."""
+    if not (0.0 < delta < 1.0 and 0.0 < t0 < math.inf and n_max >= 1):
+        raise ValueError("chains need delta in (0, 1), a finite horizon t0 > 0 and "
+                         f"n_max >= 1, got {delta!r}, {t0!r} and {n_max!r}")
+    # the least state of a space with an open lower end sits just above it
+    low = np.nextafter(m.lo, math.inf) if m.lo_open else m.lo
+    require_in_domain(f, np.array([x, y, low, m.hi], dtype=float))
+    space = m.space
+    reach = Interval.point(x)
+    for _ in range(n_max - 1):
+        yield reach
+        # an empty set steps to itself
+        nxt = reach if reach.is_empty else m.ball_interval(f.image(reach), delta, t0) & space
+        if nxt == reach:
+            return
+        reach = nxt
+    yield reach
 
 
 def chain_search(x: float, y: float, f, m, delta: float, t0: float,
-                 resolution: float = 1e-3) -> OrbitSequence | None:
-    """Shortest chain from x to y through the grid transition graph, or None.
+                 resolution: float = 1e-3, n_max: int = 64) -> OrbitSequence | None:
+    """Shortest chain x = x_1, ..., x_n = y with M(f(x_k), x_{k+1}, t0) > 1 - delta
+    and n <= n_max (the least n with y in R_n), or None when there is none.
 
-    Nodes are the metric grid plus both endpoints, all of which must lie in
-    the domain of f; u -> v is an edge when M(f(u), v, t0) > 1 - delta.
-    Breadth-first search guarantees a minimal length chain; among parents in
-    one level the smallest state value wins, which makes results deterministic.
+    Walked back from y, x_k is the midpoint of the widest piece of
+    R_k & f^-1(B(x_{k+1})), the leftmost on ties, rounded to a float; the float
+    chain is re-verified with validate_f_pseudo_orbit, and one that fails
+    raises AssertionError.  ``resolution`` is unused.  It stays seventh, with
+    its 1e-3 default, only because perfbench/ passes grids there positionally
+    and its chain-node hook builds m.grid(resolution) from the bound arguments.
     """
-    nodes = _chain_nodes(x, y, f, m, resolution)
-    if x == y:
-        return OrbitSequence(np.array([x]), provenance="constructed")
-    ix = int(np.searchsorted(nodes, x))
-    iy = int(np.searchsorted(nodes, y))
-
-    visited = np.zeros(nodes.size, dtype=bool)
-    visited[ix] = True
-    frontier = np.array([ix], dtype=np.int64)
-    levels = []
-
-    while frontier.size:
-        stepped = np.asarray(f.eval_array(nodes[frontier]), dtype=float)
-        lo, hi = _reach_runs(stepped, nodes, m, t0, delta)
-        levels.append((frontier, lo, hi))
-        hit = _covered(lo, hi, nodes.size) & ~visited
-        if not hit.any():
-            return None
-        visited |= hit
-        if visited[iy]:
-            # each level's frontier is ascending, so the first covering run
-            # belongs to the smallest parent state
-            chain = [iy]
-            for fr, lo, hi in reversed(levels):
-                v = chain[-1]
-                chain.append(int(fr[np.flatnonzero((lo <= v) & (v < hi))[0]]))
-            chain.reverse()
-            return OrbitSequence(nodes[chain], provenance="constructed")
-        frontier = np.flatnonzero(hit)
-    return None
+    sets = []
+    for reach in _reach_sets(x, y, f, m, delta, t0, n_max):
+        sets.append(reach)
+        if y in reach:
+            break
+    else:
+        return None
+    states = [float(y)]
+    for reach in reversed(sets[:-1]):
+        parts = f.preimage(m.ball_interval(Interval.point(states[-1]), delta, t0), reach)
+        if not parts:
+            raise AssertionError(f"chain state {states[-1]!r} rounds out of its reach set")
+        part = max(parts, key=lambda iv: iv.hi - iv.lo)
+        states.append(float((part.lo + part.hi) / 2))
+    chain = OrbitSequence(np.array(states[::-1]), provenance="constructed")
+    if len(chain) > 1:
+        bad = validate_f_pseudo_orbit(chain, f, m, delta, t0)
+        if not bad.is_empty:
+            raise AssertionError(f"chain re-verification failed at index {bad.indices[0]}")
+    return chain
 
 
 def chain_mixing_check(x: float, y: float, f, m, delta: float, t0: float,
                        resolution: float = 1e-3, n_max: int = 64) -> MixingReport:
-    """Which chain lengths from x to y exist, for lengths up to n_max.
+    """Which chain lengths n <= n_max from x to y exist: those with y in R_n.
 
-    A chain of length n has n states and n - 1 graph steps; walks may revisit
-    nodes, so the frontier is propagated without pruning.  Reports the set of
-    achievable lengths and the least onset after which every length occurs.
+    Reports the set of achievable lengths and the least onset after which
+    every length occurs.  ``resolution`` is unused.  It stays seventh, with
+    its 1e-3 default, only because perfbench/ passes grids there positionally
+    and its chain-node hook builds m.grid(resolution) from the bound arguments.
     """
-    nodes = _chain_nodes(x, y, f, m, resolution)
-    ix = int(np.searchsorted(nodes, x))
-    iy = int(np.searchsorted(nodes, y))
-
-    reachable = np.zeros(nodes.size, dtype=bool)
-    reachable[ix] = True
-    present: set[int] = set()
-    for n in range(1, n_max + 1):
-        if reachable[iy]:
-            present.add(n)
-        if n == n_max:
-            break
-        stepped = np.asarray(f.eval_array(nodes[reachable]), dtype=float)
-        nxt = _covered(*_reach_runs(stepped, nodes, m, t0, delta), nodes.size)
-        if np.array_equal(nxt, reachable):
-            # stationary frontier: the presence pattern repeats for all larger n
-            if reachable[iy]:
-                present.update(range(n + 1, n_max + 1))
-            break
-        reachable = nxt
-    ordered = tuple(sorted(present))
-    return MixingReport(present=ordered, n_max=n_max, n0=_cofinite_onset(present, n_max))
+    sets = list(_reach_sets(x, y, f, m, delta, t0, n_max))
+    present = [n for n, reach in enumerate(sets, 1) if y in reach]
+    if y in sets[-1]:
+        # the last set repeats for all larger n
+        present += range(len(sets) + 1, n_max + 1)
+    return MixingReport(tuple(present), n_max, _cofinite_onset(set(present), n_max))

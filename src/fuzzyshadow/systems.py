@@ -2,7 +2,8 @@
 
 Coefficients and breakpoints are stored as fractions, so continuity at
 interior breakpoints and the self-map property are checked exactly at
-construction time; evaluation then runs in double precision.
+construction time; evaluation then runs in double precision, and images and
+preimages of intervals are exact.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fuzzy_metric import interval_grid
+from .fuzzy_metric import Interval, interval_grid
 from .orbits import OrbitSequence, orbit_states
 
 
@@ -110,6 +111,44 @@ class IntervalMap:
         xs = np.asarray(xs, dtype=float)
         idx = np.searchsorted(self._breaks, xs, side="left")
         return self._slopes[idx] * xs + self._icepts[idx]
+
+    def _exact(self, x: Fraction) -> Fraction:
+        # at a breakpoint both pieces give the same value
+        return next(p for p in self.pieces if x <= p.hi).value(x)
+
+    def image(self, iv: Interval) -> Interval:
+        """Exact image of a nonempty interval of the domain.
+
+        f is continuous and affine between breakpoints, so its extremes over
+        iv are values at the ends and at the interior breakpoints.  A value
+        seen only at an open end is attained all the same when a flat piece
+        repeats it, which the value at a point inside each piece detects.
+        """
+        cuts = [iv.lo, *(p.hi for p in self.pieces if iv.lo < p.hi < iv.hi), iv.hi]
+        seen = [(self._exact(iv.lo), iv.lo_closed), (self._exact(iv.hi), iv.hi_closed)]
+        seen += [(self._exact(b), True) for b in cuts[1:-1]]
+        seen += [(self._exact((a + b) / 2), True) for a, b in zip(cuts, cuts[1:])]
+        lo, hi = min(v for v, _ in seen), max(v for v, _ in seen)
+        return Interval(lo, hi, any(c for v, c in seen if v == lo),
+                        any(c for v, c in seen if v == hi))
+
+    def preimage(self, target: Interval, within: Interval) -> list[Interval]:
+        """The points of within that f maps into target, as one nonempty
+        interval per piece, in domain order."""
+        parts = []
+        for p in self.pieces:
+            part = within & Interval(p.lo, p.hi)
+            if p.slope == 0:
+                if p.intercept not in target:
+                    continue
+            else:
+                a = (target.lo - p.intercept) / p.slope
+                b = (target.hi - p.intercept) / p.slope
+                part &= (Interval(a, b, target.lo_closed, target.hi_closed) if p.slope > 0
+                         else Interval(b, a, target.hi_closed, target.lo_closed))
+            if not part.is_empty:
+                parts.append(part)
+        return parts
 
     def iterate(self, x: float, n: int) -> float:
         if n < 0:

@@ -64,6 +64,13 @@ def test_chain_command(tmp_path):
     report = read_report(tmp_path, "chain.json")
     assert report["found"] is True
     assert report["length_spectrum"]["n0"] is not None
+    assert "grid" not in report
+    # --n-max bounds the search too: the shortest chain 0.2 -> 0.8 has 3 states
+    rc = main(["chain", "--map", "tent:2", "--metric", "standard",
+               "--from", "0.2", "--to", "0.8", "--delta", "0.1", "--n-max", "2",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert read_report(tmp_path, "chain.json")["found"] is False
 
 
 def test_mix_command(tmp_path):

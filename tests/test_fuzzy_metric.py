@@ -1,10 +1,13 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzyshadow import fuzzy_metric as fm
-from fuzzyshadow.systems import perturbation_g
+from fuzzyshadow.systems import IntervalMap, Piece, example43_map, perturbation_g, tent
 from fuzzyshadow.tnorm import TNorm
 
 
@@ -111,15 +114,6 @@ def test_uniform_horizon_ratio_none(ratio_metric, ratio_phi_metric):
     assert fm.uniform_horizon(ratio_phi_metric, 0.1, resolution=1e-2) is None
 
 
-def test_converges_examples(standard_metric):
-    n = np.arange(31, dtype=float)
-    seq = 0.5 + 2.0**-n
-    assert fm.converges(standard_metric, seq, 0.5, 0.01, [1.0])
-    assert fm.converges(standard_metric, np.full(10, 0.37), 0.37, 0.01, [0.5, 1.0])
-    alternating = np.array([0.0, 1.0] * 20)
-    assert not fm.converges(standard_metric, alternating, 0.0, 0.1, [1.0])
-
-
 def test_bridge_threshold_matches_predicate(standard_metric):
     # the standard-metric bound and the classical distance bound pick out the
     # same pairs, checked over an exhaustive value/parameter lattice
@@ -146,12 +140,36 @@ def test_bridge_threshold_pointwise(delta, t0, d):
         assert lhs == (d < thr)
 
 
-def test_certify_identity(standard_metric):
-    class Identity:
-        def eval_array(self, xs):
-            return np.asarray(xs, dtype=float)
+def _exactly_near(m, u, z, radius, t) -> bool:
+    """M(u, z, t) > 1 - radius in exact arithmetic on the float inputs."""
+    u, z, radius, t = map(Fraction, (u, z, radius, t))
+    if m.name == "standard":
+        value = t / (t + abs(u - z))
+    elif u == z:
+        value = Fraction(1)
+    else:
+        value = min(u, z) / max(u, z) * (min(t, 1) if m.name == "ratio-phi" else 1)
+    return value > 1 - radius
 
-    cert = fm.certify_fuzzy_continuity(standard_metric, Identity(), eps=0.3, t=1.0)
+
+@given(name=st.sampled_from(fm.METRIC_NAMES), u=st.floats(1e-3, 1.0),
+       radius=st.floats(1e-3, 0.999), t=st.floats(0.01, 4.0))
+def test_ball_interval_matches_exact_predicate(name, u, radius, t):
+    m = fm.metric_from_name(name, lo=-4.0, hi=5.0)
+    ball = m.ball_interval(fm.Interval.point(u), radius, t)
+    zs = [u]
+    for end in (ball.lo, ball.hi):
+        e = float(end)
+        zs += [np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)]
+    for z in zs:
+        if m.contains(z):
+            assert (z in ball) == _exactly_near(m, u, z, radius, t)
+
+
+def test_certify_identity(standard_metric):
+    identity = IntervalMap([Piece(Fraction(0), Fraction(1), Fraction(1), Fraction(0))],
+                           name="identity")
+    cert = fm.certify_fuzzy_continuity(standard_metric, identity, eps=0.3, t=1.0)
     assert cert.holds
     assert cert.delta == pytest.approx(0.3)
     assert cert.t_prime == 1.0
@@ -162,6 +180,32 @@ def test_certify_concrete_maps(ratio_phi_metric, ratio_metric, three_piece):
     assert cert.holds and cert.delta > 0
     cert = fm.certify_fuzzy_continuity(ratio_metric, three_piece, eps=0.2, t=1.0)
     assert cert.holds and cert.delta > 0
+
+
+def test_certify_rejects_grid_outside_map_domain(tent2):
+    # a metric grid on [-2, 3] would step tent:2 by extrapolating its pieces
+    with pytest.raises(ValueError, match="-2.0 outside domain of tent:2"):
+        fm.certify_fuzzy_continuity(fm.StandardFuzzyMetric(lo=-2.0, hi=3.0), tent2,
+                                    0.2, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("check, message", [
+    # the tent grid starts at 0, and tent:2 maps 1 to 0
+    (lambda: fm.check_ratio_modulus(tent(2.0), 0.1, 1e-2),
+     "domain of tent:2 is not inside the ratio space"),
+    (lambda: fm.check_metric_domination(fm.RatioFuzzyMetric(), tent(2.0), example43_map(),
+                                        0.5, 1.0, 1e-2),
+     "domain of tent:2 is not inside the ratio space"),
+    (lambda: fm.check_metric_domination(fm.StandardFuzzyMetric(), example43_map(), tent(2.0),
+                                        0.5, 1.0, 1e-2),
+     "state 0.0 outside domain of example43"),
+], ids=["ratio-modulus-tent", "domination-tent-image", "domination-grid-outside-g"])
+def test_modulus_checks_reject_states_outside_the_space(check, message):
+    # the first two divided 0 by 0 and reported a nan margin
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            check()
 
 
 def test_ratio_modulus_three_piece(three_piece):

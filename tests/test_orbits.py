@@ -314,26 +314,42 @@ def test_chain_nodes_outside_map_domain(tent2, standard_metric):
             chain_search(x, y, tent2, standard_metric, 0.1, 1.0, 1e-2)
 
 
-class _CountingMetric(StandardFuzzyMetric):
-    """Standard metric that counts the kernel points it evaluates."""
-
-    def __init__(self):
-        super().__init__()
-        self.points = 0
-
-    def _kernel(self, x, y, t):
-        out = super()._kernel(x, y, t)
-        self.points += out.size
-        return out
+def test_chain_with_singleton_balls_is_the_true_orbit(three_piece, ratio_phi_metric):
+    # ratio-phi at t0 = 1/2 and delta = 0.05: every ball is one point
+    orbit = orbits.orbit_states(three_piece, 0.25, 6)
+    chain = chain_search(0.25, orbit[-1], three_piece, ratio_phi_metric, 0.05, 0.5)
+    assert chain.states.tolist() == orbit.tolist()
+    rep = chain_mixing_check(0.25, orbit[-1], three_piece, ratio_phi_metric, 0.05, 0.5,
+                             n_max=10)
+    assert rep.present == (6,) and rep.n0 is None
 
 
-def test_chain_mixing_kernel_points_far_below_node_pairs(tent2):
-    # a dense frontier x nodes step costs at least nodes**2 points per step
-    m = _CountingMetric()
-    nodes = m.grid(1e-3).size
-    rep = chain_mixing_check(0.2, 0.8, tent2, m, 0.1, 1.0, 1e-3, n_max=64)
-    assert rep.n0 is not None
-    assert m.points < nodes**2 / 10
+def test_chain_length_bounded_by_n_max(tent2, standard_metric):
+    # the shortest chain 0.3 -> 0.7 at delta 0.01, t0 0.1 has 9 states
+    args = (0.3, 0.7, tent2, standard_metric, 0.01, 0.1)
+    assert chain_search(*args, n_max=8) is None
+    assert chain_mixing_check(*args, n_max=8).present == ()
+    assert len(chain_search(*args, n_max=9)) == 9
+    assert chain_mixing_check(*args, n_max=9).present == (9,)
+
+
+def test_chain_that_fails_reverification_raises(tent2, standard_metric):
+    # y sits just inside the exact ball of f(0.2) = 0.4 (|0.4 - y| < 1/9), so
+    # a chain of length 2 exists, but in floats 1/(1 + |0.4 - y|) is exactly 0.9
+    y = 0.5111111111111111
+    assert chain_mixing_check(0.2, y, tent2, standard_metric, 0.1, 1.0, n_max=2).present == (2,)
+    with pytest.raises(AssertionError, match="re-verification failed at index 0"):
+        chain_search(0.2, y, tent2, standard_metric, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("kwargs", [{"delta": 0.0}, {"delta": 1.0}, {"t0": 0.0},
+                                    {"t0": float("inf")}, {"t0": float("nan")},
+                                    {"n_max": 0}])
+def test_chain_parameters_checked(tent2, standard_metric, kwargs):
+    args = {"delta": 0.1, "t0": 1.0, **kwargs}
+    for check in (chain_search, chain_mixing_check):
+        with pytest.raises(ValueError, match="chains need delta in"):
+            check(0.2, 0.8, tent2, standard_metric, **args)
 
 
 @pytest.mark.parametrize("validate", [

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzyshadow import systems
+from fuzzyshadow.fuzzy_metric import Interval
 from fuzzyshadow.systems import (
     ConstructionError,
     IntervalMap,
@@ -193,3 +194,53 @@ def test_map_from_spec():
         map_from_spec("logistic:4")
     with pytest.raises(ValueError):
         map_from_spec("tent:abc")
+
+
+def _iv(lo, hi, lo_closed=True, hi_closed=True):
+    return Interval(Fraction(lo), Fraction(hi), lo_closed, hi_closed)
+
+
+@pytest.mark.parametrize("iv, image", [
+    (_iv("1/4", "3/4"), _iv("1/2", 1)),  # the peak is an interior breakpoint
+    (_iv(0, "1/2", False, False), _iv(0, 1, False, False)),  # open ends stay open
+    (_iv("1/4", "1/4"), _iv("1/2", "1/2")),
+    (_iv("1/2", 1, False, True), _iv(0, 1, True, False)),  # slope -2 swaps the ends
+    (_iv("1/4", "3/4", False, True), _iv("1/2", 1)),  # 1/2 is attained at 3/4
+])
+def test_image_of_interval(tent2, iv, image):
+    assert tent2.image(iv) == image
+
+
+def test_image_detects_flat_pieces():
+    # f = 1/2 on [0, 1/2], the identity above; the open interval (0, 1/2)
+    # attains 1/2 inside, not only at its open ends
+    half = Fraction(1, 2)
+    f = IntervalMap([Piece(Fraction(0), half, Fraction(0), half),
+                     Piece(half, Fraction(1), Fraction(1), Fraction(0))])
+    assert f.image(_iv(0, "1/2", False, False)) == _iv("1/2", "1/2")
+    assert f.preimage(_iv("1/2", "1/2"), _iv(0, 1)) == [_iv(0, "1/2"), _iv("1/2", "1/2")]
+
+
+def test_preimage_of_interval(tent2):
+    # tent:2 maps (1/8, 3/8) and (5/8, 7/8) onto (1/4, 3/4)
+    assert tent2.preimage(_iv("1/4", "3/4", False, False), _iv(0, 1)) == [
+        _iv("1/8", "3/8", False, False), _iv("5/8", "7/8", False, False)]
+    assert tent2.preimage(_iv("1/4", "3/4"), _iv("1/4", 1, False, True)) == [
+        _iv("1/4", "3/8", False, True), _iv("5/8", "7/8")]
+    assert tent2.preimage(_iv(2, 3), _iv(0, 1)) == []
+
+
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.sampled_from(["tent:2", "tent:sqrt2", "tent:1.6"]))
+def test_image_bounds_dense_evaluation(a, b, spec):
+    f = map_from_spec(spec)
+    lo, hi = min(a, b), max(a, b)
+    image = f.image(_iv(lo, hi))
+    xs = np.linspace(lo, hi, 257)
+    # exact values at the float samples lie inside the exact image, and the
+    # float evaluation misses its ends by a rounding at most
+    assert all(f._exact(Fraction(x)) in image for x in xs.tolist())
+    ys = f.eval_array(np.concatenate([xs, [float(p.hi) for p in f.pieces
+                                           if lo < p.hi < hi]]))
+    assert float(image.lo) == pytest.approx(ys.min(), abs=1e-15)
+    assert float(image.hi) == pytest.approx(ys.max(), abs=1e-15)

@@ -5,9 +5,10 @@ Witness verdicts are pinned to the values of the separate fuzzy and
 classical searches that the shared survivor loop replaced, no-witness
 verdicts to the evidence of the dense candidate x index score matrix, which
 the survivor loop is also property-tested against.  Chains and length
-spectra are pinned to the values of the dense frontier x nodes reach step;
-the diameter-pair uniform horizon and the interval reach runs are tested
-against the dense scans they replaced."""
+spectra are pinned to the values of the exact reach intervals, and
+property-tested against the grid transition graph they replaced, whose
+spectrum they must contain; the diameter-pair uniform horizon is tested
+against the dense scan it replaced."""
 
 import json
 import math
@@ -199,22 +200,32 @@ def _chains():
     }
 
 
-# case: (chain_search states, chain_mixing_check(..., n_max=32) present, n0)
+# case: (chain_search states, chain_mixing_check(..., n_max=32) present, n0);
+# the two narrow cases have no chain on their grids (the grid artefact the
+# exact reach intervals removed)
 CHAIN_PINS = {
-    "tent2-up-coarse": ([0.2, 0.35000000000000003, 0.8], [*range(3, 33)], 3),
-    "tent2-up-fine-tight": ([0.2, 0.387, 0.8], [3, *range(5, 33)], 5),
+    "tent2-up-coarse": ([0.2, 0.4, 0.8], [*range(3, 33)], 3),
+    "tent2-up-fine-tight": ([0.2, 0.4, 0.8], [3, *range(5, 33)], 5),
     "tent2-down-fine": ([0.9, 0.1], [*range(2, 33)], 2),
-    "tent2-edges-coarse-tight": ([0.05, 0.11, 0.23, 0.47000000000000003, 0.95],
+    "tent2-edges-coarse-tight": ([0.05, 0.11595394736842106, 0.2375, 0.475, 0.95],
                                  [*range(5, 33)], 5),
-    "tent2-narrow-coarse": (None, [], None),
-    "sqrt2-up-coarse": ([0.2, 0.27, 0.49, 0.8], [*range(4, 33)], 4),
-    "sqrt2-core-fine-tight": ([0.3, 0.406, 0.6], [*range(3, 33)], 3),
-    "sqrt2-outward-fine": ([0.5, 0.8180000000000001, 0.147, 0.097, 0.05], [*range(5, 33)], 5),
-    "sqrt2-narrow-coarse": (None, [], None),
-    "e43-up-coarse": ([0.2, 0.29000000000000004, 0.38, 0.45, 0.51, 0.56, 0.65, 0.8],
+    "tent2-narrow-coarse": ([0.3, 0.5993568497474747, 0.8015625, 0.396875, 0.79375, 0.4125,
+                             0.825, 0.35, 0.7], [*range(9, 33)], 9),
+    "sqrt2-up-coarse": ([0.2, 0.3321926604863753, 0.4935590024086997, 0.8],
+                        [*range(4, 33)], 4),
+    "sqrt2-core-fine-tight": ([0.3, 0.42426406871192845, 0.6], [*range(3, 33)], 3),
+    "sqrt2-outward-fine": ([0.5, 0.8170551113500792, 0.1492564521705785,
+                            0.10462051161053014, 0.05], [*range(5, 33)], 5),
+    "sqrt2-narrow-coarse": ([0.45, 0.6373358647800134, 0.5119739123934859,
+                             0.6909018557031916, 0.43691648507217545, 0.6178932188134525,
+                             0.5403805922287441, 0.65], [8, 10, 12, 14, 16, *range(18, 33)], 18),
+    "e43-up-coarse": ([0.2, 0.3047876833333334, 0.39223873148148153, 0.4646880092592593,
+                       0.5243514146090535, 0.5902163065843622, 0.6861662665752172, 0.8],
                       [*range(8, 33)], 8),
-    "e43-up-fine-tight": ([0.3, 0.333, 0.377, 0.429, 0.47000000000000003, 0.502, 0.528,
-                           0.5690000000000001, 0.634, 0.737, 0.9], [*range(11, 33)], 11),
+    "e43-up-fine-tight": ([0.3, 0.36830417009825117, 0.4222531217617816, 0.46479097662634417,
+                           0.4982891418911982, 0.5246018748895279, 0.5640137904681839,
+                           0.6237678861480449, 0.7102998960399606, 0.8222455046034672, 0.9],
+                          [*range(11, 33)], 11),
     "e43-down-fine": (None, [], None),
     "e43-singleton-coarse": (None, [], None),
     "e43-singleton-fine": (None, [], None),
@@ -231,38 +242,62 @@ def test_chain_pinned(case):
     assert spectrum.to_dict() == {"present": present, "n_max": 32, "n0": n0}
 
 
-def _dense_reach(m, stepped, nodes, t0, delta):
-    """The frontier x nodes nearness matrix the reach step used to build."""
-    return m.eval_array(stepped[:, None], nodes[None, :], t0) > 1.0 - delta
+def _grid_spectrum(x, y, f, m, delta, t0, resolution, n_max):
+    """Chain lengths n <= n_max through the grid transition graph that chains
+    used to run on: the nodes are the metric grid plus both ends, u -> v is an
+    edge when M(f(u), v, t0) > 1 - delta, and each step is the dense frontier
+    x nodes nearness matrix."""
+    nodes = np.unique(np.concatenate([m.grid(resolution), [x, y]]))
+    target = nodes == y
+    reach = nodes == x
+    present = []
+    for n in range(1, n_max + 1):
+        if reach[target].any():
+            present.append(n)
+        stepped = f.eval_array(nodes[reach])
+        reach = (m.eval_array(stepped[:, None], nodes[None, :], t0) > 1.0 - delta).any(axis=0)
+    return present
 
 
 @st.composite
-def _reach_inputs(draw):
-    m = draw(_metrics())
-    resolution = (m.hi - m.lo) / draw(st.integers(1, 60)) * draw(st.floats(0.5, 1.0))
-    space = st.floats(m.lo, m.hi, exclude_min=m.lo_open)
-    extra = draw(st.lists(space, max_size=8))
-    nodes = np.unique(np.concatenate([m.grid(resolution), extra]))
-    # stepped states that are nodes exercise exact hits and singleton balls
-    stepped = draw(st.lists(st.one_of(st.sampled_from(nodes.tolist()), space),
-                            min_size=1, max_size=12))
-    return m, np.array(stepped), nodes
+def _chain_inputs(draw):
+    name = draw(st.sampled_from(fm.METRIC_NAMES))
+    if name == "standard":
+        f = draw(st.sampled_from([systems.tent(2.0), systems.tent(math.sqrt(2)),
+                                  systems.tent(1.6), systems.example43_map()]))
+        m = fm.StandardFuzzyMetric(lo_open=f.lo_open)
+    else:
+        f = systems.example43_map()  # the ratio metrics live on (0, 1]
+        m = fm.metric_from_name(name)
+    resolution = 1.0 / draw(st.integers(4, 60))
+    # ends on the grid give the grid graph chains to find
+    end = st.one_of(st.sampled_from(m.grid(resolution).tolist()),
+                    st.floats(m.lo, m.hi, exclude_min=m.lo_open))
+    return draw(end), draw(end), f, m, resolution
+
+
+_CHAIN_N_MAX = 16
 
 
 @settings(max_examples=200, deadline=None)
-@example(case=(fm.RatioPhiFuzzyMetric(), np.array([0.25, 0.3, 0.3125]),
-               np.linspace(0.0625, 1.0, 16)), delta=0.05, t0=0.5)
-@example(case=(fm.RatioFuzzyMetric(), np.array([0.5]), np.linspace(0.0625, 1.0, 16)),
-         delta=0.5, t0=1.0)  # nodes 0.25 and 1.0 sit at nearness exactly 1 - delta
-@given(case=_reach_inputs(), delta=st.floats(0.005, 0.995), t0=st.floats(0.01, 4.0))
-def test_reach_runs_match_dense_matrix(case, delta, t0):
-    m, stepped, nodes = case
-    lo, hi = orbits._reach_runs(stepped, nodes, m, t0, delta)
-    dense = _dense_reach(m, stepped, nodes, t0, delta)
-    idx = np.arange(nodes.size)
-    for row, a, b in zip(dense, lo, hi):
-        assert np.array_equal(row, (a <= idx) & (idx < b))
-    assert np.array_equal(orbits._covered(lo, hi, nodes.size), dense.any(axis=0))
+@example(case=(0.3, 0.7, systems.tent(2.0), fm.StandardFuzzyMetric(), 1e-2),
+         delta=0.01, t0=0.1)  # tent2-narrow-coarse: no chain on the grid
+@example(case=(0.25, 0.5, systems.example43_map(), fm.RatioPhiFuzzyMetric(), 1e-2),
+         delta=0.05, t0=0.5)  # singleton balls
+@given(case=_chain_inputs(), delta=st.floats(0.005, 0.995), t0=st.floats(0.01, 4.0))
+def test_reach_intervals_contain_grid_spectrum(case, delta, t0):
+    x, y, f, m, resolution = case
+    spectrum = orbits.chain_mixing_check(x, y, f, m, delta, t0, resolution, _CHAIN_N_MAX)
+    grid = _grid_spectrum(x, y, f, m, delta, t0, resolution, _CHAIN_N_MAX)
+    assert set(grid) <= set(spectrum.present)
+    chain = orbits.chain_search(x, y, f, m, delta, t0, resolution, _CHAIN_N_MAX)
+    if chain is None:
+        assert spectrum.present == ()
+        return
+    assert len(chain) == spectrum.present[0]
+    assert chain[0] == x and chain[len(chain) - 1] == y
+    if len(chain) > 1:
+        assert orbits.validate_f_pseudo_orbit(chain, f, m, delta, t0).is_empty
 
 
 def _dense_survivors(seq, f, cands, score, floor):
