@@ -13,7 +13,8 @@ sweep                 tabulate orbit validity and witness verdicts over
                       (eps, delta, t0) combinations
 
 Exit codes: 0 for found/pass, 1 for a negative verdict, 2 for usage errors,
-including numeric parameters out of range.
+including numeric parameters out of range, and 3 when a witness or a chain
+fails its independent re-check.
 Reports are deterministic JSON (no timestamps); stdout carries one summary
 line per run.  Map graphs are emitted as self-contained SVG.
 """
@@ -624,6 +625,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, systems.ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except orbits.VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

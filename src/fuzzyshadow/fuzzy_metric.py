@@ -23,6 +23,9 @@ from .tnorm import TNorm
 
 TOLERANCE = 1e-12
 
+# spacing of the floats in [1, 2)
+_ULP = Fraction(2.0**-52)
+
 #: Geometric horizon candidates used by the uniform-horizon and continuity
 #: searches: 2**-20 .. 2**40.
 HORIZON_LADDER = tuple(2.0**k for k in range(-20, 41))
@@ -83,10 +86,12 @@ class Interval:
 class FuzzyMetric:
     """Base evaluator over states in a real interval.
 
-    Subclasses implement ``_kernel`` on raw arrays, and ``ball_interval``, the
+    Subclasses implement ``_kernel`` on raw arrays; ``ball_interval``, the
     exact union of the open balls {z : M(u, z, t) > 1 - radius} over the u of
-    a nonempty Interval; this class owns domain validation, grids, and seeded
-    state sampling.
+    a nonempty Interval; and ``float_slack(f, t)``, a bound, in units of the
+    radius, on how far float errors in evaluating a piecewise-linear map f or
+    in rounding a state move a ball's edge.  This class owns domain
+    validation, grids, and seeded state sampling.
     """
 
     name = "base"
@@ -167,23 +172,45 @@ class StandardFuzzyMetric(FuzzyMetric):
         r = Fraction(t) * Fraction(radius) / (1 - Fraction(radius))
         return Interval(iv.lo - r, iv.hi + r, False, False)
 
+    def float_slack(self, f, t: float) -> Fraction:
+        # a state error e moves t/(t + d) by less than e/t; evaluating f, or
+        # rounding its argument to a float, errs by under
+        # 2 ulp(1) * (|slope * x| + |intercept| + |x|)
+        scale = max(abs(p.slope * x) + abs(p.intercept) + abs(x)
+                    for p in f.pieces for x in (p.lo, p.hi))
+        return 2 * _ULP * scale / Fraction(t)
+
 
 class _RatioBase(FuzzyMetric):
-    """Common plumbing for the two min/max ratio metrics on (0, 1]."""
+    """min/max ratio on (0, 1], damped by the horizon weight min(t, 1) when
+    ``damped``."""
+
+    damped = False
 
     def __init__(self, tnorm: TNorm | None = None):
         super().__init__(tnorm or TNorm("product"), 0.0, 1.0, lo_open=True)
 
-    def _ratio(self, x, y):
-        return np.minimum(x, y) / np.maximum(x, y)
+    def _kernel(self, x, y, t):
+        ratio = np.minimum(x, y) / np.maximum(x, y)
+        if self.damped:
+            ratio = ratio * np.minimum(t, 1.0)
+        return np.where(x == y, 1.0, ratio)
 
     def ball_interval(self, iv: Interval, radius: float, t: float) -> Interval:
         # a distinct z is near u > 0 iff min/max > q, i.e. u*q < z < u/q; with
         # q >= 1 no distinct point is near, so every ball is a singleton
-        q = self._ball_ratio(Fraction(radius), Fraction(t))
+        q = (1 - Fraction(radius)) / (min(Fraction(t), 1) if self.damped else 1)
         if q >= 1:
             return iv
         return Interval(iv.lo * q, iv.hi / q, False, False)
+
+    def float_slack(self, f, t: float) -> Fraction:
+        # a state's relative error e moves min/max by a factor within 1 +- 2e;
+        # evaluating f at a normal float, or rounding its argument to one,
+        # errs relatively by under ulp(1) * (cond + 1)
+        cond = max((abs(p.slope) * x + abs(p.intercept)) / p.value(x)
+                   for p in f.pieces for x in (p.lo, p.hi) if p.value(x) > 0)
+        return 4 * _ULP * (cond + 1)
 
 
 class RatioPhiFuzzyMetric(_RatioBase):
@@ -191,25 +218,13 @@ class RatioPhiFuzzyMetric(_RatioBase):
     than the horizon weight allows, so small-horizon balls are singletons."""
 
     name = "ratio-phi"
-
-    def _kernel(self, x, y, t):
-        weight = np.minimum(t, 1.0)
-        return np.where(x == y, 1.0, self._ratio(x, y) * weight)
-
-    def _ball_ratio(self, radius: Fraction, t: Fraction) -> Fraction:
-        return (1 - radius) / min(t, 1)
+    damped = True
 
 
 class RatioFuzzyMetric(_RatioBase):
     """Bare min/max ratio; the horizon plays no role."""
 
     name = "ratio"
-
-    def _kernel(self, x, y, t):
-        return np.where(x == y, 1.0, self._ratio(x, y))
-
-    def _ball_ratio(self, radius: Fraction, t: Fraction) -> Fraction:
-        return 1 - radius
 
 
 def metric_from_name(name: str, tnorm: TNorm | None = None, lo: float = 0.0,

@@ -1,5 +1,6 @@
 """Pseudo-orbit machinery: validators, violation index sets, density curves,
-chains over exact reach intervals, and the two interleaving constructions.
+chains over float-safe reach intervals, and the two interleaving
+constructions.
 
 Conventions, fixed package-wide:
 
@@ -14,7 +15,10 @@ Conventions, fixed package-wide:
 * chains live on the continuum, not on a grid: under every metric here a
   ball is an interval, and a continuous piecewise-linear map sends an
   interval to an interval, so the ends of all chains of length n from x form
-  one interval R_n, computed with exact rational ends.
+  one interval R_n.  It is computed with exact rational arithmetic on balls
+  shrunk by a float-error slack and rounded inward to float ends, so that
+  every state of R_n ends a float chain that validate_f_pseudo_orbit
+  accepts.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -362,79 +367,121 @@ def perturbed_orbit(f, x0: float, n: int, noise: float, seed: int = 0) -> OrbitS
     return OrbitSequence(np.array(states), provenance="perturbed")
 
 
-# -- chains over exact reach intervals --------------------------------------------
+# -- chains over float-safe reach intervals ---------------------------------------
 
 
-def _reach_sets(x: float, y: float, f, m, delta: float, t0: float, n_max: int):
-    """Yield R_1 = {x} and R_{k+1} = B(f(R_k)) & X up to R_{n_max}: B is the
-    union of the open balls of radius delta at horizon t0, X the space of m,
-    and R_n the set of last states of the chains of length n from x.  Stops
-    early after a set that repeats forever (stationary or empty).  x, y and X
-    must lie in the domain of f, so that f is never applied outside it."""
+class VerificationError(RuntimeError):
+    """A result failed its independent re-check, so it is not returned."""
+
+
+_EMPTY = Interval(Fraction(1), Fraction(0))
+
+
+def _round_in(iv: Interval) -> Interval:
+    """The closed interval from the least to the greatest float of iv (empty
+    when iv holds none)."""
+    lo, hi = float(iv.lo), float(iv.hi)
+    if lo < iv.lo or (lo == iv.lo and not iv.lo_closed):
+        lo = math.nextafter(lo, math.inf)
+    if hi > iv.hi or (hi == iv.hi and not iv.hi_closed):
+        hi = math.nextafter(hi, -math.inf)
+    return Interval(Fraction(lo), Fraction(hi))
+
+
+def _chain_radii(x: float, y: float, f, m, delta: float, t0: float,
+                 n_max: int) -> tuple[Fraction, Fraction]:
+    """The radii of the reach balls and of the walk-back balls of chains.
+
+    Both sit below delta by the metric's float slack (reach twice, walk-back
+    once) plus 4 ulp(1) for the rounding of the kernel and of 1 - delta.  So
+    a state of R_k rounded to a float still has a predecessor under the
+    walk-back radius, and a float step inside a walk-back ball passes
+    validate_f_pseudo_orbit.  x, y and the space of m must lie in the domain
+    of f, so that f is never applied outside it."""
     if not (0.0 < delta < 1.0 and 0.0 < t0 < math.inf and n_max >= 1):
         raise ValueError("chains need delta in (0, 1), a finite horizon t0 > 0 and "
                          f"n_max >= 1, got {delta!r}, {t0!r} and {n_max!r}")
     # the least state of a space with an open lower end sits just above it
     low = np.nextafter(m.lo, math.inf) if m.lo_open else m.lo
     require_in_domain(f, np.array([x, y, low, m.hi], dtype=float))
-    space = m.space
-    reach = Interval.point(x)
-    for _ in range(n_max - 1):
+    slack = m.float_slack(f, t0)
+    walk = Fraction(delta) - 4 * Fraction(2.0**-52) - slack
+    return walk - slack, walk
+
+
+def _reach_sets(x: float, f, m, radius: Fraction, t0: float, n_max: int):
+    """Yield R_1, ..., R_{n_max}: R_1 = {x}, and R_{k+1} holds the floats of
+    B(f(R_k)) & X, where B is the union of the open balls of the given
+    radius at horizon t0 and X the space of m.  Under singleton balls the
+    only chain is the float orbit."""
+    reach, prev = Interval.point(x), None
+    for _ in range(n_max):
         yield reach
-        # an empty set steps to itself
-        nxt = reach if reach.is_empty else m.ball_interval(f.image(reach), delta, t0) & space
-        if nxt == reach:
-            return
-        reach = nxt
-    yield reach
+        if reach != prev:  # a stationary set repeats forever
+            prev = reach
+            if reach.is_empty or radius <= 0:
+                reach = _EMPTY
+                continue
+            image = f.image(reach)
+            ball = m.ball_interval(image, radius, t0)
+            if ball == image:  # singleton balls: step the float orbit
+                ball = Interval.point(f.eval(float(reach.lo)))
+            reach = _round_in(ball & m.space)
 
 
 def chain_search(x: float, y: float, f, m, delta: float, t0: float,
                  resolution: float = 1e-3, n_max: int = 64) -> OrbitSequence | None:
-    """Shortest chain x = x_1, ..., x_n = y with M(f(x_k), x_{k+1}, t0) > 1 - delta
-    and n <= n_max (the least n with y in R_n), or None when there is none.
+    """Shortest chain x = x_1, ..., x_n = y of floats with
+    M(f(x_k), x_{k+1}, t0) > 1 - delta in float arithmetic and n <= n_max
+    (the least n with y in R_n, see _reach_sets and _chain_radii), or None when there is none.
 
-    Walked back from y, x_k is the midpoint of the widest piece of
-    R_k & f^-1(B(x_{k+1})), the leftmost on ties, rounded to a float; the float
-    chain is re-verified with validate_f_pseudo_orbit, and one that fails
-    raises AssertionError.  ``resolution`` is unused.  It stays seventh, with
-    its 1e-3 default, only because perfbench/ passes grids there positionally
-    and its chain-node hook builds m.grid(resolution) from the bound arguments.
+    Walked back from y, x_k is the float midpoint of the floats of the widest
+    piece of R_k & f^-1(B(x_{k+1})), the leftmost on ties, or the one state
+    of a one-point R_k.  The chain is re-verified with
+    validate_f_pseudo_orbit, and one that fails raises VerificationError.
+    ``resolution`` is unused.  It stays seventh, with its 1e-3 default, only
+    because perfbench/ passes grids there positionally and its chain-node hook
+    builds m.grid(resolution) from the bound arguments.
     """
-    sets = []
-    for reach in _reach_sets(x, y, f, m, delta, t0, n_max):
-        sets.append(reach)
+    radius, walk = _chain_radii(x, y, f, m, delta, t0, n_max)
+    path = []
+    for reach in _reach_sets(x, f, m, radius, t0, n_max):
+        path.append(reach)
         if y in reach:
             break
     else:
         return None
     states = [float(y)]
-    for reach in reversed(sets[:-1]):
-        parts = f.preimage(m.ball_interval(Interval.point(states[-1]), delta, t0), reach)
-        if not parts:
-            raise AssertionError(f"chain state {states[-1]!r} rounds out of its reach set")
-        part = max(parts, key=lambda iv: iv.hi - iv.lo)
+    for reach in reversed(path[:-1]):
+        if reach.lo == reach.hi:
+            states.append(float(reach.lo))
+            continue
+        ball = m.ball_interval(Interval.point(states[-1]), walk, t0)
+        parts = [_round_in(part) for part in f.preimage(ball, reach)]
+        part = max((p for p in parts if not p.is_empty), key=lambda p: p.hi - p.lo,
+                   default=None)
+        if part is None:
+            raise VerificationError(f"chain state {states[-1]!r} has no float predecessor")
         states.append(float((part.lo + part.hi) / 2))
     chain = OrbitSequence(np.array(states[::-1]), provenance="constructed")
     if len(chain) > 1:
         bad = validate_f_pseudo_orbit(chain, f, m, delta, t0)
         if not bad.is_empty:
-            raise AssertionError(f"chain re-verification failed at index {bad.indices[0]}")
+            raise VerificationError(f"chain re-verification failed at index {bad.indices[0]}")
     return chain
 
 
 def chain_mixing_check(x: float, y: float, f, m, delta: float, t0: float,
                        resolution: float = 1e-3, n_max: int = 64) -> MixingReport:
-    """Which chain lengths n <= n_max from x to y exist: those with y in R_n.
+    """Which chain lengths n <= n_max from x to y chain_search certifies:
+    those with y in R_n.
 
     Reports the set of achievable lengths and the least onset after which
     every length occurs.  ``resolution`` is unused.  It stays seventh, with
     its 1e-3 default, only because perfbench/ passes grids there positionally
     and its chain-node hook builds m.grid(resolution) from the bound arguments.
     """
-    sets = list(_reach_sets(x, y, f, m, delta, t0, n_max))
-    present = [n for n, reach in enumerate(sets, 1) if y in reach]
-    if y in sets[-1]:
-        # the last set repeats for all larger n
-        present += range(len(sets) + 1, n_max + 1)
+    radius, _ = _chain_radii(x, y, f, m, delta, t0, n_max)
+    present = [n for n, reach in enumerate(_reach_sets(x, f, m, radius, t0, n_max), 1)
+               if y in reach]
     return MixingReport(tuple(present), n_max, _cofinite_onset(set(present), n_max))

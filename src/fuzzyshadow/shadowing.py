@@ -18,6 +18,7 @@ from .orbits import (
     DensityReport,
     MixingReport,
     OrbitSequence,
+    VerificationError,
     _cofinite_onset,
     _trace_scores,
     _violations,
@@ -130,7 +131,7 @@ def _survivor_search(seq: OrbitSequence, f, cands: np.ndarray, score,
     scores = _trace_scores(seq, w, f, score)
     bad = _violations(scores, floor)
     if not bad.is_empty:
-        raise AssertionError(f"witness re-verification failed at index {bad.indices[0]}")
+        raise VerificationError(f"witness re-verification failed at index {bad.indices[0]}")
     k = int(np.argmin(scores))
     return w, k, float(scores[k]), None
 

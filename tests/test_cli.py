@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from fuzzyshadow import orbits
 from fuzzyshadow.cli import main
 from fuzzyshadow.orbits import perturbed_orbit
 from fuzzyshadow.systems import tent
@@ -71,6 +72,27 @@ def test_chain_command(tmp_path):
                "--out", str(tmp_path)])
     assert rc == 1
     assert read_report(tmp_path, "chain.json")["found"] is False
+
+
+def test_chain_at_a_float_tie(tmp_path):
+    # y is inside the exact ball of f(0.2) = 0.4 but not inside its float ball
+    rc = main(["chain", "--map", "tent:2", "--metric", "standard", "--from", "0.2",
+               "--to", "0.5111111111111111", "--delta", "0.1", "--lengths",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    report = read_report(tmp_path, "chain.json")
+    assert report["length"] == 3 and report["length_spectrum"]["present"][0] == 3
+
+
+def test_failed_reverification_exits_3(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise orbits.VerificationError("chain re-verification failed at index 0")
+
+    monkeypatch.setattr(orbits, "chain_search", failing)
+    rc = main(["chain", "--map", "tent:2", "--metric", "standard", "--from", "0.2",
+               "--to", "0.8", "--delta", "0.1", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "error: chain re-verification failed" in capsys.readouterr().err
 
 
 def test_mix_command(tmp_path):

@@ -1,16 +1,20 @@
 import csv
 import hashlib
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fuzzyshadow import orbits
 from fuzzyshadow.fuzzy_metric import (
+    Interval,
     RatioPhiFuzzyMetric,
     StandardFuzzyMetric,
     bridge_threshold,
+    metric_from_name,
 )
 from fuzzyshadow.orbits import (
     IndexSet,
@@ -333,13 +337,67 @@ def test_chain_length_bounded_by_n_max(tent2, standard_metric):
     assert chain_mixing_check(*args, n_max=9).present == (9,)
 
 
-def test_chain_that_fails_reverification_raises(tent2, standard_metric):
-    # y sits just inside the exact ball of f(0.2) = 0.4 (|0.4 - y| < 1/9), so
-    # a chain of length 2 exists, but in floats 1/(1 + |0.4 - y|) is exactly 0.9
+def test_chain_skips_a_float_tie(tent2, standard_metric):
+    # y sits just inside the exact ball of f(0.2) = 0.4 (|0.4 - y| < 1/9), but
+    # in floats 1/(1 + |0.4 - y|) is exactly 0.9, so [0.2, y] is no float chain
     y = 0.5111111111111111
-    assert chain_mixing_check(0.2, y, tent2, standard_metric, 0.1, 1.0, n_max=2).present == (2,)
-    with pytest.raises(AssertionError, match="re-verification failed at index 0"):
-        chain_search(0.2, y, tent2, standard_metric, 0.1, 1.0)
+    assert chain_mixing_check(0.2, y, tent2, standard_metric, 0.1, 1.0, n_max=3).present == (3,)
+    chain = chain_search(0.2, y, tent2, standard_metric, 0.1, 1.0)
+    assert len(chain) == 3 and chain[0] == 0.2 and chain[2] == y
+    assert validate_f_pseudo_orbit(chain, tent2, standard_metric, 0.1, 1.0).is_empty
+
+
+class _NoSlackMetric(StandardFuzzyMetric):
+    """Claims float errors that cancel the kernel's rounding margin, so its
+    reach radius is delta itself and the float tie above looks like a chain."""
+
+    def float_slack(self, f, t):
+        return Fraction(-2, 2**52)
+
+
+def test_chain_that_fails_reverification_raises(tent2):
+    y = 0.5111111111111111
+    assert chain_mixing_check(0.2, y, tent2, _NoSlackMetric(), 0.1, 1.0, n_max=2).present == (2,)
+    with pytest.raises(orbits.VerificationError, match="re-verification failed at index 0"):
+        chain_search(0.2, y, tent2, _NoSlackMetric(), 0.1, 1.0)
+
+
+def test_ratio_chain_reach_ends_stay_floats(three_piece, ratio_phi_metric):
+    # exact ends under a ratio metric grow ~55 bits a step and never settle;
+    # float ends keep each step small and settle on a float within ~90 steps
+    radius, _ = orbits._chain_radii(0.2, 0.8, three_piece, ratio_phi_metric, 0.1, 1.0, 2048)
+    sets = list(orbits._reach_sets(0.2, three_piece, ratio_phi_metric, radius, 1.0, 2048))
+    assert len(sets) == 2048
+    assert all(Fraction(float(end)) == end for reach in sets for end in (reach.lo, reach.hi))
+    assert sets[200:] == [sets[-1]] * (2048 - 200)
+    rep = chain_mixing_check(0.2, 0.8, three_piece, ratio_phi_metric, 0.1, 1.0, n_max=2048)
+    assert rep.n0 is not None and rep.present[-1] == 2048
+
+
+@example(spec="g:1/256", name="standard", x=0.001, delta=0.5, t0=0.001, ulps=0)
+@given(spec=st.sampled_from(["tent:2", "tent:sqrt2", "example43", "g:1/256"]),
+       name=st.sampled_from(["standard", "ratio-phi", "ratio"]),
+       x=st.floats(0.0, 1.0, exclude_min=True), delta=st.floats(1e-6, 0.999),
+       t0=st.floats(1e-3, 10.0), ulps=st.integers(0, 3))
+def test_walk_back_balls_hold_only_float_valid_steps(spec, name, x, delta, t0, ulps):
+    # a float state z within ulps floats of the edge of the walk-back ball
+    # around the exact image f(x), and inside it, is near f(x) in floats too
+    f = map_from_spec(spec)
+    if name != "standard" and not spec.startswith(("example43", "g:")):
+        return
+    m = metric_from_name(name, lo_open=f.lo_open)
+    _, walk = orbits._chain_radii(x, x, f, m, delta, t0, 1)
+    image = f.image(Interval.point(x))
+    ball = m.ball_interval(image, walk, t0)
+    if ball == image:
+        return
+    for end, inward in ((ball.lo, math.inf), (ball.hi, -math.inf)):
+        z = float(end)
+        for _ in range(ulps):
+            z = math.nextafter(z, inward)
+        if z in ball and m.contains(z):
+            seq = OrbitSequence(np.array([x, z]))
+            assert validate_f_pseudo_orbit(seq, f, m, delta, t0).is_empty
 
 
 @pytest.mark.parametrize("kwargs", [{"delta": 0.0}, {"delta": 1.0}, {"t0": 0.0},
