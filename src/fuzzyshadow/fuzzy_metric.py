@@ -13,12 +13,13 @@ horizon t, and nearness never decreases as the horizon grows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .reports import AxiomReport, record
+from .reports import AxiomReport, record, sweep_chunks
 from .tnorm import TNorm
 
 TOLERANCE = 1e-12
@@ -300,8 +301,8 @@ def check_axioms(m: FuzzyMetric, samples: int = 10_000, seed: int = 0) -> AxiomR
     5. continuity in the horizon (Lipschitz bound (1 + 1/t) * h), plus the
     nondecreasing-in-horizon property as a sixth sweep.
 
-    The sample range is scanned vectorized; failures report the lowest-index
-    counterexample, which is the same merge rule a sharded scan would use.
+    The sample range is scanned vectorized, a chunk at a time
+    (``sweep_chunks``); failures report the lowest-index counterexample.
     """
     rng = np.random.default_rng(seed)
     x = m.sample_states(rng, samples)
@@ -310,37 +311,34 @@ def check_axioms(m: FuzzyMetric, samples: int = 10_000, seed: int = 0) -> AxiomR
     t = rng.uniform(0.05, 2.0, size=samples)
     s = rng.uniform(0.05, 2.0, size=samples)
 
-    m_xy_t = m.eval_array(x, y, t)
-    m_yx_t = m.eval_array(y, x, t)
-    m_yz_s = m.eval_array(y, z, s)
-    m_xz_ts = m.eval_array(x, z, t + s)
-
-    checks = []
+    def sweeps(x, y, z, t, s):
+        m_xy_t = m.eval_array(x, y, t)
+        m_yx_t = m.eval_array(y, x, t)
+        m_yz_s = m.eval_array(y, z, s)
+        m_xz_ts = m.eval_array(x, z, t + s)
+        diag = m.eval_array(x, x, t)
+        off_diag_ok = np.where(x == y, True, m_xy_t < 1.0)
+        h = 1e-7
+        m_xy_th = m.eval_array(x, y, t + h)
+        cont_bound = (1.0 + 1.0 / t) * h + TOLERANCE
+        t_lo, t_hi = np.minimum(t, s), np.maximum(t, s)
+        return {
+            "positive": m_xy_t > 0.0,
+            "identity_of_indiscernibles": (diag == 1.0) & off_diag_ok,
+            "symmetric": np.abs(m_xy_t - m_yx_t) <= TOLERANCE,
+            "triangle": m_xz_ts >= m.tnorm.apply(m_xy_t, m_yz_s) - TOLERANCE,
+            "horizon_continuous": np.abs(m_xy_th - m_xy_t) <= cont_bound,
+            "horizon_nondecreasing": (m.eval_array(x, y, t_lo)
+                                      <= m.eval_array(x, y, t_hi) + TOLERANCE),
+        }
 
     def triple(i):
         return {"x": float(x[i]), "y": float(y[i]), "z": float(z[i]),
                 "t": float(t[i]), "s": float(s[i])}
 
-    record(checks, "positive", m_xy_t > 0.0, triple)
-
-    diag = m.eval_array(x, x, t)
-    off_diag_ok = np.where(x == y, True, m_xy_t < 1.0)
-    record(checks, "identity_of_indiscernibles", (diag == 1.0) & off_diag_ok, triple)
-
-    record(checks, "symmetric", np.abs(m_xy_t - m_yx_t) <= TOLERANCE, triple)
-
-    rhs = m.tnorm.apply(m_xy_t, m_yz_s)
-    record(checks, "triangle", m_xz_ts >= rhs - TOLERANCE, triple)
-
-    h = 1e-7
-    m_xy_th = m.eval_array(x, y, t + h)
-    cont_bound = (1.0 + 1.0 / t) * h + TOLERANCE
-    record(checks, "horizon_continuous", np.abs(m_xy_th - m_xy_t) <= cont_bound, triple)
-
-    t_lo, t_hi = np.minimum(t, s), np.maximum(t, s)
-    m_lo = m.eval_array(x, y, t_lo)
-    m_hi = m.eval_array(x, y, t_hi)
-    record(checks, "horizon_nondecreasing", m_lo <= m_hi + TOLERANCE, triple)
+    checks = []
+    for name, ok in sweep_chunks(sweeps, x, y, z, t, s).items():
+        record(checks, name, ok, triple)
 
     return AxiomReport(subject=f"metric:{m.name}", samples=samples, seed=seed,
                        checks=tuple(checks))
@@ -392,6 +390,11 @@ def uniform_horizon(m: FuzzyMetric, eps: float, resolution: float = 1e-2) -> flo
 # -- continuity certification --------------------------------------------------
 
 
+def _require_finite_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass
 class ContinuityCertificate:
     """Grid-verified continuity modulus: premise radius delta at horizon t_prime."""
@@ -417,43 +420,92 @@ def certify_fuzzy_continuity(m: FuzzyMetric, f, eps: float, t: float,
     For each candidate t' (the requested t first, then the ladder) the maximal
     admissible delta is 1 minus the closest offending source pair; the first
     feasible candidate wins.  A failure returns the offending pair instead.
+
+    ``pairs`` counts all N**2 grid pairs, but only the first offending
+    partner j > i of each grid point i is evaluated, N pairs in all, found
+    in O(N log N) by ``_first_far_partners``.  The result is that of the
+    full scan: every kernel is symmetric and nonincreasing in the spread of
+    a pair, in floats too, so for each offending pair (i, j), i < j, the
+    pair (i, first partner of i) is at least as near, and the row-major
+    first of the nearest offending pairs has i < j, since a pair with
+    i > j comes after its mirror image (j, i).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
+    _require_finite_positive("horizon", t)
+    require_map_in_space(f, m)
     pts = require_in_domain(f, m.grid(resolution))
-    imgs = np.asarray(f.eval_array(pts), dtype=float)
+    imgs = f.eval_array(pts)
     pairs = pts.size * pts.size
 
-    image_near = m.eval_array(imgs[:, None], imgs[None, :], t)
-    bad = image_near <= 1.0 - eps
-    if not bad.any():
+    partner = _first_far_partners(m, imgs, t, 1.0 - eps)
+    rows = np.flatnonzero(partner < pts.size)
+    if rows.size == 0:
         return ContinuityCertificate(True, eps, t, eps, t, resolution, pairs)
+    cols = partner[rows]
 
     worst_pair = None
     for t_prime in (t, *HORIZON_LADDER):
-        source_near = m.eval_array(pts[:, None], pts[None, :], t_prime)
-        worst = float(source_near[bad].max())
+        source_near = m.eval_array(pts[rows], pts[cols], t_prime)
+        k = int(np.argmax(source_near))
+        worst = float(source_near[k])
         if worst < 1.0:
             delta = min(eps, 1.0 - worst)
             return ContinuityCertificate(True, eps, t, delta, t_prime, resolution, pairs)
         if worst_pair is None:
-            flat = np.where(bad.ravel(), source_near.ravel(), -np.inf)
-            i, j = np.unravel_index(int(np.argmax(flat)), bad.shape)
+            i, j = rows[k], cols[k]
             worst_pair = {
                 "x": float(pts[i]), "x0": float(pts[j]),
-                "source_nearness": float(source_near[i, j]),
-                "image_nearness": float(image_near[i, j]),
+                "source_nearness": worst,
+                "image_nearness": float(m.eval_array(imgs[i], imgs[j], t)),
             }
     return ContinuityCertificate(False, eps, t, None, None, resolution, pairs,
                                  counterexample=worst_pair)
 
 
+def _first_far_partners(m: FuzzyMetric, states: np.ndarray, t: float,
+                        target: float) -> np.ndarray:
+    """For each index i, the least j > i with M(states[i], states[j], t) <=
+    target, or states.size when there is none.
+
+    Nearness to states[i] falls as a state moves away from it on either
+    side, so a run of states holds a far one iff its greatest or its least
+    does.  Level k of a sparse table holds the maxima and minima of the runs
+    of length 2**k; each i extends its far-free run by the longest of them
+    that stays far-free, from the longest length down, and stops just before
+    its first far partner.
+    """
+    n = states.size
+    highs, lows = [states], [states]
+    while 2 ** len(highs) <= n:
+        step = 2 ** (len(highs) - 1)
+        highs.append(np.maximum(highs[-1][:-step], highs[-1][step:]))
+        lows.append(np.minimum(lows[-1][:-step], lows[-1][step:]))
+    # pos[i] is the first index past the far-free run that follows i
+    pos = np.arange(1, n + 1)
+    for k in reversed(range(len(highs))):
+        step = 2 ** k
+        rows = np.flatnonzero(pos + step <= n)
+        centres, runs = states[rows], pos[rows]
+        far = ((m.eval_array(centres, highs[k][runs], t) <= target)
+               | (m.eval_array(centres, lows[k][runs], t) <= target))
+        pos[rows[~far]] += step
+    return pos
+
+
 # -- direct modulus checks ------------------------------------------------------
+
+# margin entries a row block of the modulus scan holds at once
+_BLOCK_POINTS = 2**18
 
 
 @dataclass
 class ModulusReport:
-    """Grid sweep of a strict domination inequality between two pair statistics."""
+    """A strict domination inequality between two pair statistics over all
+    ``pairs`` = N x N grid pairs: ``worst_margin`` is the least margin and
+    ``worst_pair`` its row-major first pair, as the full scan gives them,
+    though only the rows that may hold the least margin are scanned (see
+    ``_modulus_report``)."""
 
     passed: bool
     pairs: int
@@ -467,39 +519,126 @@ class ModulusReport:
 
 def check_ratio_modulus(f, factor: float, resolution: float = 1e-3) -> ModulusReport:
     """Verify min/max ratio of images strictly dominates factor times the
-    source ratio, over the full grid-pair square; the domain of f must lie in
-    the ratio space (0, 1]."""
-    require_map_in_space(f, RatioFuzzyMetric())
+    source ratio on every grid pair (see ``_modulus_report`` for which pairs
+    are evaluated); the domain of f must lie in the ratio space (0, 1]."""
+    _require_finite_positive("factor", factor)
+    m = RatioFuzzyMetric()
+    require_map_in_space(f, m)
     pts = f.grid(resolution)
-    img = np.asarray(f.eval_array(pts), dtype=float)
-    lhs = np.minimum.outer(img, img) / np.maximum.outer(img, img)
-    rhs = np.minimum.outer(pts, pts) / np.maximum.outer(pts, pts)
-    return _modulus_report(pts, lhs, rhs, factor)
+    return _modulus_report(m, 1.0, factor, pts, (f.eval_array(pts), f), (pts, None))
 
 
 def check_metric_domination(m: FuzzyMetric, g, f, factor: float, t: float,
                             resolution: float = 1e-3) -> ModulusReport:
     """Verify M(g(x), g(y), t) strictly dominates factor * M(f(x), f(y), t)
-    over the full grid-pair square of f; the grid must lie in the domain of
-    g, and both domains in the space of m."""
+    on every pair of the grid of f (see ``_modulus_report`` for which pairs
+    are evaluated); the grid must lie in the domain of g, and both domains
+    in the space of m."""
+    _require_finite_positive("factor", factor)
+    _require_finite_positive("horizon", t)
     require_map_in_space(f, m)
     require_map_in_space(g, m)
     pts = require_in_domain(g, f.grid(resolution))
-    gi = np.asarray(g.eval_array(pts), dtype=float)
-    fi = np.asarray(f.eval_array(pts), dtype=float)
-    lhs = m.eval_array(gi[:, None], gi[None, :], t)
-    rhs = m.eval_array(fi[:, None], fi[None, :], t)
-    return _modulus_report(pts, lhs, rhs, factor)
+    return _modulus_report(m, t, factor, pts, (g.eval_array(pts), g), (f.eval_array(pts), f))
 
 
-def _modulus_report(pts: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
-                    factor: float) -> ModulusReport:
-    margin = lhs - factor * rhs
-    i, j = np.unravel_index(int(np.argmin(margin)), margin.shape)
+def _modulus_report(m: FuzzyMetric, t: float, factor: float, pts: np.ndarray,
+                    upper: tuple, lower: tuple) -> ModulusReport:
+    """Least margin M(u_i, u_j, t) - factor * M(v_i, v_j, t) over all grid
+    pairs, for the states ``upper = (u, map)`` and ``lower = (v, map)``; a
+    map of None is the identity.
+
+    The margin is bitwise symmetric, so its minimum is the least over the
+    rows j and columns i <= j, and the row-major first minimiser of the full
+    square is the least (i, j) among them.  Rows are scanned in blocks of at
+    most _BLOCK_POINTS entries; ``_margin_lower_bounds`` leaves out the rows
+    whose every margin provably exceeds a margin already evaluated, which
+    therefore hold no minimiser.
+    """
+    (u, _), (v, _) = upper, lower
+    n = pts.size
+
+    def margins(rows, cols):
+        return m.eval_array(u[rows], u[cols], t) - factor * m.eval_array(v[rows], v[cols], t)
+
+    rows = np.arange(n)
+    bounds = _margin_lower_bounds(m, pts, upper, lower, factor, margins)
+    if bounds is not None:
+        lowest, least = bounds
+        rows = rows[lowest <= least]
+    values, firsts = np.empty(rows.size), np.empty(rows.size, dtype=int)
+    block = max(1, _BLOCK_POINTS // n)
+    for start in range(0, rows.size, block):
+        rj = rows[start:start + block, None]
+        cols = np.arange(rj[-1, 0] + 1)
+        margin = margins(rj, cols)
+        margin[cols > rj] = np.inf
+        first = np.argmin(margin, axis=1)
+        firsts[start:start + block] = first
+        values[start:start + block] = margin[np.arange(first.size), first]
+    worst = values.min()
+    tied = np.flatnonzero(values == worst)
+    k = tied[np.argmin(firsts[tied])]
     return ModulusReport(
-        passed=bool(margin[i, j] > 0.0),
-        pairs=int(margin.size),
+        passed=bool(worst > 0.0),
+        pairs=n * n,
         factor=factor,
-        worst_margin=float(margin[i, j]),
-        worst_pair={"x": float(pts[i]), "y": float(pts[j])},
+        worst_margin=float(worst),
+        worst_pair={"x": float(pts[firsts[k]]), "y": float(pts[rows[k]])},
     )
+
+
+def _margin_lower_bounds(m, pts, upper, lower, factor, margins):
+    """Per-row lower bounds on the margins of columns i <= j, and the least
+    margin evaluated to get them; None when no bound is known.
+
+    With a min/max ratio kernel and positive nondecreasing states u, row j
+    pairs column i with M = 1 where u_i == u_j and with
+    M = phi * fl(u_i / u_j) elsewhere, phi = min(t, 1) or 1; while the map
+    keeps one piece, that is affine in x_i up to float error, and so is the
+    margin.  So a row's columns split into runs at the piece changes of
+    either map and at the first column tied with the row, and on each run
+    the least margin is within 2E of the least at the run's two ends.
+
+    E bounds the float error of a margin against that affine function.  Let
+    e = 2**-53 be the unit roundoff and S >= |slope * x| + |intercept| over
+    a map's pieces (0 for the identity, which is exact).  Evaluating the map
+    errs by under 3eS, so fl(u_i / u_j) <= 1 errs by under e + 3eS/u_j and
+    phi times it by under 2e + 3eS/u_j; factor * M adds e * factor and the
+    subtraction e * (1 + factor).  In all, for states u over v,
+        E <= e * (3 + 4 * factor + 3 * S_u / u_j + 3 * factor * S_v / v_j),
+    and the E below is twice that (8e = 4 * _ULP), which also covers
+    rounding E and the bound.  A loose E only means more rows are scanned.
+    """
+    if not isinstance(m, _RatioBase):
+        return None
+    n = pts.size
+    pieces, splits, scales = [], [], []
+    for states, f in (upper, lower):
+        if not (states[0] > 0.0 and np.all(np.diff(states) >= 0.0)):
+            return None
+        if f is None:
+            pieces.append(np.zeros(n, dtype=int))
+            scales.append(0.0)
+        elif hasattr(f, "piece_index"):
+            pieces.append(f.piece_index(pts))
+            scales.append(float(max(abs(p.slope * x) + abs(p.intercept)
+                                    for p in f.pieces for x in (p.lo, p.hi))))
+        else:
+            return None
+        # first column tied with each row: the states are sorted
+        splits.append(np.searchsorted(states, states, side="left"))
+    changes = np.flatnonzero((np.diff(pieces[0]) != 0) | (np.diff(pieces[1]) != 0)) + 1
+    # each row's run ends: column 0, the row itself, and both sides of every
+    # run start, evaluated a block of rows at a time
+    lowest = np.empty(n)
+    block = max(1, _BLOCK_POINTS // (2 * changes.size + 6))
+    for start in range(0, n, block):
+        j = np.arange(start, min(n, start + block))[:, None]
+        starts = np.column_stack([*(split[j[:, 0]] for split in splits),
+                                  np.broadcast_to(changes, (j.size, changes.size))])
+        cols = np.clip(np.column_stack([0 * j, j, starts - 1, starts]), 0, j)
+        lowest[start:start + block] = margins(j, cols).min(axis=1)
+    (u, _), (v, _) = upper, lower
+    error = 4 * float(_ULP) * (1 + factor) * (1 + scales[0] / u + scales[1] / v)
+    return lowest - 2 * error, lowest.min()

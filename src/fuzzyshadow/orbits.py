@@ -347,7 +347,7 @@ def interleave_for_power(seq: OrbitSequence, k: int, f) -> OrbitSequence:
     for l in range(k):
         out[l::k] = cur
         if l + 1 < k:
-            cur = np.asarray(f.eval_array(cur), dtype=float)
+            cur = f.eval_array(cur)
     return OrbitSequence(out, provenance="constructed")
 
 

@@ -50,6 +50,24 @@ class AxiomReport:
         }
 
 
+# Samples per chunk of an axiom sweep.  A chunk's float arrays (96 KiB) stay
+# under glibc's default mmap threshold (128 KiB), so their temporaries are
+# reused from the heap.  Whole-sample arrays would each be mapped and faulted
+# in afresh unless an earlier large allocation had raised the threshold, so a
+# sweep's cost would depend on what the process ran before it.
+SWEEP_CHUNK = 12288
+
+
+def sweep_chunks(sweeps, *columns) -> dict:
+    """Run ``sweeps(*chunk)``, which maps names to elementwise pass masks,
+    on consecutive chunks of the equal-length sample columns, and join the
+    masks of each name."""
+    n = len(columns[0])
+    parts = [sweeps(*(c[k:k + SWEEP_CHUNK] for c in columns))
+             for k in range(0, max(n, 1), SWEEP_CHUNK)]
+    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+
+
 def record(checks: list, name: str, ok_mask, witness) -> None:
     """Append the outcome of one axiom sweep to ``checks``; a failure carries
     ``witness(i)`` for the lowest failing index i."""

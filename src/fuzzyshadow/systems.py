@@ -109,8 +109,13 @@ class IntervalMap:
 
     def eval_array(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        idx = np.searchsorted(self._breaks, xs, side="left")
+        idx = self.piece_index(xs)
         return self._slopes[idx] * xs + self._icepts[idx]
+
+    def piece_index(self, xs) -> np.ndarray:
+        """Index of the piece eval_array applies at each x; a breakpoint
+        belongs to the piece on its left."""
+        return np.searchsorted(self._breaks, xs, side="left")
 
     def _exact(self, x: Fraction) -> Fraction:
         # at a breakpoint both pieces give the same value

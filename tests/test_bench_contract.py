@@ -69,10 +69,21 @@ def test_chain_nodes_hook_binds_a_cli_style_call():
     assert trace._chain_nodes(bound.arguments, None)["nodes"] >= 1001
 
 
-def test_chain_reach_ops_pass_their_checks():
+def _chain_reach_failures(prefixes) -> dict:
     ops = [op for op in workloads.build("chain-reach", 7, quick=True).ops
-           if op.label.startswith(_CHAIN_OPS)]
+           if op.label.startswith(prefixes)]
     assert ops
     results = {op.label: op.run() for op in ops}
-    failures = {op.label: op.check(results[op.label], results) for op in ops}
+    return {op.label: op.check(results[op.label], results) for op in ops}
+
+
+def test_chain_reach_ops_pass_their_checks():
+    failures = _chain_reach_failures(_CHAIN_OPS)
+    assert not any(failures.values()), failures
+
+
+def test_chain_reach_pair_checks_pass_their_checks():
+    # the workload recomputes each certificate and margin with a full scan
+    failures = _chain_reach_failures(("certify_fuzzy_continuity", "check_ratio_modulus",
+                                      "check_metric_domination"))
     assert not any(failures.values()), failures

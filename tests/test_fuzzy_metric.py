@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzyshadow import fuzzy_metric as fm
+from fuzzyshadow import reports, tnorm
 from fuzzyshadow.systems import IntervalMap, Piece, example43_map, perturbation_g, tent
 from fuzzyshadow.tnorm import TNorm
 
@@ -57,6 +60,18 @@ def test_broken_metric_fails_triangle():
     lhs = broken.eval(w["x"], w["z"], w["t"] + w["s"])
     rhs = min(broken.eval(w["x"], w["y"], w["t"]), broken.eval(w["y"], w["z"], w["s"]))
     assert lhs < rhs
+
+
+@pytest.mark.parametrize("chunk", [7, 4096])
+@pytest.mark.parametrize("harness", [
+    lambda: fm.check_axioms(fm.RatioFuzzyMetric(TNorm("minimum")), samples=10_000, seed=3),
+    lambda: fm.check_axioms(fm.StandardFuzzyMetric(), samples=10_000, seed=3),
+    lambda: tnorm.check_axioms(TNorm("lukasiewicz"), samples=10_000, seed=3),
+], ids=["broken-ratio", "standard", "lukasiewicz"])
+def test_axiom_sweeps_do_not_depend_on_the_chunk(monkeypatch, harness, chunk):
+    whole = harness().to_dict()
+    monkeypatch.setattr(reports, "SWEEP_CHUNK", chunk)
+    assert harness().to_dict() == whole
 
 
 def test_horizon_monotonicity_bulk(standard_metric, ratio_phi_metric):
@@ -199,13 +214,58 @@ def test_certify_rejects_grid_outside_map_domain(tent2):
     (lambda: fm.check_metric_domination(fm.StandardFuzzyMetric(), example43_map(), tent(2.0),
                                         0.5, 1.0, 1e-2),
      "state 0.0 outside domain of example43"),
-], ids=["ratio-modulus-tent", "domination-tent-image", "domination-grid-outside-g"])
+    # tent:2 maps 1 to 0, outside the ratio space
+    (lambda: fm.certify_fuzzy_continuity(fm.RatioFuzzyMetric(), tent(2.0), 0.2, 1.0, 1e-2),
+     "domain of tent:2 is not inside the ratio space"),
+], ids=["ratio-modulus-tent", "domination-tent-image", "domination-grid-outside-g",
+        "certify-tent-image"])
 def test_modulus_checks_reject_states_outside_the_space(check, message):
-    # the first two divided 0 by 0 and reported a nan margin
+    # the first two divided 0 by 0 and reported a nan margin, and the
+    # certificate divided 0 by 0 and certified continuity
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             check()
+
+
+_NOT_FINITE_POSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("value", _NOT_FINITE_POSITIVE)
+@pytest.mark.parametrize("check", [
+    lambda v: fm.certify_fuzzy_continuity(fm.StandardFuzzyMetric(), tent(2.0), 0.2, v, 1e-2),
+    lambda v: fm.check_ratio_modulus(example43_map(), v, 1e-2),
+    lambda v: fm.check_metric_domination(fm.RatioFuzzyMetric(), perturbation_g(1 / 256),
+                                         example43_map(), v, 1.0, 1e-2),
+    lambda v: fm.check_metric_domination(fm.RatioFuzzyMetric(), perturbation_g(1 / 256),
+                                         example43_map(), 0.5, v, 1e-2),
+], ids=["certify-t", "ratio-modulus-factor", "domination-factor", "domination-t"])
+def test_pair_checks_reject_nonfinite_or_nonpositive_parameters(check, value):
+    # a nan horizon certified continuity with t_prime nan, an infinite one
+    # divided inf by inf, and a nan or infinite factor gave a nan or -inf margin
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            check(value)
+
+
+def test_pair_checks_hold_memory_bounded():
+    # the full scans held N x N matrices: 800 MB each for the domination
+    # check at N = 1e4, 80 GB for the certificate at N = 1e5
+    tracemalloc.start()
+    try:
+        report = fm.check_metric_domination(fm.StandardFuzzyMetric(lo_open=True),
+                                            perturbation_g(1 / 256), example43_map(),
+                                            0.5, 1.0, 1e-4)
+        domination_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        cert = fm.certify_fuzzy_continuity(fm.StandardFuzzyMetric(), tent(2.0), 0.2, 1.0, 1e-5)
+        certificate_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.pairs == 10_000**2
+    assert cert.holds and cert.pairs == 100_001**2
+    assert domination_peak < 64 * 2**20 and certificate_peak < 64 * 2**20
 
 
 def test_ratio_modulus_three_piece(three_piece):

@@ -7,11 +7,13 @@ verdicts to the evidence of the dense candidate x index score matrix, which
 the survivor loop is also property-tested against.  Chains and length
 spectra are pinned to the values of the exact reach intervals, and
 property-tested against the grid transition graph they replaced, whose
-spectrum they must contain; the diameter-pair uniform horizon is tested
-against the dense scan it replaced."""
+spectrum they must contain; the diameter-pair uniform horizon, the
+continuity certificate and the two modulus checks are tested against the
+grid-pair scans they replaced."""
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -380,3 +382,233 @@ def test_pinned_evidence_matches_dense_matrix(case):
     pin = PINNED[case]
     assert json.dumps([witness, index, value, near]) == json.dumps(
         [pin["witness"], pin["worst_index"], pin["worst_value"], pin["near_miss"]])
+
+
+# -- grid-pair checks against the full N x N scans ----------------------------------
+
+
+def _dense_certificate(m, f, eps, t, resolution):
+    """The full scan: every image pair at t, then every source pair at each
+    candidate horizon; the counterexample is the row-major first offending
+    pair with the largest source nearness."""
+    pts = m.grid(resolution)
+    imgs = f.eval_array(pts)
+    pairs = pts.size * pts.size
+    image_near = m.eval_array(imgs[:, None], imgs[None, :], t)
+    bad = image_near <= 1.0 - eps
+    if not bad.any():
+        return fm.ContinuityCertificate(True, eps, t, eps, t, resolution, pairs)
+    worst_pair = None
+    for t_prime in (t, *fm.HORIZON_LADDER):
+        source_near = m.eval_array(pts[:, None], pts[None, :], t_prime)
+        worst = float(source_near[bad].max())
+        if worst < 1.0:
+            return fm.ContinuityCertificate(True, eps, t, min(eps, 1.0 - worst), t_prime,
+                                            resolution, pairs)
+        if worst_pair is None:
+            flat = np.where(bad.ravel(), source_near.ravel(), -np.inf)
+            i, j = np.unravel_index(int(np.argmax(flat)), bad.shape)
+            worst_pair = {"x": float(pts[i]), "x0": float(pts[j]),
+                          "source_nearness": float(source_near[i, j]),
+                          "image_nearness": float(image_near[i, j])}
+    return fm.ContinuityCertificate(False, eps, t, None, None, resolution, pairs,
+                                    counterexample=worst_pair)
+
+
+def _dense_modulus(pts, lhs, rhs, factor):
+    """The full margin matrix and its row-major first minimiser."""
+    margin = lhs - factor * rhs
+    i, j = np.unravel_index(int(np.argmin(margin)), margin.shape)
+    return fm.ModulusReport(bool(margin[i, j] > 0.0), int(margin.size), factor,
+                            float(margin[i, j]), {"x": float(pts[i]), "y": float(pts[j])})
+
+
+def _dense_ratio_modulus(f, factor, resolution):
+    pts = f.grid(resolution)
+    img = f.eval_array(pts)
+    lhs = np.minimum.outer(img, img) / np.maximum.outer(img, img)
+    rhs = np.minimum.outer(pts, pts) / np.maximum.outer(pts, pts)
+    return _dense_modulus(pts, lhs, rhs, factor)
+
+
+def _dense_domination(m, g, f, factor, t, resolution):
+    pts = f.grid(resolution)
+    gi, fi = g.eval_array(pts), f.eval_array(pts)
+    lhs = m.eval_array(gi[:, None], gi[None, :], t)
+    rhs = m.eval_array(fi[:, None], fi[None, :], t)
+    return _dense_modulus(pts, lhs, rhs, factor)
+
+
+def _same(got, want):
+    # compared as JSON text, so a -0.0 margin cannot pass for 0.0
+    assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(want.to_dict(),
+                                                                  sort_keys=True)
+
+
+@st.composite
+def _pl_maps(draw, nondecreasing=None):
+    """A continuous piecewise-linear self-map of (0, 1], nondecreasing (with
+    flat pieces) or not, as chosen or drawn."""
+    if nondecreasing is None:
+        nondecreasing = draw(st.booleans())
+    cuts = draw(st.lists(st.integers(1, 999), max_size=5, unique=True))
+    xs = [Fraction(0), *(Fraction(c, 1000) for c in sorted(cuts)), Fraction(1)]
+    den = draw(st.sampled_from([8, 1000, 2**20]))
+    values = [Fraction(v, den) for v in draw(st.lists(st.integers(1, den), min_size=len(xs),
+                                                      max_size=len(xs)))]
+    if nondecreasing:
+        values.sort()
+        flats = draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
+        for k in range(1, len(values)):
+            if flats[k]:
+                values[k] = values[k - 1]
+    pieces = []
+    for lo, hi, a, b in zip(xs, xs[1:], values, values[1:]):
+        slope = (b - a) / (hi - lo)
+        pieces.append(systems.Piece(lo, hi, slope, a - slope * lo))
+    return systems.IntervalMap(pieces, lo_open=True, name="pl")
+
+
+_HALF_OPEN_MAPS = (systems.example43_map(), systems.perturbation_g(1.0 / 256.0))
+
+
+@st.composite
+def _certificate_inputs(draw):
+    name = draw(st.sampled_from(fm.METRIC_NAMES))
+    f = draw(st.one_of(st.sampled_from(_HALF_OPEN_MAPS), _pl_maps()) if name != "standard"
+             else st.one_of(st.sampled_from([systems.tent(2.0), systems.tent(math.sqrt(2)),
+                                             *_HALF_OPEN_MAPS]), _pl_maps()))
+    m = (fm.StandardFuzzyMetric(lo_open=f.lo_open) if name == "standard"
+         else fm.metric_from_name(name))
+    return m, f, draw(st.floats(0.005, 0.995)), draw(st.floats(0.01, 8.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_certificate_inputs(), steps=st.integers(100, 334))
+def test_continuity_certificate_matches_dense_scan(case, steps):
+    m, f, eps, t = case
+    _same(fm.certify_fuzzy_continuity(m, f, eps, t, 1.0 / steps),
+          _dense_certificate(m, f, eps, t, 1.0 / steps))
+
+
+class _SaturatingMetric(fm.StandardFuzzyMetric):
+    """(t + s) / (t + |x - y|), capped at 1: nearness 1 below spread s at every
+    horizon.  It is no fuzzy metric, but it is symmetric and monotone in the
+    spread like the three metrics here, and it reaches the certificate's
+    failure branch, which needs an offending pair at nearness 1 on every
+    rung.  Under those three metrics, distinct grid points are never at
+    nearness 1 on the least rung, and an offending pair has distinct points,
+    so for a continuous map the branch is otherwise unreachable."""
+
+    name = "saturating"
+
+    def __init__(self, spread, lo_open):
+        super().__init__(lo_open=lo_open)
+        self.spread = spread
+
+    def _kernel(self, x, y, t):
+        return np.minimum(1.0, (t + self.spread) / (t + np.abs(x - y)))
+
+
+def test_certificate_failure_branch():
+    m, f = _SaturatingMetric(0.015, lo_open=False), systems.tent(2.0)
+    cert = fm.certify_fuzzy_continuity(m, f, 0.004, 1.0, 1e-2)
+    assert not cert.holds and cert.delta is None and cert.t_prime is None
+    assert cert.counterexample["source_nearness"] == 1.0
+    _same(cert, _dense_certificate(m, f, 0.004, 1.0, 1e-2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=st.one_of(st.sampled_from([systems.tent(2.0), *_HALF_OPEN_MAPS]), _pl_maps()),
+       spread=st.sampled_from([0.0, 0.005, 0.01, 0.03]), eps=st.floats(1e-3, 0.2),
+       t=st.floats(0.05, 4.0), steps=st.integers(100, 334))
+def test_saturating_certificate_matches_dense_scan(f, spread, eps, t, steps):
+    m = _SaturatingMetric(spread, f.lo_open)
+    _same(fm.certify_fuzzy_continuity(m, f, eps, t, 1.0 / steps),
+          _dense_certificate(m, f, eps, t, 1.0 / steps))
+
+
+_FACTORS = st.one_of(st.sampled_from([0.1, 0.5, 1.0, 2.0]), st.floats(0.01, 2.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=st.one_of(st.sampled_from(_HALF_OPEN_MAPS), _pl_maps()), factor=_FACTORS,
+       steps=st.integers(20, 400))
+def test_ratio_modulus_matches_dense_scan(f, factor, steps):
+    _same(fm.check_ratio_modulus(f, factor, 1.0 / steps),
+          _dense_ratio_modulus(f, factor, 1.0 / steps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(fm.METRIC_NAMES),
+       g=st.one_of(st.sampled_from(_HALF_OPEN_MAPS), _pl_maps()),
+       f=st.one_of(st.sampled_from(_HALF_OPEN_MAPS), _pl_maps()),
+       factor=_FACTORS, t=st.floats(0.05, 4.0), steps=st.integers(20, 400))
+def test_metric_domination_matches_dense_scan(name, g, f, factor, t, steps):
+    m = fm.metric_from_name(name, lo_open=True)
+    _same(fm.check_metric_domination(m, g, f, factor, t, 1.0 / steps),
+          _dense_domination(m, g, f, factor, t, 1.0 / steps))
+
+
+def test_modulus_tie_rule():
+    # the least margin 1/2 - 1 sits on (0, 7) and (3, 4): |g| differs by 1
+    # and f ties on both; the full scan reports the row-major first, (0, 7)
+    grid = [Fraction(k, 8) for k in range(9)]
+
+    def pl(values):
+        pieces = []
+        for lo, hi, a, b in zip(grid, grid[1:], values, values[1:]):
+            slope = (b - a) / (hi - lo)
+            pieces.append(systems.Piece(lo, hi, slope, a - slope * lo))
+        return systems.IntervalMap(pieces, name="pl")
+
+    g = pl([Fraction(v, 4) for v in (0, 2, 2, 0, 4, 2, 2, 4, 2)])
+    f = pl([Fraction(v, 4) for v in (0, 1, 3, 2, 2, 1, 3, 0, 1)])
+    m = fm.StandardFuzzyMetric()
+    report = fm.check_metric_domination(m, g, f, 1.0, 1.0, 0.125)
+    assert report.worst_margin == -0.5 and report.worst_pair == {"x": 0.0, "y": 0.875}
+    _same(report, _dense_domination(m, g, f, 1.0, 1.0, 0.125))
+
+
+# 1/2 + x/2**52 rounds to three floats, so f ties on runs that start inside its piece
+_NEAR_FLAT = systems.IntervalMap([systems.Piece(Fraction(0), Fraction(1), Fraction(1, 2**52),
+                                                Fraction(1, 2))], lo_open=True, name="near-flat")
+
+
+# x/3 over x is 1 up to rounding, so the least margin sits inside the rows
+_THIRD = systems.IntervalMap([systems.Piece(Fraction(0), Fraction(1), Fraction(1, 3),
+                                            Fraction(0))], lo_open=True, name="third")
+
+
+@example(name="ratio-phi", g=_HALF_OPEN_MAPS[0], f=_NEAR_FLAT, factor=1.0, t=0.25, steps=100)
+@example(name="ratio", g=_THIRD, f=None, factor=1.0, t=1.0, steps=100)
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(("ratio", "ratio-phi")),
+       g=st.one_of(st.sampled_from(_HALF_OPEN_MAPS), _pl_maps(nondecreasing=True)),
+       f=st.one_of(st.sampled_from([*_HALF_OPEN_MAPS, _NEAR_FLAT, None]),
+                   _pl_maps(nondecreasing=True)),
+       factor=_FACTORS, t=st.floats(0.05, 4.0), steps=st.integers(20, 400))
+def test_margin_lower_bounds_hold_on_every_row(name, g, f, factor, t, steps):
+    """Each row's bound lies below the least margin of its columns i <= j,
+    and the least evaluated margin is a margin; f None is the identity.  A
+    bound is refused only for float images that decrease somewhere."""
+    m = fm.metric_from_name(name)
+    pts = (f or g).grid(1.0 / steps)
+    upper, lower = (g.eval_array(pts), g), (pts if f is None else f.eval_array(pts), f)
+
+    def margins(rows, cols):
+        return (m.eval_array(upper[0][rows], upper[0][cols], t)
+                - factor * m.eval_array(lower[0][rows], lower[0][cols], t))
+
+    bounds = fm._margin_lower_bounds(m, pts, upper, lower, factor, margins)
+    if bounds is None:
+        # rounding at a piece change can make the float images of a
+        # nondecreasing map fall by an ulp; then every row is scanned
+        assert any(np.any(np.diff(states) < 0.0) for states, _ in (upper, lower))
+        return
+    lowest, least = bounds
+    rows = np.arange(pts.size)[:, None]
+    dense = margins(rows, rows.T)
+    assert least in dense
+    dense[rows.T > rows] = np.inf
+    assert np.all(lowest <= dense.min(axis=1))
