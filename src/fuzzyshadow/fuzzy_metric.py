@@ -118,7 +118,9 @@ class FuzzyMetric:
         """Broadcast evaluation (including the horizon); states are assumed
         to lie in the space."""
         t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0):
+        # the method skips np.any's dispatch, which costs more than a small
+        # kernel call
+        if (t <= 0.0).any():
             raise ValueError("horizons must be positive")
         return self._kernel(np.asarray(x, float), np.asarray(y, float), t)
 

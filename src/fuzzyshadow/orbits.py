@@ -178,7 +178,10 @@ def _cofinite_onset(present: set[int], n_max: int, n_min: int = 1) -> int | None
 
 
 def fuzzy_score(m, t0: float):
-    """Pair score of fuzzy comparisons: the nearness M(x, y, t0)."""
+    """Pair score of fuzzy comparisons: the nearness M(x, y, t0).  The horizon
+    is checked once here, so that a non-finite t0 cannot give a verdict."""
+    if not 0.0 < t0 < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {t0!r}")
     return lambda x, y: m.eval_array(x, y, t0)
 
 

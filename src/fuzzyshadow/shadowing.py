@@ -5,6 +5,12 @@ A "no witness" verdict is therefore certified only relative to the stated
 grid resolution, which every verdict records; refining the grid is the
 validation knob.  Witness verdicts are re-verified index by index before
 being returned.
+
+The tracing verdicts are grid-exhaustive, but their work is not: the least
+survivor is run ahead on its own, and once it reaches the end of the
+sequence the rest of the grid is not stepped.  A search in which every
+candidate traces, as at the uniform horizon, costs O(n + grid) map steps for
+n states rather than n x grid; see _survivor_search for the general bound.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .orbits import (
     density,
     fuzzy_score,
     ns_set,
+    orbit_states,
     require_in_domain,
 )
 from .systems import ConstructionError, example43_map
@@ -113,10 +120,27 @@ def _survivor_search(seq: OrbitSequence, f, cands: np.ndarray, score,
     worst index and score are the first least score of that re-check.  With
     no survivor, the worst index is where the last candidates died and the
     near miss is the one of them scoring highest there (the smallest on ties).
+
+    The verdict is that of the whole grid, but the work is not.  When the
+    least survivor changes, a scalar probe runs it ahead; if it reaches the
+    last index it is the least witness, and the loop stops.  Scalar and
+    array evaluation give the same bits, so a probe fails exactly where the
+    loop would drop its candidate.  After a probe started at index i fails,
+    the next one waits for index 2i + 1.  So at most log2(n) + 1 probes run,
+    they take O(n) scalar steps in all, and the loop takes at most twice the
+    vector steps it takes before the least witness becomes the least
+    survivor.  When every candidate survives, as at the uniform horizon, the
+    first probe succeeds: O(n + grid) steps in place of n x grid.
     """
     states = require_in_domain(f, seq.states)
     X, idx = cands, np.arange(cands.size)
+    probed, next_probe = -1, 0
     for i, target_state in enumerate(states):
+        if i >= next_probe and idx[0] != probed:
+            probed = idx[0]
+            if _probe(f, X[0], states, i, score, floor):
+                break
+            next_probe = 2 * i + 1
         vals = score(X, target_state)
         dead = vals <= floor
         if dead.any():
@@ -134,6 +158,28 @@ def _survivor_search(seq: OrbitSequence, f, cands: np.ndarray, score,
         raise VerificationError(f"witness re-verification failed at index {bad.indices[0]}")
     k = int(np.argmin(scores))
     return w, k, float(scores[k]), None
+
+
+_PROBE_FIRST, _PROBE_GROWTH = 8, 4
+
+
+def _probe(f, x: float, states: np.ndarray, i: int, score, floor: float) -> bool:
+    """Whether the scalar orbit of x, the state at index i, scores above floor
+    at every index from i on.  It is scored in chunks that grow
+    geometrically and stops at the first chunk with a violation, so a probe
+    that fails at index j takes O(j - i) steps."""
+    size = _PROBE_FIRST
+    try:
+        while True:
+            end = min(i + size, states.size)
+            orbit = orbit_states(f, x, end - i)
+            if (score(orbit, states[i:end]) <= floor).any():
+                return False
+            if end == states.size:
+                return True
+            x, i, size = f.eval(orbit[-1]), end, size * _PROBE_GROWTH
+    except ValueError:  # the float orbit left the domain: the loop decides
+        return False
 
 
 def build_nonshadowable_orbit(delta: float, f=None) -> OrbitSequence:
@@ -176,8 +222,12 @@ def ergodic_shadow_search(seq: OrbitSequence, f, m: FuzzyMetric, eps: float, t0:
 
     Candidates are the metric grid plus the sequence start.  The returned
     report's plausibly_zero flag is the tracing verdict at the package-wide
-    density threshold.
+    density threshold.  Raises ValueError unless eps lies in (0, 1) and t0 is
+    finite and positive.
     """
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    score = fuzzy_score(m, t0)
     states = require_in_domain(f, seq.states)
     cands = require_in_domain(f, np.unique(np.concatenate([m.grid(resolution), states[:1]])))
     target = 1.0 - eps
@@ -185,7 +235,7 @@ def ergodic_shadow_search(seq: OrbitSequence, f, m: FuzzyMetric, eps: float, t0:
     X = cands
     counts = np.zeros(cands.size, dtype=np.int64)
     for i, s in enumerate(states):
-        counts += m.eval_array(X, float(s), t0) <= target
+        counts += score(X, float(s)) <= target
         if i + 1 < states.size:
             X = f.eval_array(X)
 

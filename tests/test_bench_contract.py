@@ -87,3 +87,21 @@ def test_chain_reach_pair_checks_pass_their_checks():
     failures = _chain_reach_failures(("certify_fuzzy_continuity", "check_ratio_modulus",
                                       "check_metric_domination"))
     assert not any(failures.values()), failures
+
+
+def test_tracing_sweep_ops_pass_their_checks():
+    # each witness search is re-traced in floats by its check, and the ns_set
+    # that follows it must find no violation
+    queue = list(workloads.build("tracing-sweep", 7, quick=True).ops)
+    ran, results = [], {}
+    while queue:
+        op = queue.pop(0)
+        results[op.label] = op.run()
+        ran.append(op)
+        extra = op.follow(results[op.label])
+        if extra is not None:
+            queue.insert(0, extra)
+    assert any(label.startswith("ns_set") for label in results)
+    assert any(label.startswith("classical_ns_set") for label in results)
+    failures = {op.label: op.check(results[op.label], results) for op in ran}
+    assert not any(failures.values()), failures

@@ -6,6 +6,7 @@ from fuzzyshadow import shadowing
 from fuzzyshadow.orbits import (
     OrbitSequence,
     build_transitivity_orbit,
+    ns_set,
     perturbed_orbit,
     validate_f_pseudo_orbit,
 )
@@ -231,6 +232,25 @@ def test_shadow_search_eps_validation(tent2, standard_metric):
         shadow_search(orb, tent2, standard_metric, eps=1.5, t0=1.0)
     with pytest.raises(ValueError):
         classical_shadow_search(orb, tent2, eps=0.0)
+
+
+@pytest.mark.parametrize("t0", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda seq, f, m, t0: shadow_search(seq, f, m, eps=0.1, t0=t0, resolution=1e-2),
+    lambda seq, f, m, t0: ergodic_shadow_search(seq, f, m, eps=0.1, t0=t0, resolution=1e-2),
+    lambda seq, f, m, t0: validate_f_pseudo_orbit(seq, f, m, 0.1, t0),
+    lambda seq, f, m, t0: ns_set(seq, 0.3, f, m, 0.1, t0),
+], ids=["shadow", "ergodic", "validate", "ns_set"])
+def test_fuzzy_verdicts_need_a_finite_positive_horizon(tent2, standard_metric, call, t0):
+    # a nan horizon used to slip past the t <= 0 check and give a witness
+    with pytest.raises(ValueError, match="horizon must be finite and positive"):
+        call(tent2.orbit(0.3, 20), tent2, standard_metric, t0)
+
+
+@pytest.mark.parametrize("eps", [-0.5, 0.0, 1.0, 1.5, float("nan")])
+def test_ergodic_search_eps_validation(tent2, standard_metric, eps):
+    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+        ergodic_shadow_search(tent2.orbit(0.3, 20), tent2, standard_metric, eps=eps, t0=1.0)
 
 
 def test_perturbation_crossing_orbit(ratio_metric):

@@ -354,19 +354,88 @@ def _survivor_inputs(draw):
     # a start on the grid keeps some candidate alive past index 0
     x0 = draw(st.one_of(st.sampled_from(cands.tolist()),
                         st.floats(f.domain_lo, f.domain_hi, exclude_min=f.lo_open)))
-    seq = orbits.perturbed_orbit(f, x0, draw(st.integers(0, 14)),
-                                 draw(st.sampled_from([0.0, 1e-3, 1e-2, 0.1])),
+    # long sequences let the scalar probes cross chunk boundaries and
+    # leapfrog the survivor loop
+    n = draw(st.one_of(st.integers(0, 14), st.integers(15, 300)))
+    seq = orbits.perturbed_orbit(f, x0, n, draw(st.sampled_from([0.0, 1e-3, 1e-2, 0.1])),
                                  seed=draw(st.integers(0, 99)))
     return seq, f, cands, score, floor
+
+
+# slope 21/20 below 20/21: nearby orbits part slowly
+_SLOW = systems.IntervalMap((
+    systems.Piece(Fraction(0), Fraction(20, 21), Fraction(21, 20), Fraction(0)),
+    systems.Piece(Fraction(20, 21), Fraction(1), Fraction(-21), Fraction(21))),
+    name="slow")
+_STD = fm.StandardFuzzyMetric()
+# in floats f(0.233) = -1.1e-16, outside the domain, where the scalar eval
+# raises and eval_array extrapolates
+_LEAKY = systems.IntervalMap((
+    systems.Piece(Fraction(0), Fraction(233, 1000), Fraction(-2000, 699), Fraction(2, 3)),
+    systems.Piece(Fraction(233, 1000), Fraction(241, 250), Fraction(2000, 2193),
+                  Fraction(-466, 2193)),
+    systems.Piece(Fraction(241, 250), Fraction(1), Fraction(-250, 27), Fraction(259, 27))),
+    name="leaky")
 
 
 # candidates at distance exactly eps from the one state die under "<= floor"
 @example(case=(orbits.OrbitSequence(np.array([0.25])), systems.tent(2.0),
                systems.tent(2.0).grid(0.25), orbits.classical_score, -0.25))
+# the least candidate alive at index 0 dies at index 48 and the one after it
+# at 54, both past the first probe chunk; the witness is the true orbit's start
+@example(case=(_SLOW.orbit(0.01, 299), _SLOW, _SLOW.grid(1 / 400), orbits.classical_score, -0.1))
+# a probe whose float orbit leaves the domain gives up, and the loop drops
+# the candidate where the score matrix does
+@example(case=(orbits.OrbitSequence(np.array([0.233, 0.0, 0.2])), _LEAKY, np.array([0.233, 0.5]),
+               orbits.classical_score, -0.1))
+# at the uniform horizon every candidate traces
+@example(case=(orbits.perturbed_orbit(systems.tent(2.0), 0.3, 299, 0.1, seed=3), systems.tent(2.0),
+               _STD.grid(1 / 400), orbits.fuzzy_score(_STD, fm.uniform_horizon(_STD, 0.1)), 0.9))
 @settings(max_examples=300, deadline=None)
 @given(case=_survivor_inputs())
 def test_survivor_search_matches_dense_matrix(case):
     assert shadowing._survivor_search(*case) == _dense_survivors(*case)
+
+
+@pytest.mark.parametrize("start", [0, 7, 8, 50, 299])
+def test_probe_stops_exactly_at_violations(start):
+    # chunks of 8, 32, 128, ... scalar steps: violations on both sides of
+    # their boundaries, and none, which only the last chunk can confirm
+    f = systems.tent(math.sqrt(2))
+    states = f.orbit(0.3, 299).states
+    x = float(states[start])
+    assert shadowing._probe(f, x, states, start, orbits.classical_score, -1e-9)
+    violations = {start, start + 7, start + 8, start + 39, start + 40, 299}
+    for k in sorted(violations & set(range(start, 300))):
+        bad = states.copy()
+        bad[k] += 0.5 if bad[k] < 0.5 else -0.5
+        assert not shadowing._probe(f, x, bad, start, orbits.classical_score, -1e-9), k
+
+
+class _CountingMap(systems.IntervalMap):
+    """Counts the map points evaluated, scalar and batch."""
+
+    points = 0
+
+    def eval(self, x):
+        self.points += 1
+        return super().eval(x)
+
+    def eval_array(self, xs):
+        out = super().eval_array(xs)
+        self.points += out.size
+        return out
+
+
+def test_witness_search_work_is_linear_when_every_candidate_traces():
+    base = systems.tent(2.0)
+    f = _CountingMap(base.pieces, base.lo_open, base.name)
+    seq = orbits.perturbed_orbit(base, 0.3, 999, 0.05, seed=1)
+    grid = _STD.grid(1e-4)
+    verdict = shadowing.shadow_search(seq, f, _STD, 0.1, fm.uniform_horizon(_STD, 0.1), 1e-4)
+    assert verdict.witness == 0.0 and verdict.candidates == grid.size == 10001
+    # stepping every candidate to the end would take 999 x 10001 points
+    assert f.points < 2 * (len(seq) + grid.size)
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))
