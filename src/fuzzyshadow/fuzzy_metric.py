@@ -38,7 +38,10 @@ def interval_grid(lo: float, hi: float, lo_open: bool, resolution: float) -> np.
     """Uniform grid over an interval; open lower endpoints start one step up."""
     if not resolution > 0.0:
         raise ValueError("grid resolution must be positive")
-    steps = int(round((hi - lo) / resolution))
+    steps = (hi - lo) / resolution
+    if not math.isfinite(steps):
+        raise ValueError("too many grid steps for the interval")
+    steps = int(round(steps))
     if steps < 1:
         raise ValueError("resolution too coarse for the interval")
     if lo_open:
@@ -73,6 +76,9 @@ class Interval:
     @property
     def is_empty(self) -> bool:
         return self.lo > self.hi or (self.lo == self.hi and not (self.lo_closed and self.hi_closed))
+
+    def __str__(self) -> str:
+        return f"{'(['[self.lo_closed]}{self.lo}, {self.hi}{')]'[self.hi_closed]}"
 
     def __contains__(self, x) -> bool:
         return not (self & Interval.point(x)).is_empty

@@ -45,11 +45,12 @@ class IntervalMap:
         self.name = name
         if not self.pieces:
             raise ValueError("need at least one piece")
-        self._validate_cover()
-        self._validate_continuity()
+        # domain ends and interior breakpoints: f is affine between them
+        self.knots = (self.pieces[0].lo, *(p.hi for p in self.pieces))
+        self._validate_pieces()
         self._validate_self_map()
-        self.domain_lo = float(self.pieces[0].lo)
-        self.domain_hi = float(self.pieces[-1].hi)
+        self.domain_lo = float(self.knots[0])
+        self.domain_hi = float(self.knots[-1])
         # float mirrors for evaluation: numpy arrays for eval_array, Python
         # lists for the scalar eval, which pays no numpy per-call overhead
         self._breaks = np.array([float(p.hi) for p in self.pieces[:-1]])
@@ -60,30 +61,21 @@ class IntervalMap:
 
     # -- exact validation ----------------------------------------------------
 
-    def _validate_cover(self):
+    def _validate_pieces(self):
         for p in self.pieces:
             if not p.lo < p.hi:
                 raise ValueError("piece endpoints must satisfy lo < hi")
         for left, right in zip(self.pieces, self.pieces[1:]):
             if left.hi != right.lo:
                 raise ValueError("pieces must tile the domain without gaps")
-
-    def _validate_continuity(self):
-        for left, right in zip(self.pieces, self.pieces[1:]):
             if left.value(left.hi) != right.value(right.lo):
                 raise ValueError(f"discontinuity at breakpoint {left.hi}")
 
     def _validate_self_map(self):
-        lo, hi = self.pieces[0].lo, self.pieces[-1].hi
-        for p in self.pieces:
-            for end in (p.lo, p.hi):
-                # the open lower endpoint is a limit, never attained
-                attained = not (self.lo_open and end == lo)
-                v = p.value(end)
-                if v > hi or v < lo:
-                    raise ValueError(f"image leaves domain: f({end}) = {v}")
-                if v == lo and self.lo_open and attained:
-                    raise ValueError(f"image touches excluded endpoint: f({end}) = {v}")
+        domain = Interval(self.knots[0], self.knots[-1], not self.lo_open)
+        image = self.image(domain)
+        if image & domain != image:
+            raise ValueError(f"image {image} of {self.name} leaves its domain {domain}")
 
     # -- domain ----------------------------------------------------------------
 
@@ -117,7 +109,8 @@ class IntervalMap:
         belongs to the piece on its left."""
         return np.searchsorted(self._breaks, xs, side="left")
 
-    def _exact(self, x: Fraction) -> Fraction:
+    def value(self, x: Fraction) -> Fraction:
+        """Exact f(x) at a rational x of the domain; at an open end, the limit."""
         # at a breakpoint both pieces give the same value
         return next(p for p in self.pieces if x <= p.hi).value(x)
 
@@ -129,10 +122,10 @@ class IntervalMap:
         seen only at an open end is attained all the same when a flat piece
         repeats it, which the value at a point inside each piece detects.
         """
-        cuts = [iv.lo, *(p.hi for p in self.pieces if iv.lo < p.hi < iv.hi), iv.hi]
-        seen = [(self._exact(iv.lo), iv.lo_closed), (self._exact(iv.hi), iv.hi_closed)]
-        seen += [(self._exact(b), True) for b in cuts[1:-1]]
-        seen += [(self._exact((a + b) / 2), True) for a, b in zip(cuts, cuts[1:])]
+        cuts = [iv.lo, *(b for b in self.knots if iv.lo < b < iv.hi), iv.hi]
+        seen = [(self.value(iv.lo), iv.lo_closed), (self.value(iv.hi), iv.hi_closed)]
+        seen += [(self.value(b), True) for b in cuts[1:-1]]
+        seen += [(self.value((a + b) / 2), True) for a, b in zip(cuts, cuts[1:])]
         lo, hi = min(v for v, _ in seen), max(v for v, _ in seen)
         return Interval(lo, hi, any(c for v, c in seen if v == lo),
                         any(c for v, c in seen if v == hi))
@@ -173,17 +166,13 @@ class IntervalMap:
 
     def fixed_points(self) -> tuple[float, ...]:
         """Solve slope*x + intercept = x exactly on each piece."""
-        found = []
+        found = set()
         for p in self.pieces:
-            if p.slope == 1:
-                if p.intercept == 0:  # whole piece fixed; report endpoints
-                    found.extend([p.lo, p.hi])
-                continue
-            x = p.intercept / (1 - p.slope)
-            if p.lo <= x <= p.hi:
-                found.append(x)
-        uniq = sorted(set(found))
-        return tuple(float(v) for v in uniq)
+            if p.slope == 1:  # a piece on the diagonal reports its ends
+                found |= {p.lo, p.hi} if p.intercept == 0 else set()
+            elif p.lo <= (x := p.intercept / (1 - p.slope)) <= p.hi:
+                found.add(x)
+        return tuple(float(v) for v in sorted(found))
 
     def __repr__(self) -> str:
         return f"IntervalMap({self.name!r}, pieces={len(self.pieces)})"
@@ -229,12 +218,13 @@ def perturbation_g(alpha: float) -> IntervalMap:
     Blends the base map toward the diagonal: g = (1 - c) * f + c * id with
     c = 4 * alpha, so the largest shift is c * max|f - id| = alpha / 2.  The
     blend keeps both fixed points, keeps g strictly increasing, and keeps
-    g(x) > x exactly where f(x) > x.  The defining properties are re-verified
-    numerically and a failure raises ConstructionError.
+    g(x) > x exactly where f(x) > x.  The defining properties are verified
+    exactly at the breakpoints and a failure raises ConstructionError.
     """
-    a = Fraction(alpha)
-    if not 0 < a < MAX_PERTURBATION:
+    # compare before converting: Fraction(inf) overflows, Fraction(nan) fails
+    if not 0 < alpha < MAX_PERTURBATION:
         raise ValueError("perturbation size must lie in (0, 1/128)")
+    a = Fraction(alpha)
     base = example43_map()
     c = 4 * a
     pieces = tuple(
@@ -242,24 +232,32 @@ def perturbation_g(alpha: float) -> IntervalMap:
         for p in base.pieces
     )
     g = IntervalMap(pieces, lo_open=True, name=f"g:{alpha:g}")
-    _verify_perturbation(base, g, float(alpha))
+    _verify_perturbation(base, g, a)
     return g
 
 
-def _verify_perturbation(f: IntervalMap, g: IntervalMap, alpha: float,
-                         resolution: float = 1e-5) -> None:
-    xs = g.grid(resolution)
-    gap = float(np.max(np.abs(f.eval_array(xs) - g.eval_array(xs))))
+def sup_distance(f: IntervalMap, g: IntervalMap) -> Fraction:
+    """Exact sup of |f - g| over a shared domain: f - g is affine between the
+    knots of either map, so it is largest at one of them."""
+    if (f.knots[0], f.knots[-1], f.lo_open) != (g.knots[0], g.knots[-1], g.lo_open):
+        raise ValueError(f"{f.name} and {g.name} do not share a domain")
+    return max(abs(f.value(x) - g.value(x)) for x in {*f.knots, *g.knots})
+
+
+def _verify_perturbation(f: IntervalMap, g: IntervalMap, alpha: Fraction) -> None:
+    gap = sup_distance(f, g)
     if not gap < alpha:
         raise ConstructionError(f"sup-distance {gap} not below {alpha}")
     if g.eval(0.5) != 0.5 or g.eval(1.0) != 1.0:
         raise ConstructionError("perturbation must fix 1/2 and 1")
     if any(p.slope <= 0 for p in g.pieces):
         raise ConstructionError("perturbation must stay strictly increasing")
-    above = g.eval_array(xs) > xs
-    interior = (xs != 0.5) & (xs != 1.0)
-    if not np.all(above[interior]):
-        raise ConstructionError("perturbation must sit above the diagonal off its fixed points")
+    # g - id is affine between knots, so it is positive off 1/2 and 1 when it
+    # is >= 0 at every knot and piece middle and 0 there only at 1/2 or 1
+    middles = [(a + b) / 2 for a, b in zip(g.knots, g.knots[1:])]
+    for x in (*g.knots, *middles):
+        if g.value(x) < x or (g.value(x) == x and x not in (Fraction(1, 2), 1)):
+            raise ConstructionError("perturbation must sit above the diagonal off its fixed points")
 
 
 class IteratedMap:

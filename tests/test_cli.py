@@ -285,3 +285,27 @@ def test_map_domain_outside_metric_space(tmp_path, capsys, argv):
     assert rc == 2
     assert "is not inside the" in capsys.readouterr().err
     assert not out.exists()
+
+
+_HUGE_SPACE = ["--lo=-1e308", "--hi", "1e308"]
+_FINE_GRID = ["--hi", "1e300", "--grid", "1e-10"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["shadow", "--map", f"g:{alpha}", "--metric", "ratio", "--eps", "0.1", "--orbit", "ORBIT"]
+      for alpha in ("inf", "-inf", "1e400", "nan")),
+    *(["shadow", "--map", "tent:2", "--metric", "standard", *bounds, "--eps", "0.1",
+       "--orbit", "ORBIT"] for bounds in (_HUGE_SPACE, _FINE_GRID)),
+    *(["mix", "--map", "tent:2", "--metric", "standard", *bounds, "--u-center", "0.2",
+       "--u-radius", "0.1", "--v-center", "0.8", "--v-radius", "0.1"]
+      for bounds in (_HUGE_SPACE, _FINE_GRID)),
+    *(["sweep", "--map", "tent:2", "--metric", "standard", *bounds, "--orbit", "ORBIT",
+       "--eps-list", "0.1", "--delta-list", "0.01"] for bounds in (_HUGE_SPACE, _FINE_GRID)),
+], ids=lambda argv: " ".join(a for a in argv if a != "ORBIT"))
+def test_bad_input_is_a_usage_error(tmp_path, capsys, orbit_file, argv):
+    # an exception escaping main would fail the test; a usage error exits 2
+    argv = [orbit_file if a == "ORBIT" else a for a in argv]
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -124,6 +124,18 @@ def test_uniform_horizon_standard(standard_metric):
     assert t_05 == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("lo, hi, resolution", [
+    (-1e308, 1e308, 0.1),  # hi - lo overflows
+    (0.0, 1e300, 1e-10),  # the step count overflows
+])
+def test_grid_step_count_must_be_finite(lo, hi, resolution):
+    metric = fm.StandardFuzzyMetric(lo=lo, hi=hi)
+    with pytest.raises(ValueError, match="too many grid steps"):
+        fm.uniform_horizon(metric, 0.1, resolution=resolution)
+    with pytest.raises(ValueError, match="too many grid steps"):
+        metric.grid(resolution)
+
+
 def test_uniform_horizon_ratio_none(ratio_metric, ratio_phi_metric):
     assert fm.uniform_horizon(ratio_metric, 0.1, resolution=1e-2) is None
     assert fm.uniform_horizon(ratio_phi_metric, 0.1, resolution=1e-2) is None

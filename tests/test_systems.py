@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -81,8 +82,24 @@ def test_discontinuous_pieces_rejected():
 
 
 def test_escaping_image_rejected():
-    with pytest.raises(ValueError, match="image"):
+    with pytest.raises(ValueError, match=r"^image \[0, 3\] of map leaves its domain \[0, 1\]$"):
         IntervalMap((Piece(Fraction(0), Fraction(1), Fraction(3), Fraction(0)),))
+
+
+@pytest.mark.parametrize("knots, values, image", [
+    ((0, 1), (1, 0), "[0, 1)"),  # 1 - x attains 0 at 1
+    ((0, "1/2", 1), (0, 0, 1), "[0, 1]"),  # flat at 0 on (0, 1/2]
+])
+def test_image_touching_the_open_end_rejected(knots, values, image):
+    with pytest.raises(ValueError) as err:
+        _pl_map(knots, values, lo_open=True)
+    assert str(err.value) == f"image {image} of map leaves its domain (0, 1]"
+
+
+def test_open_end_limit_allowed():
+    # x on (0, 1] only tends to the excluded 0
+    assert _pl_map((0, 1), (0, 1), lo_open=True).image(
+        Interval(Fraction(0), Fraction(1), False)) == Interval(Fraction(0), Fraction(1), False)
 
 
 def test_gap_between_pieces_rejected():
@@ -168,13 +185,111 @@ def test_perturbation_g_properties(three_piece):
     assert np.all(np.diff(ys) > 0)
 
 
-def test_perturbation_g_range():
-    with pytest.raises(ValueError):
-        perturbation_g(0.0)
-    with pytest.raises(ValueError):
-        perturbation_g(1.0 / 128.0)
-    with pytest.raises(ValueError):
-        perturbation_g(0.5)
+@pytest.mark.parametrize("alpha", [0.0, 1.0 / 128.0, 0.5, -1e-3, math.inf, -math.inf,
+                                   math.nan, float("1e400")])
+def test_perturbation_g_range(alpha):
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1/128\)"):
+        perturbation_g(alpha)
+
+
+def _pl_map(knots, values, lo_open=False):
+    """The continuous map through the points (knots[i], values[i])."""
+    knots, values = [Fraction(k) for k in knots], [Fraction(v) for v in values]
+    pieces = []
+    for x0, x1, y0, y1 in zip(knots, knots[1:], values, values[1:]):
+        slope = (y1 - y0) / (x1 - x0)
+        pieces.append(Piece(x0, x1, slope, y0 - slope * x0))
+    return IntervalMap(pieces, lo_open=lo_open)
+
+
+@st.composite
+def _map_pair(draw):
+    """Two continuous maps of [0, 1] (or (0, 1]) with knots and values on 1/64."""
+    lo_open = draw(st.booleans())
+
+    def one_map():
+        inner = draw(st.sets(st.integers(1, 63), max_size=6))
+        knots = [0, *sorted(inner), 64]
+        values = draw(st.lists(st.integers(int(lo_open), 64), min_size=len(knots),
+                               max_size=len(knots)))
+        return _pl_map([Fraction(k, 64) for k in knots], [Fraction(v, 64) for v in values],
+                       lo_open)
+
+    return one_map(), one_map()
+
+
+@given(_map_pair(), st.lists(st.integers(1, 4096), min_size=1, max_size=20))
+def test_sup_distance_is_attained_at_a_breakpoint(pair, probes):
+    f, g = pair
+    d = systems.sup_distance(f, g)
+    assert isinstance(d, Fraction)
+    cuts = {p.lo for p in f.pieces + g.pieces} | {Fraction(1)}
+    assert any(abs(f.value(x) - g.value(x)) == d for x in cuts)
+    assert all(abs(f.value(x) - g.value(x)) <= d
+               for x in (Fraction(k, 4096) for k in probes))
+    # the dense float grid exceeds it by rounding at most, and on a closed
+    # domain the grid holds every breakpoint, so it reaches it too
+    xs = f.grid(1 / 1024)
+    dense = float(np.max(np.abs(f.eval_array(xs) - g.eval_array(xs))))
+    assert dense <= float(d) + 1e-12
+    if not f.lo_open:
+        assert dense >= float(d) - 1e-12
+
+
+def test_sup_distance_needs_a_shared_domain(tent2, three_piece):
+    assert systems.sup_distance(three_piece, perturbation_g(1 / 256)) == Fraction(1, 512)
+    with pytest.raises(ValueError, match="do not share a domain"):
+        systems.sup_distance(tent2, three_piece)
+    with pytest.raises(ValueError, match="do not share a domain"):
+        systems.sup_distance(tent2, _pl_map([0, "1/2"], [0, "1/2"]))
+
+
+_E43_KNOTS = (0, "1/2", "3/4", 1)
+_E43_VALUES = ("1/8", "1/2", "7/8", 1)
+
+
+@pytest.mark.parametrize("knots, values, message", [
+    # the diagonal itself: 1/8 away from the base map at the open end
+    ([0, 1], [0, 1], "sup-distance 1/8 not below 1/256"),
+    # 1/2 moves up by 1/1024
+    (_E43_KNOTS, ("1/8", "513/1024", "7/8", 1), "must fix 1/2 and 1"),
+    # flat on its last 1/512
+    ((*_E43_KNOTS[:3], "511/512", 1), (*_E43_VALUES[:3], 1, 1), "strictly increasing"),
+    # touches the diagonal at 255/256 only, between grid points 1e-5 apart
+    ((*_E43_KNOTS[:3], "255/256", "511/512", 1),
+     (*_E43_VALUES[:3], "255/256", "1023/1024", 1), "above the diagonal"),
+    # crosses below it inside (1/2, 3/4)
+    ((0, "1/2", "129/256", "3/4", 1), ("1/8", "1/2", "515/1024", "7/8", 1),
+     "above the diagonal"),
+], ids=["sup-gap", "fixed-points", "slope", "touch", "cross"])
+def test_verify_perturbation_rejects(three_piece, knots, values, message):
+    g = _pl_map(knots, values, lo_open=True)
+    with pytest.raises(ConstructionError, match=message):
+        systems._verify_perturbation(three_piece, g, Fraction(1, 256))
+
+
+def test_verify_perturbation_rejects_a_piece_on_the_diagonal():
+    # g = id on [1/2, 1]: positive at every knot but 1/2 and 1, yet 0 in between
+    g = _pl_map((0, "1/2", 1), ("1/8", "1/2", 1), lo_open=True)
+    with pytest.raises(ConstructionError, match="above the diagonal"):
+        systems._verify_perturbation(g, g, Fraction(1, 256))
+
+
+def test_map_svg_draws_exact_breakpoints(three_piece):
+    from fuzzyshadow.cli import render_map_svg
+
+    g = perturbation_g(1 / 256)
+    svg = render_map_svg([("example43", three_piece), ("g", g), ("tent:2", tent(2.0))])
+    drawn = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert len(drawn) == 3
+    # unit box of 430 px with a 45 px margin; y grows downward
+    for m, points in zip((three_piece, g, tent(2.0)), drawn):
+        xs = [p.lo for p in m.pieces] + [m.pieces[-1].hi]
+        want = " ".join(f"{45 + 430 * float(x):.2f},{475 - 430 * float(m.value(x)):.2f}"
+                        for x in xs)
+        assert points == want
+    # example43 starts at its limit 1/8 at the open end 0
+    assert drawn[0].split()[0] == "45.00,421.25"
 
 
 def test_power_map_matches_composition(tent2):
@@ -239,7 +354,7 @@ def test_image_bounds_dense_evaluation(a, b, spec):
     xs = np.linspace(lo, hi, 257)
     # exact values at the float samples lie inside the exact image, and the
     # float evaluation misses its ends by a rounding at most
-    assert all(f._exact(Fraction(x)) in image for x in xs.tolist())
+    assert all(f.value(Fraction(x)) in image for x in xs.tolist())
     ys = f.eval_array(np.concatenate([xs, [float(p.hi) for p in f.pieces
                                            if lo < p.hi < hi]]))
     assert float(image.lo) == pytest.approx(ys.min(), abs=1e-15)
