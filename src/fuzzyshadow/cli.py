@@ -362,13 +362,11 @@ def _cmd_reproduce(args) -> int:
 
 
 def _map_and_metric(args):
-    """The map and the metric of a command, after checking that the map's
-    domain lies inside the metric's space, so that no state the map reaches
-    falls outside the metric (0 under a ratio metric, say)."""
-    f = systems.map_from_spec(args.map_spec)
-    metric = fm.metric_from_name(args.metric, None, args.lo, args.hi, args.lo_open)
-    fm.require_map_in_space(f, metric)
-    return f, metric
+    """The map and the metric of a command.  The map's domain is the state
+    space, where orbit states, grids and chains live; the metric only
+    measures there, and the library checks that the domain lies inside the
+    metric's space (the ratio metrics exclude 0, say)."""
+    return systems.map_from_spec(args.map_spec), fm.metric_from_name(args.metric)
 
 
 def _cmd_shadow(args) -> int:
@@ -526,10 +524,6 @@ def _add_common(p: argparse.ArgumentParser, grid: float | None,
                    help='map spec: "tent:<beta>" | "example43" | "g:<alpha>"')
     p.add_argument("--metric", required=metric_required,
                    choices=fm.METRIC_NAMES, help="fuzzy metric name")
-    p.add_argument("--lo", type=_FINITE, default=0.0, help="standard-metric lower bound")
-    p.add_argument("--hi", type=_FINITE, default=1.0, help="standard-metric upper bound")
-    p.add_argument("--lo-open", dest="lo_open", action="store_true",
-                   help="exclude the lower bound from the standard-metric space")
     if grid is not None:
         p.add_argument("--grid", type=_POSITIVE, default=grid,
                        help=f"search grid resolution (default {grid:g})")

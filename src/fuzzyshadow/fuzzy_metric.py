@@ -33,20 +33,31 @@ HORIZON_LADDER = tuple(2.0**k for k in range(-20, 41))
 
 METRIC_NAMES = ("standard", "ratio-phi", "ratio")
 
+#: Most points a grid may hold: 80 MB of floats, 100 times the finest grid
+#: the reproduced cases use.
+MAX_GRID_POINTS = 10**7
+
 
 def interval_grid(lo: float, hi: float, lo_open: bool, resolution: float) -> np.ndarray:
     """Uniform grid over an interval; open lower endpoints start one step up."""
     if not resolution > 0.0:
         raise ValueError("grid resolution must be positive")
     steps = (hi - lo) / resolution
-    if not math.isfinite(steps):
-        raise ValueError("too many grid steps for the interval")
+    points = steps + (not lo_open)
+    if not points <= MAX_GRID_POINTS:  # an infinite count fails too
+        raise ValueError(f"too many grid steps for the interval: {points:.6g} points, "
+                         f"more than {MAX_GRID_POINTS}")
     steps = int(round(steps))
     if steps < 1:
         raise ValueError("resolution too coarse for the interval")
     if lo_open:
         return np.linspace(lo + resolution, hi, steps)
     return np.linspace(lo, hi, steps + 1)
+
+
+def _require_finite_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def require_in_domain(f, states: np.ndarray) -> np.ndarray:
@@ -117,7 +128,7 @@ class FuzzyMetric:
         """M(x, y, t) for validated scalar states and horizon t > 0."""
         self._require_state(x)
         self._require_state(y)
-        self._require_horizon(t)
+        _require_finite_positive("horizon", t)
         return float(self._kernel(np.asarray(x, float), np.asarray(y, float), t))
 
     def eval_array(self, x, y, t):
@@ -126,7 +137,7 @@ class FuzzyMetric:
         t = np.asarray(t, dtype=float)
         # the method skips np.any's dispatch, which costs more than a small
         # kernel call
-        if (t <= 0.0).any():
+        if not (t > 0.0).all():
             raise ValueError("horizons must be positive")
         return self._kernel(np.asarray(x, float), np.asarray(y, float), t)
 
@@ -143,14 +154,6 @@ class FuzzyMetric:
     def _require_state(self, x: float) -> None:
         if not self.contains(x):
             raise ValueError(f"state {x!r} outside {self.describe_space()}")
-
-    def _require_horizon(self, t: float) -> None:
-        if not t > 0.0:
-            raise ValueError(f"horizon must be positive, got {t!r}")
-
-    @property
-    def space(self) -> Interval:
-        return Interval(Fraction(self.lo), Fraction(self.hi), not self.lo_open, True)
 
     def describe_space(self) -> str:
         left = "(" if self.lo_open else "["
@@ -236,11 +239,10 @@ class RatioFuzzyMetric(_RatioBase):
     name = "ratio"
 
 
-def metric_from_name(name: str, tnorm: TNorm | None = None, lo: float = 0.0,
-                     hi: float = 1.0, lo_open: bool = False) -> FuzzyMetric:
-    """Build a metric by CLI name; interval bounds apply to ``standard`` only."""
+def metric_from_name(name: str, tnorm: TNorm | None = None) -> FuzzyMetric:
+    """Build a metric by CLI name, on its default space."""
     if name == "standard":
-        return StandardFuzzyMetric(tnorm, lo, hi, lo_open)
+        return StandardFuzzyMetric(tnorm)
     if name == "ratio-phi":
         return RatioPhiFuzzyMetric(tnorm)
     if name == "ratio":
@@ -285,8 +287,7 @@ class Ball:
     def __post_init__(self):
         if not 0.0 < self.radius < 1.0:
             raise ValueError("ball radius must lie in (0, 1)")
-        if not self.t > 0.0:
-            raise ValueError("ball horizon must be positive")
+        _require_finite_positive("ball horizon", self.t)
 
 
 def ball_members(m: FuzzyMetric, ball: Ball, ys: np.ndarray) -> np.ndarray:
@@ -398,11 +399,6 @@ def uniform_horizon(m: FuzzyMetric, eps: float, resolution: float = 1e-2) -> flo
 # -- continuity certification --------------------------------------------------
 
 
-def _require_finite_positive(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
 @dataclass
 class ContinuityCertificate:
     """Grid-verified continuity modulus: premise radius delta at horizon t_prime."""
@@ -442,7 +438,7 @@ def certify_fuzzy_continuity(m: FuzzyMetric, f, eps: float, t: float,
         raise ValueError("eps must lie in (0, 1)")
     _require_finite_positive("horizon", t)
     require_map_in_space(f, m)
-    pts = require_in_domain(f, m.grid(resolution))
+    pts = f.grid(resolution)
     imgs = f.eval_array(pts)
     pairs = pts.size * pts.size
 

@@ -30,7 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fuzzy_metric import Interval, require_in_domain
+from .fuzzy_metric import (Interval, _require_finite_positive, require_in_domain,
+                           require_map_in_space)
 
 DENSITY_THRESHOLD = 0.01
 _DENSITY_LADDER_BASE = 100
@@ -165,11 +166,11 @@ class MixingReport:
         return {"present": list(self.present), "n_max": self.n_max, "n0": self.n0}
 
 
-def _cofinite_onset(present: set[int], n_max: int, n_min: int = 1) -> int | None:
+def _cofinite_onset(present: set[int], n_max: int) -> int | None:
     if n_max not in present:
         return None
     n0 = n_max
-    while n0 - 1 >= n_min and (n0 - 1) in present:
+    while n0 > 1 and (n0 - 1) in present:
         n0 -= 1
     return n0
 
@@ -177,11 +178,13 @@ def _cofinite_onset(present: set[int], n_max: int, n_min: int = 1) -> int | None
 # -- validators ----------------------------------------------------------------
 
 
-def fuzzy_score(m, t0: float):
-    """Pair score of fuzzy comparisons: the nearness M(x, y, t0).  The horizon
-    is checked once here, so that a non-finite t0 cannot give a verdict."""
-    if not 0.0 < t0 < math.inf:
-        raise ValueError(f"horizon must be finite and positive, got {t0!r}")
+def fuzzy_score(f, m, t0: float):
+    """Pair score of fuzzy comparisons of states of f: the nearness
+    M(x, y, t0).  The horizon and the space are checked once here, so that
+    neither a non-finite t0 nor a state of f outside the space of m (0 under
+    a ratio metric, say) can give a verdict."""
+    _require_finite_positive("horizon", t0)
+    require_map_in_space(f, m)
     return lambda x, y: m.eval_array(x, y, t0)
 
 
@@ -214,7 +217,7 @@ def validate_f_pseudo_orbit(seq: OrbitSequence, f, m, delta: float, t0: float) -
     """Indices i where the fuzzy transition bound fails, i.e.
     M(f(x_i), x_{i+1}, t0) <= 1 - delta.  Empty means the sequence is a valid
     delta-pseudo-orbit of f at horizon t0."""
-    return _transition_violations(seq, f, fuzzy_score(m, t0), 1.0 - delta)
+    return _transition_violations(seq, f, fuzzy_score(f, m, t0), 1.0 - delta)
 
 
 def npo_set(seq: OrbitSequence, f, m, delta: float, t0: float) -> IndexSet:
@@ -225,7 +228,7 @@ def npo_set(seq: OrbitSequence, f, m, delta: float, t0: float) -> IndexSet:
 
 def ns_set(seq: OrbitSequence, x: float, f, m, delta: float, t0: float) -> IndexSet:
     """Indices i where the tracing bound fails: M(f^i(x), x_i, t0) <= 1 - delta."""
-    return _violations(_trace_scores(seq, x, f, fuzzy_score(m, t0)), 1.0 - delta)
+    return _violations(_trace_scores(seq, x, f, fuzzy_score(f, m, t0)), 1.0 - delta)
 
 
 def classical_validate(seq: OrbitSequence, f, delta: float) -> IndexSet:
@@ -263,11 +266,11 @@ def orbit_states(f, x: float, n: int) -> np.ndarray:
 # -- density -------------------------------------------------------------------
 
 
-def density(iset: IndexSet, threshold: float = DENSITY_THRESHOLD) -> DensityReport:
+def density(iset: IndexSet) -> DensityReport:
     """Prefix-density curve at a geometric ladder of n, plus the universe.
 
     The verdict is "plausibly zero" when the curve never increases (within
-    1e-12) and the final density sits below the threshold.
+    1e-12) and the final density sits below DENSITY_THRESHOLD.
     """
     ns = []
     n = _DENSITY_LADDER_BASE
@@ -283,8 +286,7 @@ def density(iset: IndexSet, threshold: float = DENSITY_THRESHOLD) -> DensityRepo
         universe=iset.universe,
         points=points,
         final_density=final,
-        plausibly_zero=bool(nonincreasing and final < threshold),
-        threshold=threshold,
+        plausibly_zero=bool(nonincreasing and final < DENSITY_THRESHOLD),
     )
 
 
@@ -399,14 +401,13 @@ def _chain_radii(x: float, y: float, f, m, delta: float, t0: float,
     once) plus 4 ulp(1) for the rounding of the kernel and of 1 - delta.  So
     a state of R_k rounded to a float still has a predecessor under the
     walk-back radius, and a float step inside a walk-back ball passes
-    validate_f_pseudo_orbit.  x, y and the space of m must lie in the domain
-    of f, so that f is never applied outside it."""
+    validate_f_pseudo_orbit.  x and y must lie in the domain of f, and the
+    domain in the space of m."""
     if not (0.0 < delta < 1.0 and 0.0 < t0 < math.inf and n_max >= 1):
         raise ValueError("chains need delta in (0, 1), a finite horizon t0 > 0 and "
                          f"n_max >= 1, got {delta!r}, {t0!r} and {n_max!r}")
-    # the least state of a space with an open lower end sits just above it
-    low = np.nextafter(m.lo, math.inf) if m.lo_open else m.lo
-    require_in_domain(f, np.array([x, y, low, m.hi], dtype=float))
+    require_map_in_space(f, m)
+    require_in_domain(f, np.array([x, y], dtype=float))
     slack = m.float_slack(f, t0)
     walk = Fraction(delta) - 4 * Fraction(2.0**-52) - slack
     return walk - slack, walk
@@ -415,7 +416,7 @@ def _chain_radii(x: float, y: float, f, m, delta: float, t0: float,
 def _reach_sets(x: float, f, m, radius: Fraction, t0: float, n_max: int):
     """Yield R_1, ..., R_{n_max}: R_1 = {x}, and R_{k+1} holds the floats of
     B(f(R_k)) & X, where B is the union of the open balls of the given
-    radius at horizon t0 and X the space of m.  Under singleton balls the
+    radius at horizon t0 and X the domain of f.  Under singleton balls the
     only chain is the float orbit."""
     reach, prev = Interval.point(x), None
     for _ in range(n_max):
@@ -429,7 +430,7 @@ def _reach_sets(x: float, f, m, radius: Fraction, t0: float, n_max: int):
             ball = m.ball_interval(image, radius, t0)
             if ball == image:  # singleton balls: step the float orbit
                 ball = Interval.point(f.eval(float(reach.lo)))
-            reach = _round_in(ball & m.space)
+            reach = _round_in(ball & f.domain)
 
 
 def chain_search(x: float, y: float, f, m, delta: float, t0: float,

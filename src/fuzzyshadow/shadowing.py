@@ -1,6 +1,9 @@
 """Witness searches for tracing properties, plus mixing probes.
 
-All searches are exhaustive over an explicit grid of candidate start points.
+All searches are exhaustive over an explicit grid of candidate start points,
+f.grid(resolution) over the domain of the map f.  The domain is the state
+space, and a fuzzy metric only measures on it: every fuzzy search and probe
+first checks that the domain lies inside the metric's space.
 A "no witness" verdict is therefore certified only relative to the stated
 grid resolution, which every verdict records; refining the grid is the
 validation knob.  Witness verdicts are re-verified index by index before
@@ -19,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fuzzy_metric import Ball, FuzzyMetric, ball_members
+from .fuzzy_metric import Ball, FuzzyMetric, ball_members, require_map_in_space
 from .orbits import (
     DensityReport,
     MixingReport,
@@ -87,8 +90,9 @@ def shadow_search(seq: OrbitSequence, f, m: FuzzyMetric, eps: float, t0: float,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    cands = require_in_domain(f, m.grid(resolution))
-    witness, arg, value, near = _survivor_search(seq, f, cands, fuzzy_score(m, t0), 1.0 - eps)
+    score = fuzzy_score(f, m, t0)
+    cands = f.grid(resolution)
+    witness, arg, value, near = _survivor_search(seq, f, cands, score, 1.0 - eps)
     return ShadowingVerdict(witness, arg, value, resolution, cands.size, eps, t0,
                             near_miss=near)
 
@@ -220,16 +224,16 @@ def ergodic_shadow_search(seq: OrbitSequence, f, m: FuzzyMetric, eps: float, t0:
                           resolution: float = 1e-2) -> tuple[float, DensityReport]:
     """Candidate minimizing the final tracing-violation density, with its curve.
 
-    Candidates are the metric grid plus the sequence start.  The returned
+    Candidates are the grid of f plus the sequence start.  The returned
     report's plausibly_zero flag is the tracing verdict at the package-wide
     density threshold.  Raises ValueError unless eps lies in (0, 1) and t0 is
     finite and positive.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    score = fuzzy_score(m, t0)
+    score = fuzzy_score(f, m, t0)
     states = require_in_domain(f, seq.states)
-    cands = require_in_domain(f, np.unique(np.concatenate([m.grid(resolution), states[:1]])))
+    cands = np.unique(np.concatenate([f.grid(resolution), states[:1]]))
     target = 1.0 - eps
 
     X = cands
@@ -249,12 +253,13 @@ def topological_mixing_probe(f, U: Ball, V: Ball, m: FuzzyMetric, n_max: int = 6
                              resolution: float = 1e-3) -> MixingReport:
     """Step counts n <= n_max after which some grid point of U lands in V.
 
-    Grid points inside U are iterated exactly; membership of their images in
-    V uses the ball's own comparison.  Raises ValueError when the metric grid
-    leaves the domain of f, and EmptyBallError when either ball captures no
-    grid point.
+    Grid points of f inside U are iterated exactly; membership of their
+    images in V uses the ball's own comparison.  Raises ValueError when the
+    domain of f leaves the space of m, and EmptyBallError when either ball
+    captures no grid point.
     """
-    pts = require_in_domain(f, m.grid(resolution))
+    require_map_in_space(f, m)
+    pts = f.grid(resolution)
     u_mask = ball_members(m, U, pts)
     v_mask = ball_members(m, V, pts)
     if not u_mask.any():

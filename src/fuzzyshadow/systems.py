@@ -47,6 +47,7 @@ class IntervalMap:
             raise ValueError("need at least one piece")
         # domain ends and interior breakpoints: f is affine between them
         self.knots = (self.pieces[0].lo, *(p.hi for p in self.pieces))
+        self.domain = Interval(self.knots[0], self.knots[-1], not self.lo_open)
         self._validate_pieces()
         self._validate_self_map()
         self.domain_lo = float(self.knots[0])
@@ -72,10 +73,9 @@ class IntervalMap:
                 raise ValueError(f"discontinuity at breakpoint {left.hi}")
 
     def _validate_self_map(self):
-        domain = Interval(self.knots[0], self.knots[-1], not self.lo_open)
-        image = self.image(domain)
-        if image & domain != image:
-            raise ValueError(f"image {image} of {self.name} leaves its domain {domain}")
+        image = self.image(self.domain)
+        if image & self.domain != image:
+            raise ValueError(f"image {image} of {self.name} leaves its domain {self.domain}")
 
     # -- domain ----------------------------------------------------------------
 

@@ -5,10 +5,11 @@ import warnings
 
 import pytest
 
-from fuzzyshadow import orbits
+from fuzzyshadow import orbits, shadowing
 from fuzzyshadow.cli import main
+from fuzzyshadow.fuzzy_metric import Ball, StandardFuzzyMetric
 from fuzzyshadow.orbits import perturbed_orbit
-from fuzzyshadow.systems import tent
+from fuzzyshadow.systems import example43_map, tent
 
 
 @pytest.fixture
@@ -221,20 +222,39 @@ def test_chain_endpoint_outside_domain(tmp_path, capsys, flag):
     assert f"{flag} 1.5 outside domain" in capsys.readouterr().err
 
 
+def _e43_standard_reports(orbit_path):
+    """What shadow, chain --lengths and mix report on example43 under the
+    standard metric on the domain (0, 1] itself."""
+    f, m = example43_map(), StandardFuzzyMetric(lo_open=True)
+    seq = orbits.OrbitSequence.from_csv(orbit_path)
+    chain = orbits.chain_search(0.2, 0.45, f, m, 0.1, 1.0)
+    return {
+        "shadow": shadowing.shadow_search(seq, f, m, 0.2, 10.0).to_dict(),
+        "chain": {"states": chain.states.tolist(),
+                  "length_spectrum": orbits.chain_mixing_check(0.2, 0.45, f, m, 0.1,
+                                                               1.0).to_dict()},
+        "mix": shadowing.topological_mixing_probe(f, Ball(0.55, 0.1, 1.0), Ball(0.9, 0.1, 1.0),
+                                                  m, 16, 1e-3).to_dict(),
+    }
+
+
 @pytest.mark.parametrize("argv", [
-    ["chain", "--from", "0.2", "--to", "0.8", "--delta", "0.1", "--lengths"],
-    ["mix", "--u-center", "0.05", "--u-radius", "0.3", "--v-center", "-1.5",
-     "--v-radius", "0.1", "--n-max", "8"],
-    ["shadow", "--eps", "0.9", "--t0", "10", "--grid", "1e-2", "--orbit", "ORBIT"],
+    ["shadow", "--eps", "0.2", "--t0", "10", "--orbit", "ORBIT"],
+    ["chain", "--from", "0.2", "--to", "0.45", "--delta", "0.1", "--lengths"],
+    ["mix", "--u-center", "0.55", "--u-radius", "0.1", "--v-center", "0.9",
+     "--v-radius", "0.1", "--n-max", "16"],
 ], ids=lambda argv: argv[0])
-def test_metric_grid_outside_map_domain(tmp_path, capsys, argv, orbit_file):
+def test_example43_under_the_standard_metric(tmp_path, argv):
+    # the grid and the reach sets live in the map's domain (0, 1], not on
+    # the standard metric's default space [0, 1]
+    orbit = tmp_path / "crossing.csv"
+    shadowing.build_nonshadowable_orbit(0.01).to_csv(orbit)
     out = tmp_path / "out"
-    argv = [orbit_file if a == "ORBIT" else a for a in argv]
-    rc = main(argv + ["--map", "tent:2", "--metric", "standard", "--lo", "-2", "--hi", "3",
-                      "--out", str(out)])
-    assert rc == 2
-    assert "-2.0 outside domain of tent:2" in capsys.readouterr().err
-    assert not out.exists()
+    argv = [str(orbit) if a == "ORBIT" else a for a in argv]
+    assert main(argv + ["--map", "example43", "--metric", "standard", "--out", str(out)]) == 0
+    report = read_report(out, f"{argv[0]}.json")
+    expected = _e43_standard_reports(orbit)[argv[0]]
+    assert {k: report[k] for k in expected} == expected
 
 
 @pytest.mark.parametrize("argv", [
@@ -270,9 +290,7 @@ def test_nonfinite_orbit_file_rejected(tmp_path, capsys):
      "--orbit", "ORBIT"],
     ["chain", "--map", "tent:sqrt2", "--metric", "ratio", "--from", "0.2", "--to", "0.8",
      "--delta", "0.1"],
-    ["shadow", "--map", "tent:2", "--metric", "standard", "--lo", "0.2", "--hi", "0.8",
-     "--eps", "0.1", "--orbit", "ORBIT"],
-], ids=["shadow-ratio", "density-ratio-phi", "chain-ratio", "shadow-narrow-standard"])
+], ids=["shadow-ratio", "density-ratio-phi", "chain-ratio"])
 def test_map_domain_outside_metric_space(tmp_path, capsys, argv):
     # tent orbits reach 0, where a ratio metric divides 0 by 0
     orbit = tmp_path / "to-zero.csv"
@@ -287,20 +305,20 @@ def test_map_domain_outside_metric_space(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-_HUGE_SPACE = ["--lo=-1e308", "--hi", "1e308"]
-_FINE_GRID = ["--hi", "1e300", "--grid", "1e-10"]
+# 1e12 grid points: numpy would refuse so large an array at once, and the
+# grid cap refuses it first
+_FINE_GRID = ["--grid", "1e-12"]
 
 
 @pytest.mark.parametrize("argv", [
     *(["shadow", "--map", f"g:{alpha}", "--metric", "ratio", "--eps", "0.1", "--orbit", "ORBIT"]
       for alpha in ("inf", "-inf", "1e400", "nan")),
-    *(["shadow", "--map", "tent:2", "--metric", "standard", *bounds, "--eps", "0.1",
-       "--orbit", "ORBIT"] for bounds in (_HUGE_SPACE, _FINE_GRID)),
-    *(["mix", "--map", "tent:2", "--metric", "standard", *bounds, "--u-center", "0.2",
-       "--u-radius", "0.1", "--v-center", "0.8", "--v-radius", "0.1"]
-      for bounds in (_HUGE_SPACE, _FINE_GRID)),
-    *(["sweep", "--map", "tent:2", "--metric", "standard", *bounds, "--orbit", "ORBIT",
-       "--eps-list", "0.1", "--delta-list", "0.01"] for bounds in (_HUGE_SPACE, _FINE_GRID)),
+    ["shadow", "--map", "tent:2", "--metric", "standard", *_FINE_GRID, "--eps", "0.1",
+     "--orbit", "ORBIT"],
+    ["mix", "--map", "tent:2", "--metric", "standard", *_FINE_GRID, "--u-center", "0.2",
+     "--u-radius", "0.1", "--v-center", "0.8", "--v-radius", "0.1"],
+    ["sweep", "--map", "tent:2", "--metric", "standard", *_FINE_GRID, "--orbit", "ORBIT",
+     "--eps-list", "0.1", "--delta-list", "0.01"],
 ], ids=lambda argv: " ".join(a for a in argv if a != "ORBIT"))
 def test_bad_input_is_a_usage_error(tmp_path, capsys, orbit_file, argv):
     # an exception escaping main would fail the test; a usage error exits 2

@@ -1,11 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyshadow import fuzzy_metric as fm
 from fuzzyshadow import shadowing
 from fuzzyshadow.orbits import (
     OrbitSequence,
     build_transitivity_orbit,
+    chain_mixing_check,
+    chain_search,
+    npo_set,
     ns_set,
     perturbed_orbit,
     validate_f_pseudo_orbit,
@@ -18,7 +25,7 @@ from fuzzyshadow.shadowing import (
     shadow_search,
     topological_mixing_probe,
 )
-from fuzzyshadow.systems import ConstructionError, perturbation_g
+from fuzzyshadow.systems import ConstructionError, IntervalMap, map_from_spec, perturbation_g
 
 
 def test_true_orbit_traced_by_its_start(tent2, standard_metric):
@@ -164,26 +171,104 @@ def test_probe_empty_ball_error(three_piece, ratio_phi_metric):
             ratio_phi_metric, n_max=4, resolution=1e-3)
 
 
-def test_probe_grid_outside_map_domain(tent2, three_piece):
-    wide = fm.StandardFuzzyMetric(lo=-2.0, hi=3.0)
-    with pytest.raises(ValueError, match="outside domain of tent:2"):
-        topological_mixing_probe(tent2, fm.Ball(0.05, 0.3, 1.0), fm.Ball(-1.5, 0.1, 1.0),
-                                 wide, n_max=8, resolution=1e-2)
-    # the closed unit grid holds 0, which example43's domain (0, 1] excludes
-    with pytest.raises(ValueError, match="0.0 outside domain of example43"):
-        topological_mixing_probe(three_piece, fm.Ball(0.2, 0.1, 1.0), fm.Ball(0.8, 0.1, 1.0),
-                                 fm.StandardFuzzyMetric(), n_max=8, resolution=1e-2)
+_ENTRY_POINTS = {
+    "shadow_search": lambda f, m: shadow_search(f.orbit(0.3, 5), f, m, 0.1, 1.0, 1e-2),
+    "ergodic_shadow_search": lambda f, m: ergodic_shadow_search(f.orbit(0.3, 5), f, m,
+                                                                0.1, 1.0, 1e-2),
+    "validate_f_pseudo_orbit": lambda f, m: validate_f_pseudo_orbit(f.orbit(0.3, 5), f, m,
+                                                                    0.1, 1.0),
+    "npo_set": lambda f, m: npo_set(f.orbit(0.3, 5), f, m, 0.1, 1.0),
+    "ns_set": lambda f, m: ns_set(f.orbit(0.3, 5), 0.3, f, m, 0.1, 1.0),
+    "topological_mixing_probe": lambda f, m: topological_mixing_probe(
+        f, fm.Ball(0.3, 0.1, 1.0), fm.Ball(0.6, 0.1, 1.0), m, 8, 1e-2),
+    "chain_search": lambda f, m: chain_search(0.3, 0.6, f, m, 0.1, 1.0),
+    "chain_mixing_check": lambda f, m: chain_mixing_check(0.3, 0.6, f, m, 0.1, 1.0, n_max=8),
+}
 
 
-def test_search_grid_outside_map_domain(tent2):
-    # the orbit's own start traces it, but a grid on [-2, 3] would be stepped
-    # by extrapolating tent:2's pieces
-    orb = tent2.orbit(0.3, 5)
-    wide = fm.StandardFuzzyMetric(lo=-2.0, hi=3.0)
-    with pytest.raises(ValueError, match=r"state -2\.0 outside domain of tent:2"):
-        shadow_search(orb, tent2, wide, eps=0.9, t0=10.0, resolution=1e-2)
-    with pytest.raises(ValueError, match=r"state -2\.0 outside domain of tent:2"):
-        ergodic_shadow_search(orb, tent2, wide, eps=0.9, t0=10.0, resolution=1e-2)
+@pytest.mark.parametrize("metric", [fm.RatioFuzzyMetric(), fm.StandardFuzzyMetric(lo=0.2, hi=0.8)],
+                         ids=["ratio", "narrow-standard"])
+@pytest.mark.parametrize("call", _ENTRY_POINTS.values(), ids=_ENTRY_POINTS.keys())
+def test_entry_points_reject_a_map_outside_the_space(tent2, metric, call):
+    # tent orbits reach 0, where a ratio metric divides 0 by 0; a space
+    # narrower than the domain would leave the metric at the domain's ends
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"is not inside the {metric.name} space"):
+            call(tent2, metric)
+
+
+class _SpyMetric(fm.StandardFuzzyMetric):
+    """The standard metric on a wider space, recording every state it
+    compares."""
+
+    def __init__(self, lo, hi, lo_open):
+        super().__init__(lo=lo, hi=hi, lo_open=lo_open)
+        self.seen = []
+
+    def eval_array(self, x, y, t):
+        self.seen += [np.asarray(x, float).ravel(), np.asarray(y, float).ravel()]
+        return super().eval_array(x, y, t)
+
+
+class _SpyMap(IntervalMap):
+    """A map recording every state its batch evaluation steps."""
+
+    def __init__(self, f):
+        super().__init__(f.pieces, f.lo_open, f.name)
+        self.seen = []
+
+    def eval_array(self, xs):
+        self.seen.append(np.asarray(xs, float).ravel())
+        return super().eval_array(xs)
+
+
+def _outcome(call):
+    """A comparable result: the verdict's dict, or the error it raised."""
+    try:
+        result = call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, tuple):  # the ergodic search's (candidate, report)
+        return result[0], result[1].to_dict()
+    return result.to_dict()
+
+
+@st.composite
+def _wide_spaces(draw):
+    f = map_from_spec(draw(st.sampled_from(["tent:2", "tent:sqrt2", "tent:1.6", "example43",
+                                            "g:1/512"])))
+    below, above = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
+    # an open lower end of the space must stay below a closed domain's end
+    lo_open = draw(st.booleans()) and (below > 0.0 or f.lo_open)
+    return f, f.domain_lo - below, f.domain_hi + above, lo_open
+
+
+_IN_DOMAIN = st.floats(0.05, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=_wide_spaces(), eps=st.floats(0.05, 0.5), t0=st.floats(0.05, 4.0),
+       steps=st.integers(8, 60), x=_IN_DOMAIN, y=_IN_DOMAIN, radius=st.floats(0.05, 0.5),
+       noise=st.sampled_from([0.0, 1e-3, 0.05]))
+def test_every_verdict_lives_in_the_map_domain(space, eps, t0, steps, x, y, radius, noise):
+    f, lo, hi, lo_open = space
+    exact = fm.StandardFuzzyMetric(lo=f.domain_lo, hi=f.domain_hi, lo_open=f.lo_open)
+    seq = perturbed_orbit(f, x, 40, noise, seed=steps)
+    grid = 1.0 / steps
+    spy_f, spy_m = _SpyMap(f), _SpyMetric(lo, hi, lo_open)
+    for name, call in {
+        "shadow": lambda f, m: shadow_search(seq, f, m, eps, t0, grid),
+        "ergodic": lambda f, m: ergodic_shadow_search(seq, f, m, eps, t0, grid),
+        "probe": lambda f, m: topological_mixing_probe(
+            f, fm.Ball(x, radius, t0), fm.Ball(y, radius, t0), m, 16, grid),
+        "certificate": lambda f, m: fm.certify_fuzzy_continuity(m, f, eps, t0, grid),
+        "chain": lambda f, m: chain_mixing_check(x, y, f, m, eps, t0, n_max=16),
+    }.items():
+        assert _outcome(lambda: call(spy_f, spy_m)) == _outcome(lambda: call(f, exact)), name
+    for states in spy_f.seen + spy_m.seen:
+        if states.size:
+            assert f.contains(states.min()) and f.contains(states.max())
 
 
 @pytest.mark.parametrize("search", [

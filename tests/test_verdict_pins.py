@@ -349,7 +349,7 @@ def _survivor_inputs(draw):
     else:
         m = (fm.StandardFuzzyMetric(lo_open=f.lo_open) if name == "standard"
              else fm.metric_from_name(name))
-        cands, score = m.grid(resolution), orbits.fuzzy_score(m, draw(st.floats(0.01, 4.0)))
+        cands, score = f.grid(resolution), orbits.fuzzy_score(f, m, draw(st.floats(0.01, 4.0)))
         floor = 1.0 - draw(st.floats(0.005, 0.995))
     # a start on the grid keeps some candidate alive past index 0
     x0 = draw(st.one_of(st.sampled_from(cands.tolist()),
@@ -390,7 +390,8 @@ _LEAKY = systems.IntervalMap((
                orbits.classical_score, -0.1))
 # at the uniform horizon every candidate traces
 @example(case=(orbits.perturbed_orbit(systems.tent(2.0), 0.3, 299, 0.1, seed=3), systems.tent(2.0),
-               _STD.grid(1 / 400), orbits.fuzzy_score(_STD, fm.uniform_horizon(_STD, 0.1)), 0.9))
+               _STD.grid(1 / 400),
+               orbits.fuzzy_score(systems.tent(2.0), _STD, fm.uniform_horizon(_STD, 0.1)), 0.9))
 @settings(max_examples=300, deadline=None)
 @given(case=_survivor_inputs())
 def test_survivor_search_matches_dense_matrix(case):
@@ -446,8 +447,8 @@ def test_pinned_evidence_matches_dense_matrix(case):
                                                        orbits.classical_score, -eps)
         value = 0.0 - value
     else:
-        witness, index, value, near = _dense_survivors(seq, f, m.grid(grid),
-                                                       orbits.fuzzy_score(m, t0), 1.0 - eps)
+        witness, index, value, near = _dense_survivors(seq, f, f.grid(grid),
+                                                       orbits.fuzzy_score(f, m, t0), 1.0 - eps)
     pin = PINNED[case]
     assert json.dumps([witness, index, value, near]) == json.dumps(
         [pin["witness"], pin["worst_index"], pin["worst_value"], pin["near_miss"]])
@@ -614,7 +615,8 @@ def test_ratio_modulus_matches_dense_scan(f, factor, steps):
        f=st.one_of(st.sampled_from(_HALF_OPEN_MAPS), _pl_maps()),
        factor=_FACTORS, t=st.floats(0.05, 4.0), steps=st.integers(20, 400))
 def test_metric_domination_matches_dense_scan(name, g, f, factor, t, steps):
-    m = fm.metric_from_name(name, lo_open=True)
+    m = (fm.StandardFuzzyMetric(lo_open=True) if name == "standard"
+         else fm.metric_from_name(name))
     _same(fm.check_metric_domination(m, g, f, factor, t, 1.0 / steps),
           _dense_domination(m, g, f, factor, t, 1.0 / steps))
 
