@@ -77,28 +77,80 @@ class OrbitSequence:
 
     @classmethod
     def from_csv(cls, path) -> "OrbitSequence":
-        values = []
+        """Read a file in any layout the csv module reads.  A file in the
+        layout to_csv writes is parsed in bulk; any other file, and any file
+        with a fault, is read row by row, which alone names faults."""
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["index", "value"]:
-                raise OrbitFileError('expected header "index,value"', 1)
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise OrbitFileError(f"expected 2 fields, got {len(row)}", lineno)
-                try:
-                    idx = int(row[0])
-                    val = float(row[1])
-                except ValueError as exc:
-                    raise OrbitFileError(str(exc), lineno) from None
-                if idx != len(values):
-                    raise OrbitFileError(f"index {idx} out of order", lineno)
-                values.append(val)
-        if not values:
-            raise OrbitFileError("no data rows", 2)
+            try:
+                values = _read_bulk(fh)
+            except ValueError:  # a number int or float rejects, or undecodable text
+                values = None
+            if values is None:
+                fh.seek(0)
+                values = _read_rows(fh)
         return cls(np.array(values), provenance="file")
+
+
+# characters per bulk block: the text and fields held at once stay bounded,
+# as the row loop's do
+_CSV_BLOCK = 1 << 16
+# deletes every character a to_csv number holds, leaving the separators
+_NUMBER_CHARS = str.maketrans("", "", "0123456789+-.e")
+
+
+def _read_bulk(fh) -> list[float] | None:
+    """The values of a file in to_csv's layout, read a block of lines at a
+    time, or None as soon as a block departs from that layout.
+
+    A block passes when deleting the number characters from it leaves
+    ",\\r\\n" once per line, so that csv.reader would split each line into
+    the same two fields, and when it is no longer than csv's field size
+    limit, so that no field exceeds it.  Its fields then go through the int
+    and float the row loop applies, so both readers accept the same values.
+    """
+    if fh.readline() != "index,value\r\n":
+        return None
+    limit = csv.field_size_limit()
+    values = []
+    while lines := fh.readlines(_CSV_BLOCK):
+        block = "".join(lines)
+        if len(block) > limit or block.translate(_NUMBER_CHARS) != ",\r\n" * len(lines):
+            return None
+        fields = block.replace("\r\n", ",").split(",")
+        start = len(values)
+        if list(map(int, fields[0:-1:2])) != list(range(start, start + len(lines))):
+            return None
+        values.extend(map(float, fields[1::2]))
+    return values or None
+
+
+def _read_rows(fh) -> list[float]:
+    """The values of a file read row by row with csv.reader; every fault
+    raises OrbitFileError naming its line."""
+    reader = csv.reader(fh)
+    values = []
+    try:
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["index", "value"]:
+            raise OrbitFileError('expected header "index,value"', 1)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise OrbitFileError(f"expected 2 fields, got {len(row)}", lineno)
+            try:
+                idx = int(row[0])
+                val = float(row[1])
+            except ValueError as exc:
+                raise OrbitFileError(str(exc), lineno) from None
+            if idx != len(values):
+                raise OrbitFileError(f"index {idx} out of order", lineno)
+            values.append(val)
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise OrbitFileError(str(exc), reader.line_num) from None
+    if not values:
+        raise OrbitFileError("no data rows", 2)
+    return values
 
 
 @dataclass(eq=False)
@@ -367,7 +419,14 @@ def perturbed_orbit(f, x0: float, n: int, noise: float, seed: int = 0) -> OrbitS
     floor = lo + (hi - lo) * 1e-12 if f.lo_open else lo
     states = [v]
     for kick in kicks:
-        v = min(hi, max(floor, f.eval(v) + kick))
+        # min(hi, max(floor, v)) to the bit, without two builtin calls a step:
+        # max keeps its first argument unless the second is greater, min
+        # unless the second is less
+        v = f.eval(v) + kick
+        if not v > floor:
+            v = floor
+        if not v < hi:
+            v = hi
         states.append(v)
     return OrbitSequence(np.array(states), provenance="perturbed")
 

@@ -255,10 +255,13 @@ def topological_mixing_probe(f, U: Ball, V: Ball, m: FuzzyMetric, n_max: int = 6
 
     Grid points of f inside U are iterated exactly; membership of their
     images in V uses the ball's own comparison.  Raises ValueError when the
-    domain of f leaves the space of m, and EmptyBallError when either ball
-    captures no grid point.
+    domain of f leaves the space of m or a ball's center lies outside the
+    domain, and EmptyBallError when either ball captures no grid point.
     """
     require_map_in_space(f, m)
+    for name, ball in (("U", U), ("V", V)):
+        if not f.contains(ball.center):
+            raise ValueError(f"{name} center {ball.center!r} outside domain of {f.name}")
     pts = f.grid(resolution)
     u_mask = ball_members(m, U, pts)
     v_mask = ball_members(m, V, pts)

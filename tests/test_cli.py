@@ -222,6 +222,32 @@ def test_chain_endpoint_outside_domain(tmp_path, capsys, flag):
     assert f"{flag} 1.5 outside domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--u-center", "--v-center"])
+def test_mix_center_outside_domain(tmp_path, capsys, flag):
+    centers = {"--u-center": "0.2", "--v-center": "0.8"}
+    centers[flag] = "5"
+    out = tmp_path / "out"
+    rc = main(["mix", "--map", "tent:2", "--metric", "standard",
+               "--u-center", centers["--u-center"], "--u-radius", "0.9",
+               "--v-center", centers["--v-center"], "--v-radius", "0.9",
+               "--n-max", "4", "--out", str(out)])
+    assert rc == 2
+    assert f"{flag[2].upper()} center 5.0 outside domain of tent:2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overlong_orbit_field_exits_2(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    big.write_bytes(b"index,value\r\n0,0." + b"1" * 140_000 + b"\r\n")
+    out = tmp_path / "out"
+    rc = main(["shadow", "--map", "tent:2", "--metric", "standard", "--eps", "0.1",
+               "--orbit", str(big), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 2: field larger than field limit (131072)\n"
+    assert not out.exists()
+
+
 def _e43_standard_reports(orbit_path):
     """What shadow, chain --lengths and mix report on example43 under the
     standard metric on the domain (0, 1] itself."""

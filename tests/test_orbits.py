@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyshadow import orbits
@@ -460,6 +460,99 @@ def test_csv_errors(tmp_path):
     out_of_order.write_text("index,value\n0,0.5\n2,0.25\n")
     with pytest.raises(OrbitFileError, match="line 3"):
         OrbitSequence.from_csv(out_of_order)
+
+
+def _row_loop(path):
+    """The reference reading: the csv.reader row loop alone."""
+    with open(path, newline="") as fh:
+        return orbits._read_rows(fh)
+
+
+def _reading(read, path):
+    """A comparable result of a reader: the bits of its states, or its error
+    and line."""
+    try:
+        return np.asarray(read(path), dtype=float).tobytes()
+    except OrbitFileError as exc:
+        return str(exc), exc.line
+
+
+_EDGE_STATES = [-0.0, 5e-324, 1e-300, 0.0, 1.0]
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pattern=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+       n=st.integers(20_000, 30_000))
+def test_csv_roundtrip_is_bit_exact_across_blocks(tmp_path, pattern, n):
+    # even 9-character lines ("0,1.0\r\n" and up) fill more than two blocks
+    states = np.resize(np.array(_EDGE_STATES + pattern), n)
+    path = tmp_path / "orbit.csv"
+    OrbitSequence(states).to_csv(path)
+    assert path.stat().st_size > 2 * orbits._CSV_BLOCK
+    with open(path, newline="") as fh:
+        bulk = orbits._read_bulk(fh)
+    assert bulk is not None, "the bulk reader refused to_csv's own layout"
+    assert np.array(bulk).tobytes() == states.tobytes()
+    assert OrbitSequence.from_csv(path).states.tobytes() == states.tobytes()
+    assert _row_loop(path) == bulk
+
+
+_DEFECT_ROW = 5000  # past the first block of the file below
+
+
+@pytest.mark.parametrize("line, fault", [
+    ("5000,abc\r\n", "could not convert string to float: 'abc'"),
+    ("5000,1e\r\n", "could not convert string to float: '1e'"),
+    ("5000,\r\n", "could not convert string to float: ''"),
+    ("5001,0.5\r\n", "index 5001 out of order"),
+    ("5000.0,0.5\r\n", "invalid literal for int()"),
+    ("5000,0.5,1\r\n", "expected 2 fields, got 3"),
+    ("5000,0." + "1" * 140_000 + "\r\n", "field larger than field limit (131072)"),
+    ("\r\n5000,0.5\r\n", None),
+    ('5000,"0.5"\r\n', None),
+    ("5000,0.5\n", None),
+    ("5000, 0.5\r\n", None),
+    ("+5000,0.5\r\n", None),
+    ("05000,0.5\r\n", None),
+    ("5_000,0.5\r\n", None),
+], ids=["bad-value", "bad-exponent", "empty-value", "out-of-order", "float-index", "3-fields",
+        "over-long-field", "blank-line", "quoted", "bare-LF", "space", "plus-index",
+        "leading-zero-index", "underscore-index"])
+def test_bulk_reader_agrees_with_the_row_loop(tmp_path, line, fault):
+    states = perturbed_orbit(tent(math.sqrt(2)), 0.4, 8000, 0.01, seed=5).states
+    rows = [f"{i},{v!r}\r\n" for i, v in enumerate(states.tolist())]
+    assert len("".join(rows[:_DEFECT_ROW])) > orbits._CSV_BLOCK
+    rows[_DEFECT_ROW] = line
+    path = tmp_path / "defect.csv"
+    path.write_bytes(("index,value\r\n" + "".join(rows)).encode())
+    expected = _reading(_row_loop, path)
+    assert _reading(OrbitSequence.from_csv, path) == expected
+    if fault is None:  # the row loop reads the defect as the value it replaced
+        assert expected == np.concatenate([states[:_DEFECT_ROW], [0.5],
+                                           states[_DEFECT_ROW + 1:]]).tobytes()
+    else:
+        message, lineno = expected
+        assert fault in message and lineno == _DEFECT_ROW + 2
+
+
+def test_bulk_reader_pairs_fields_line_by_line(tmp_path):
+    # 3 fields on one line and 1 on the next average 2 per line; paired
+    # across the line end they would read as indices 5000 and 5001
+    rows = [f"{i},0.5\r\n" for i in range(8000)]
+    rows[_DEFECT_ROW:_DEFECT_ROW + 2] = ["5000,0.5,5001\r\n", "0.25\r\n"]
+    path = tmp_path / "shifted.csv"
+    path.write_bytes(("index,value\r\n" + "".join(rows)).encode())
+    with pytest.raises(OrbitFileError, match="^line 5002: expected 2 fields, got 3$"):
+        OrbitSequence.from_csv(path)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\n"])
+def test_overlong_field_is_an_orbit_file_error(tmp_path, newline):
+    path = tmp_path / "big.csv"
+    path.write_bytes(f"index,value{newline}0,0.{'1' * 140_000}{newline}".encode())
+    with pytest.raises(OrbitFileError, match=r"line 2: field larger than field limit"):
+        OrbitSequence.from_csv(path)
 
 
 def test_empty_sequence_rejected():

@@ -171,6 +171,19 @@ def test_probe_empty_ball_error(three_piece, ratio_phi_metric):
             ratio_phi_metric, n_max=4, resolution=1e-3)
 
 
+@pytest.mark.parametrize("spec, u, v, message", [
+    ("tent:2", 5.0, 0.8, "U center 5.0 outside domain of tent:2"),
+    ("tent:2", 0.2, -3.0, "V center -3.0 outside domain of tent:2"),
+    ("example43", 0.0, 0.5, "U center 0.0 outside domain of example43"),
+])
+def test_probe_rejects_a_center_outside_the_domain(standard_metric, spec, u, v, message):
+    # wide balls centred off the domain still capture grid points of it
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        topological_mixing_probe(map_from_spec(spec), fm.Ball(u, 0.9, 1.0),
+                                 fm.Ball(v, 0.9, 1.0), standard_metric, n_max=4,
+                                 resolution=1e-2)
+
+
 _ENTRY_POINTS = {
     "shadow_search": lambda f, m: shadow_search(f.orbit(0.3, 5), f, m, 0.1, 1.0, 1e-2),
     "ergodic_shadow_search": lambda f, m: ergodic_shadow_search(f.orbit(0.3, 5), f, m,
