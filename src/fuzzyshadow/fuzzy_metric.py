@@ -92,13 +92,28 @@ class Interval:
         return f"{'(['[self.lo_closed]}{self.lo}, {self.hi}{')]'[self.hi_closed]}"
 
     def __contains__(self, x) -> bool:
-        return not (self & Interval.point(x)).is_empty
+        # one exact conversion, not one per comparison
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        return ((self.lo < x or (self.lo_closed and self.lo == x))
+                and (x < self.hi or (self.hi_closed and x == self.hi)))
 
     def __and__(self, other: "Interval") -> "Interval":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return Interval(lo, hi,
-                        all(i.lo_closed for i in (self, other) if i.lo == lo),
-                        all(i.hi_closed for i in (self, other) if i.hi == hi))
+        # the greater lower end and the lesser upper end, closed where every
+        # interval that has that end holds it; a tie keeps self's end
+        if self.lo < other.lo:
+            lo, lo_closed = other.lo, other.lo_closed
+        elif other.lo < self.lo:
+            lo, lo_closed = self.lo, self.lo_closed
+        else:
+            lo, lo_closed = self.lo, self.lo_closed and other.lo_closed
+        if other.hi < self.hi:
+            hi, hi_closed = other.hi, other.hi_closed
+        elif self.hi < other.hi:
+            hi, hi_closed = self.hi, self.hi_closed
+        else:
+            hi, hi_closed = self.hi, self.hi_closed and other.hi_closed
+        return Interval(lo, hi, lo_closed, hi_closed)
 
 
 class FuzzyMetric:
@@ -181,7 +196,8 @@ class StandardFuzzyMetric(FuzzyMetric):
 
     def ball_interval(self, iv: Interval, radius: float, t: float) -> Interval:
         # t/(t + d) > 1 - radius  iff  d < t*radius/(1 - radius), the bridge threshold
-        r = Fraction(t) * Fraction(radius) / (1 - Fraction(radius))
+        radius = Fraction(radius)
+        r = Fraction(t) * radius / (1 - radius)
         return Interval(iv.lo - r, iv.hi + r, False, False)
 
     def float_slack(self, f, t: float) -> Fraction:

@@ -444,12 +444,14 @@ _EMPTY = Interval(Fraction(1), Fraction(0))
 def _round_in(iv: Interval) -> Interval:
     """The closed interval from the least to the greatest float of iv (empty
     when iv holds none)."""
-    lo, hi = float(iv.lo), float(iv.hi)
+    a, b = float(iv.lo), float(iv.hi)
+    # each float end converted once, so the tests compare fractions
+    lo, hi = Fraction(a), Fraction(b)
     if lo < iv.lo or (lo == iv.lo and not iv.lo_closed):
-        lo = math.nextafter(lo, math.inf)
+        lo = Fraction(math.nextafter(a, math.inf))
     if hi > iv.hi or (hi == iv.hi and not iv.hi_closed):
-        hi = math.nextafter(hi, -math.inf)
-    return Interval(Fraction(lo), Fraction(hi))
+        hi = Fraction(math.nextafter(b, -math.inf))
+    return Interval(lo, hi)
 
 
 def _chain_radii(x: float, y: float, f, m, delta: float, t0: float,
@@ -507,10 +509,10 @@ def chain_search(x: float, y: float, f, m, delta: float, t0: float,
     builds m.grid(resolution) from the bound arguments.
     """
     radius, walk = _chain_radii(x, y, f, m, delta, t0, n_max)
-    path = []
+    target, path = Fraction(y), []
     for reach in _reach_sets(x, f, m, radius, t0, n_max):
         path.append(reach)
-        if y in reach:
+        if target in reach:
             break
     else:
         return None
@@ -545,6 +547,7 @@ def chain_mixing_check(x: float, y: float, f, m, delta: float, t0: float,
     and its chain-node hook builds m.grid(resolution) from the bound arguments.
     """
     radius, _ = _chain_radii(x, y, f, m, delta, t0, n_max)
+    target = Fraction(y)
     present = [n for n, reach in enumerate(_reach_sets(x, f, m, radius, t0, n_max), 1)
-               if y in reach]
+               if target in reach]
     return MixingReport(tuple(present), n_max, _cofinite_onset(set(present), n_max))

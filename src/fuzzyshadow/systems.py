@@ -9,7 +9,7 @@ preimages of intervals are exact.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +48,10 @@ class IntervalMap:
         # domain ends and interior breakpoints: f is affine between them
         self.knots = (self.pieces[0].lo, *(p.hi for p in self.pieces))
         self.domain = Interval(self.knots[0], self.knots[-1], not self.lo_open)
+        # exact f at each knot and the flat pieces, which image reads
+        self._knot_values = (self.pieces[0].value(self.knots[0]),
+                             *(p.value(p.hi) for p in self.pieces))
+        self._flat = tuple(p.slope == 0 for p in self.pieces)
         self._validate_pieces()
         self._validate_self_map()
         self.domain_lo = float(self.knots[0])
@@ -110,25 +114,38 @@ class IntervalMap:
         return np.searchsorted(self._breaks, xs, side="left")
 
     def value(self, x: Fraction) -> Fraction:
-        """Exact f(x) at a rational x of the domain; at an open end, the limit."""
+        """Exact f(x) at a rational x of the domain; at an open end, the limit.
+        Raises ValueError outside the closure of the domain."""
         # at a breakpoint both pieces give the same value
-        return next(p for p in self.pieces if x <= p.hi).value(x)
+        return self.pieces[self._piece_index(x, bisect_left)].value(x)
+
+    def _piece_index(self, x: Fraction, side) -> int:
+        """Index of the piece whose closure holds x: at a breakpoint, the
+        piece on its right for side=bisect_right, on its left for bisect_left.
+        Raises ValueError when x lies outside the closure of the domain."""
+        if not self.knots[0] <= x <= self.knots[-1]:
+            raise ValueError(f"{x} outside domain of {self.name}")
+        # searching knots[1:-1] keeps the index a piece's at both domain ends
+        return side(self.knots, x, 1, len(self.pieces)) - 1
 
     def image(self, iv: Interval) -> Interval:
-        """Exact image of a nonempty interval of the domain.
+        """Exact image of a nonempty interval of the domain's closure.
 
         f is continuous and affine between breakpoints, so its extremes over
-        iv are values at the ends and at the interior breakpoints.  A value
-        seen only at an open end is attained all the same when a flat piece
-        repeats it, which the value at a point inside each piece detects.
+        iv are values at the ends and at the interior breakpoints, whose
+        values are kept in a table.  A value seen only at an open end is
+        attained all the same when the piece next to that end is flat.  No
+        other point adds anything: inside a piece that is not flat, f lies
+        strictly between its values at the piece's ends.
         """
-        cuts = [iv.lo, *(b for b in self.knots if iv.lo < b < iv.hi), iv.hi]
-        seen = [(self.value(iv.lo), iv.lo_closed), (self.value(iv.hi), iv.hi_closed)]
-        seen += [(self.value(b), True) for b in cuts[1:-1]]
-        seen += [(self.value((a + b) / 2), True) for a, b in zip(cuts, cuts[1:])]
-        lo, hi = min(v for v, _ in seen), max(v for v, _ in seen)
-        return Interval(lo, hi, any(c for v, c in seen if v == lo),
-                        any(c for v, c in seen if v == hi))
+        i, j = self._piece_index(iv.lo, bisect_right), self._piece_index(iv.hi, bisect_left)
+        a, b = self.pieces[i].value(iv.lo), self.pieces[j].value(iv.hi)
+        a_seen, b_seen = iv.lo_closed or self._flat[i], iv.hi_closed or self._flat[j]
+        # the breakpoints strictly inside iv are knots i + 1, ..., j
+        inner = self._knot_values[i + 1:j + 1]
+        lo, hi = min(a, b, *inner), max(a, b, *inner)
+        return Interval(lo, hi, (a_seen and a == lo) or (b_seen and b == lo) or lo in inner,
+                        (a_seen and a == hi) or (b_seen and b == hi) or hi in inner)
 
     def preimage(self, target: Interval, within: Interval) -> list[Interval]:
         """The points of within that f maps into target, as one nonempty
@@ -289,10 +306,6 @@ class IteratedMap:
 
     def iterate(self, x: float, n: int) -> float:
         return self.base.iterate(x, self.k * n)
-
-
-def power_map(f: IntervalMap, k: int) -> IteratedMap:
-    return IteratedMap(f, k)
 
 
 def map_from_spec(spec: str) -> IntervalMap:

@@ -33,7 +33,7 @@ from fuzzyshadow.shadowing import (
     classical_shadow_search,
     shadow_search,
 )
-from fuzzyshadow.systems import example43_map, perturbation_g, power_map, tent
+from fuzzyshadow.systems import IteratedMap, example43_map, perturbation_g, tent
 
 TOL = 1e-12
 
@@ -178,7 +178,7 @@ def test_criterion_09_power_interleaving_counts():
             seq = OrbitSequence(rng.uniform(0.0, 1.0, size=length))
             x = float(rng.uniform(0.0, 1.0))
             for k in (2, 3, 5):
-                fk = power_map(f, k)
+                fk = IteratedMap(f, k)
                 ns_power = ns_set(seq, x, fk, metric, delta=0.2, t0=1.0)
                 expanded = interleave_for_power(seq, k, f)
                 ns_base = ns_set(expanded, x, f, metric, delta=0.2, t0=1.0)

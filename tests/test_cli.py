@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import fuzzyshadow
 from fuzzyshadow import orbits, shadowing
 from fuzzyshadow.cli import main
 from fuzzyshadow.fuzzy_metric import Ball, StandardFuzzyMetric
@@ -158,9 +161,12 @@ def test_reproduce_case(tmp_path):
 
 
 def test_module_entrypoint_help():
+    # the child imports the same package as this test, with or without PYTHONPATH
+    src = str(Path(fuzzyshadow.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fuzzyshadow", "--help"],
-        capture_output=True, text=True, check=False,
+        capture_output=True, text=True, check=False, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "reproduce" in proc.stdout

@@ -32,7 +32,7 @@ from fuzzyshadow.orbits import (
     transitivity_skeleton,
     validate_f_pseudo_orbit,
 )
-from fuzzyshadow.systems import example43_map, map_from_spec, tent
+from fuzzyshadow.systems import IntervalMap, example43_map, map_from_spec, tent
 
 
 def brute_force_skeleton(n):
@@ -366,6 +366,30 @@ def test_ratio_chain_reach_ends_stay_floats(three_piece, ratio_phi_metric):
     assert sets[200:] == [sets[-1]] * (2048 - 200)
     rep = chain_mixing_check(0.2, 0.8, three_piece, ratio_phi_metric, 0.1, 1.0, n_max=2048)
     assert rep.n0 is not None and rep.present[-1] == 2048
+
+
+
+class _CountingImages(IntervalMap):
+    """Counts exact interval images, one per reach step that is taken."""
+
+    images = 0
+
+    def image(self, iv):
+        self.images += 1
+        return super().image(iv)
+
+
+@pytest.mark.parametrize("spec, metric, steps", [("tent:2", "standard", 4),
+                                                 ("example43", "ratio-phi", 90)])
+@pytest.mark.parametrize("n_max", [256, 2048])
+def test_a_stationary_reach_set_is_not_imaged_again(spec, metric, steps, n_max):
+    # the reach sets settle after a fixed number of steps, so the work of a
+    # spectrum does not grow with n_max past them
+    base = map_from_spec(spec)
+    f = _CountingImages(base.pieces, base.lo_open, base.name)
+    f.images = 0  # construction images the domain once
+    chain_mixing_check(0.2, 0.8, f, metric_from_name(metric), 0.1, 1.0, n_max=n_max)
+    assert f.images == steps
 
 
 @example(spec="g:1/256", name="standard", x=0.001, delta=0.5, t0=0.001, ulps=0)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyshadow import systems
@@ -12,11 +12,11 @@ from fuzzyshadow.fuzzy_metric import Interval
 from fuzzyshadow.systems import (
     ConstructionError,
     IntervalMap,
+    IteratedMap,
     Piece,
     example43_map,
     map_from_spec,
     perturbation_g,
-    power_map,
     tent,
 )
 
@@ -128,7 +128,7 @@ def test_domain_membership(three_piece, tent2):
     with pytest.raises(ValueError):
         three_piece.eval(0.0)
     assert (tent2.domain_lo, tent2.domain_hi) == (0.0, 1.0)
-    cube = power_map(three_piece, 3)
+    cube = IteratedMap(three_piece, 3)
     assert (cube.domain_lo, cube.domain_hi, cube.lo_open) == (0.0, 1.0, True)
     # messages print the float, not a numpy scalar's repr
     for call in (lambda x: tent2.eval(x), lambda x: tent2.iterate(x, 2),
@@ -293,7 +293,7 @@ def test_map_svg_draws_exact_breakpoints(three_piece):
 
 
 def test_power_map_matches_composition(tent2):
-    f2 = power_map(tent2, 2)
+    f2 = IteratedMap(tent2, 2)
     xs = np.linspace(0.0, 1.0, 257)
     assert np.array_equal(f2.eval_array(xs), tent2.eval_array(tent2.eval_array(xs)))
     assert f2.eval(0.25) == 1.0
@@ -359,3 +359,114 @@ def test_image_bounds_dense_evaluation(a, b, spec):
                                            if lo < p.hi < hi]]))
     assert float(image.lo) == pytest.approx(ys.min(), abs=1e-15)
     assert float(image.hi) == pytest.approx(ys.max(), abs=1e-15)
+
+
+@pytest.mark.parametrize("call, end", [
+    (lambda f: f.value(Fraction(2)), "2"),
+    (lambda f: f.value(Fraction(-1)), "-1"),
+    (lambda f: f.image(_iv(0, 2)), "2"),
+    (lambda f: f.image(_iv(-1, "1/2")), "-1"),
+    (lambda f: f.image(_iv("3/2", 2)), "3/2"),
+])
+def test_exact_evaluation_outside_the_domain_rejected(tent2, call, end):
+    with pytest.raises(ValueError, match=rf"^{end} outside domain of tent:2$"):
+        call(tent2)
+
+
+def test_exact_evaluation_at_an_open_end_is_the_limit(three_piece):
+    # example43 lives on (0, 1]; at 0 value and image give the limit 1/8
+    assert three_piece.value(Fraction(0)) == Fraction(1, 8)
+    assert three_piece.image(_iv(0, 0)) == _iv("1/8", "1/8")
+    assert three_piece.image(_iv(0, "1/2", False, True)) == _iv("1/8", "1/2", False, True)
+    with pytest.raises(ValueError, match=r"^-1/4 outside domain of example43$"):
+        three_piece.value(Fraction(-1, 4))
+
+
+# -- the exact interval kernel against plain reference definitions -------------
+
+
+def _reference_value(f, x):
+    """f(x) on the first piece whose upper end is at least x."""
+    return next(p for p in f.pieces if x <= p.hi).value(x)
+
+
+def _reference_image(f, iv):
+    """The image from f at both ends, at every breakpoint inside iv, and at
+    the middle of every piece of iv (which finds a flat piece at an open end)."""
+    cuts = [iv.lo, *(b for b in f.knots if iv.lo < b < iv.hi), iv.hi]
+    seen = [(_reference_value(f, iv.lo), iv.lo_closed), (_reference_value(f, iv.hi), iv.hi_closed)]
+    seen += [(_reference_value(f, b), True) for b in cuts[1:-1]]
+    seen += [(_reference_value(f, (a + b) / 2), True) for a, b in zip(cuts, cuts[1:])]
+    lo, hi = min(v for v, _ in seen), max(v for v, _ in seen)
+    return Interval(lo, hi, any(c for v, c in seen if v == lo),
+                    any(c for v, c in seen if v == hi))
+
+
+def _reference_and(a, b):
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    return Interval(lo, hi, all(i.lo_closed for i in (a, b) if i.lo == lo),
+                    all(i.hi_closed for i in (a, b) if i.hi == hi))
+
+
+def _reference_contains(a, x):
+    return not _reference_and(a, Interval.point(x)).is_empty
+
+
+_UNIT_RATIONALS = st.fractions(0, 1, max_denominator=24)
+
+
+@st.composite
+def _pl_maps(draw):
+    """Continuous PL self-maps of [0, 1] or (0, 1] with rational knots; few
+    levels make flat pieces common."""
+    inner = draw(st.sets(_UNIT_RATIONALS.filter(lambda v: 0 < v < 1), max_size=4))
+    knots = [Fraction(0), *sorted(inner), Fraction(1)]
+    lo_open = draw(st.booleans())
+    # a map on (0, 1] must not attain 0, but may tend to it at the open end
+    levels = st.integers(1 if lo_open else 0, 6).map(lambda k: Fraction(k, 6))
+    values = draw(st.lists(levels, min_size=len(knots), max_size=len(knots)))
+    if lo_open and draw(st.booleans()):
+        values[0] = Fraction(0)
+    return _pl_map(knots, values, lo_open)
+
+
+def _ends(f):
+    return st.one_of(st.sampled_from(f.knots), _UNIT_RATIONALS,
+                     st.floats(0.0, 1.0).map(Fraction))
+
+
+@st.composite
+def _nonempty_intervals(draw, f):
+    a, b = sorted([draw(_ends(f)), draw(_ends(f))])
+    if a == b or draw(st.booleans()) and draw(st.booleans()):
+        return Interval(a, a)
+    return Interval(a, b, draw(st.booleans()), draw(st.booleans()))
+
+
+@st.composite
+def _intervals(draw):
+    """Any interval of [-1, 2], empty ones included; ends often shared."""
+    ends = st.sampled_from([Fraction(k, 4) for k in range(-4, 9)]) | st.fractions(-1, 2, max_denominator=12)
+    return Interval(draw(ends), draw(ends), draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_image_matches_the_knot_and_midpoint_reference(data):
+    f = data.draw(_pl_maps())
+    iv = data.draw(_nonempty_intervals(f))
+    image, reference = f.image(iv), _reference_image(f, iv)
+    assert image == reference and str(image) == str(reference)
+    assert f.value(iv.lo) == _reference_value(f, iv.lo)
+
+
+@settings(deadline=None)
+@given(_intervals(), _intervals(),
+       st.one_of(st.fractions(-1, 2, max_denominator=12), st.floats(-1.0, 2.0),
+                 st.integers(-1, 2)))
+def test_interval_meet_and_membership_match_the_references(a, b, x):
+    assert a & b == _reference_and(a, b)
+    assert str(a & b) == str(_reference_and(a, b))
+    assert (x in a) is _reference_contains(a, x)
+    for end in (a.lo, a.hi, b.lo, b.hi, float(a.lo)):
+        assert (end in a) is _reference_contains(a, end)
