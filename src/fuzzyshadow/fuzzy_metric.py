@@ -27,8 +27,8 @@ TOLERANCE = 1e-12
 # spacing of the floats in [1, 2)
 _ULP = Fraction(2.0**-52)
 
-#: Geometric horizon candidates used by the uniform-horizon and continuity
-#: searches: 2**-20 .. 2**40.
+#: Geometric horizon candidates the uniform-horizon search brackets with:
+#: 2**-20 .. 2**40.
 HORIZON_LADDER = tuple(2.0**k for k in range(-20, 41))
 
 METRIC_NAMES = ("standard", "ratio-phi", "ratio")
@@ -121,10 +121,13 @@ class FuzzyMetric:
 
     Subclasses implement ``_kernel`` on raw arrays; ``ball_interval``, the
     exact union of the open balls {z : M(u, z, t) > 1 - radius} over the u of
-    a nonempty Interval; and ``float_slack(f, t)``, a bound, in units of the
+    a nonempty Interval; ``float_slack(f, t)``, a bound, in units of the
     radius, on how far float errors in evaluating a piecewise-linear map f or
-    in rounding a state move a ball's edge.  This class owns domain
-    validation, grids, and seeded state sampling.
+    in rounding a state move a ball's edge; and ``continuity_delta(f, eps,
+    t)``, an exact radius delta such that f maps every pair nearer than
+    1 - delta at horizon t to one nearer than 1 - eps at t, for eps in
+    (0, 1).  This class owns domain validation, grids, and seeded state
+    sampling.
     """
 
     name = "base"
@@ -208,6 +211,12 @@ class StandardFuzzyMetric(FuzzyMetric):
                     for p in f.pieces for x in (p.lo, p.hi))
         return 2 * _ULP * scale / Fraction(t)
 
+    def continuity_delta(self, f, eps: Fraction, t: float) -> Fraction:
+        # |f(x) - f(y)| <= L|x - y| with L the largest |slope|, and a pair is
+        # near at radius r iff |x - y| < t*r/(1 - r): L*d/(1 - d) = e/(1 - e)
+        lip = max(abs(p.slope) for p in f.pieces)
+        return eps / (eps + lip * (1 - eps))
+
 
 class _RatioBase(FuzzyMetric):
     """min/max ratio on (0, 1], damped by the horizon weight min(t, 1) when
@@ -239,6 +248,19 @@ class _RatioBase(FuzzyMetric):
         cond = max((abs(p.slope) * x + abs(p.intercept)) / p.value(x)
                    for p in f.pieces for x in (p.lo, p.hi) if p.value(x) > 0)
         return 4 * _ULP * (cond + 1)
+
+    def continuity_delta(self, f, eps: Fraction, t: float) -> Fraction:
+        # distinct points are near at radius r iff phi*min/max > 1 - r; with
+        # phi <= 1 - eps no distinct pair is near at radius eps, images or not
+        phi = min(Fraction(t), 1) if self.damped else 1
+        if phi <= 1 - eps:
+            return eps
+        # log f is K-Lipschitz in log x, so the images' min/max is at least
+        # r**K for sources at r, and r**K >= 1 - K(1 - r) for K >= 1
+        # (Bernoulli), r**K >= r for K <= 1
+        k = max(abs(p.slope) * x / p.value(x)
+                for p in f.pieces for x in (p.lo, p.hi) if p.value(x) > 0)
+        return (phi - 1 + eps) / max(k, 1) + 1 - phi
 
 
 class RatioPhiFuzzyMetric(_RatioBase):
@@ -417,16 +439,16 @@ def uniform_horizon(m: FuzzyMetric, eps: float, resolution: float = 1e-2) -> flo
 
 @dataclass
 class ContinuityCertificate:
-    """Grid-verified continuity modulus: premise radius delta at horizon t_prime."""
+    """Continuity modulus on the whole domain: when holds, every pair x, y of
+    the domain with M(x, y, t_prime) > 1 - delta maps to a pair with
+    M(f(x), f(y), t) > 1 - eps, in exact arithmetic and in float evaluation
+    alike; t_prime is t."""
 
     holds: bool
     eps: float
     t: float
     delta: float | None
     t_prime: float | None
-    resolution: float
-    pairs: int
-    counterexample: dict | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -434,83 +456,32 @@ class ContinuityCertificate:
 
 def certify_fuzzy_continuity(m: FuzzyMetric, f, eps: float, t: float,
                              resolution: float = 1e-2) -> ContinuityCertificate:
-    """Search a (delta, t') modulus such that on the grid, source pairs closer
-    than 1 - delta at horizon t' map to image pairs closer than 1 - eps at t.
+    """A premise radius delta at horizon t for the image radius eps at t, in
+    closed form from one exact constant of the piecewise-linear map f (see
+    ``continuity_delta``): L = max |slope| under the standard metric,
+    delta = eps / (eps + L (1 - eps)); under the ratio metrics, with
+    phi = min(t, 1) (ratio-phi) or 1 (ratio) and K = max |slope| x / f(x),
+    delta = eps when phi <= 1 - eps, else
+    (phi - 1 + eps) / max(K, 1) + 1 - phi.  delta is capped at eps.
 
-    For each candidate t' (the requested t first, then the ladder) the maximal
-    admissible delta is 1 minus the closest offending source pair; the first
-    feasible candidate wins.  A failure returns the offending pair instead.
-
-    ``pairs`` counts all N**2 grid pairs, but only the first offending
-    partner j > i of each grid point i is evaluated, N pairs in all, found
-    in O(N log N) by ``_first_far_partners``.  The result is that of the
-    full scan: every kernel is symmetric and nonincreasing in the spread of
-    a pair, in floats too, so for each offending pair (i, j), i < j, the
-    pair (i, first partner of i) is at least as near, and the row-major
-    first of the nearest offending pairs has i < j, since a pair with
-    i > j comes after its mirror image (j, i).
+    It is float-safe: the formula is applied to eps less 4 ulp(1) and twice
+    the metric's float slack, which cover rounding the image kernel and
+    1 - eps and evaluating f at both points of a pair, and the result is
+    lowered by 4 ulp(1), which covers rounding the source kernel, 1 - delta
+    and delta; the source states are floats, so they carry no error of
+    their own.  holds is False only when that leaves no positive delta, at
+    horizons so small that float errors in f swamp eps.
+    ``resolution`` is unused.  It stays fifth, with its 1e-2 default, only
+    because perfbench/ passes grids there positionally.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     _require_finite_positive("horizon", t)
     require_map_in_space(f, m)
-    pts = f.grid(resolution)
-    imgs = f.eval_array(pts)
-    pairs = pts.size * pts.size
-
-    partner = _first_far_partners(m, imgs, t, 1.0 - eps)
-    rows = np.flatnonzero(partner < pts.size)
-    if rows.size == 0:
-        return ContinuityCertificate(True, eps, t, eps, t, resolution, pairs)
-    cols = partner[rows]
-
-    worst_pair = None
-    for t_prime in (t, *HORIZON_LADDER):
-        source_near = m.eval_array(pts[rows], pts[cols], t_prime)
-        k = int(np.argmax(source_near))
-        worst = float(source_near[k])
-        if worst < 1.0:
-            delta = min(eps, 1.0 - worst)
-            return ContinuityCertificate(True, eps, t, delta, t_prime, resolution, pairs)
-        if worst_pair is None:
-            i, j = rows[k], cols[k]
-            worst_pair = {
-                "x": float(pts[i]), "x0": float(pts[j]),
-                "source_nearness": worst,
-                "image_nearness": float(m.eval_array(imgs[i], imgs[j], t)),
-            }
-    return ContinuityCertificate(False, eps, t, None, None, resolution, pairs,
-                                 counterexample=worst_pair)
-
-
-def _first_far_partners(m: FuzzyMetric, states: np.ndarray, t: float,
-                        target: float) -> np.ndarray:
-    """For each index i, the least j > i with M(states[i], states[j], t) <=
-    target, or states.size when there is none.
-
-    Nearness to states[i] falls as a state moves away from it on either
-    side, so a run of states holds a far one iff its greatest or its least
-    does.  Level k of a sparse table holds the maxima and minima of the runs
-    of length 2**k; each i extends its far-free run by the longest of them
-    that stays far-free, from the longest length down, and stops just before
-    its first far partner.
-    """
-    n = states.size
-    highs, lows = [states], [states]
-    while 2 ** len(highs) <= n:
-        step = 2 ** (len(highs) - 1)
-        highs.append(np.maximum(highs[-1][:-step], highs[-1][step:]))
-        lows.append(np.minimum(lows[-1][:-step], lows[-1][step:]))
-    # pos[i] is the first index past the far-free run that follows i
-    pos = np.arange(1, n + 1)
-    for k in reversed(range(len(highs))):
-        step = 2 ** k
-        rows = np.flatnonzero(pos + step <= n)
-        centres, runs = states[rows], pos[rows]
-        far = ((m.eval_array(centres, highs[k][runs], t) <= target)
-               | (m.eval_array(centres, lows[k][runs], t) <= target))
-        pos[rows[~far]] += step
-    return pos
+    inner = Fraction(eps) - 4 * _ULP - 2 * m.float_slack(f, t)
+    delta = min(eps, float(m.continuity_delta(f, inner, t) - 4 * _ULP)) if inner > 0 else 0.0
+    holds = delta > 0.0
+    return ContinuityCertificate(holds, eps, t, delta if holds else None, t if holds else None)
 
 
 # -- direct modulus checks ------------------------------------------------------

@@ -150,8 +150,13 @@ class IntervalMap:
     def preimage(self, target: Interval, within: Interval) -> list[Interval]:
         """The points of within that f maps into target, as one nonempty
         interval per piece, in domain order."""
+        # only pieces whose closures meet within: at a breakpoint, the piece
+        # left of within.lo and the one right of within.hi, whose point
+        # parts count
+        last = len(self.pieces)
+        first = bisect_left(self.knots, within.lo, 1, last) - 1
         parts = []
-        for p in self.pieces:
+        for p in self.pieces[first:bisect_right(self.knots, within.hi, 1, last)]:
             part = within & Interval(p.lo, p.hi)
             if p.slope == 0:
                 if p.intercept not in target:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fuzzyshadow import orbits
+from fuzzyshadow import fuzzy_metric, orbits
 from fuzzyshadow.fuzzy_metric import StandardFuzzyMetric
 from fuzzyshadow.systems import IntervalMap, tent
 
@@ -60,6 +60,17 @@ def test_chain_functions_keep_resolution_seventh(name):
     assert param.name == "resolution"
     assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
     assert StandardFuzzyMetric().grid(param.default).size > 1
+
+
+def test_certificate_keeps_resolution_fifth_and_the_fields_the_benchmark_reads():
+    # the benchmark passes certificate grids positionally, and its check
+    # reads these fields of the result
+    param = list(inspect.signature(fuzzy_metric.certify_fuzzy_continuity).parameters.values())[4]
+    assert param.name == "resolution"
+    assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    cert = fuzzy_metric.certify_fuzzy_continuity(StandardFuzzyMetric(), tent(2.0), 0.2, 1.0, 1e-3)
+    assert {"holds", "eps", "t", "delta", "t_prime"} <= set(cert.to_dict())
+    assert cert.holds and cert.t_prime == cert.t == 1.0 and 0.0 < cert.delta < cert.eps == 0.2
 
 
 def test_chain_nodes_hook_binds_a_cli_style_call():

@@ -470,3 +470,31 @@ def test_interval_meet_and_membership_match_the_references(a, b, x):
     assert (x in a) is _reference_contains(a, x)
     for end in (a.lo, a.hi, b.lo, b.hi, float(a.lo)):
         assert (end in a) is _reference_contains(a, end)
+
+
+def _reference_preimage(f, target, within):
+    """The preimage from every piece in turn, the empty parts dropped."""
+    parts = []
+    for p in f.pieces:
+        part = within & Interval(p.lo, p.hi)
+        if p.slope == 0:
+            if p.intercept not in target:
+                continue
+        else:
+            a = (target.lo - p.intercept) / p.slope
+            b = (target.hi - p.intercept) / p.slope
+            part &= (Interval(a, b, target.lo_closed, target.hi_closed) if p.slope > 0
+                     else Interval(b, a, target.hi_closed, target.lo_closed))
+        if not part.is_empty:
+            parts.append(part)
+    return parts
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_preimage_matches_the_all_pieces_reference(data):
+    f = data.draw(_pl_maps())
+    target = data.draw(_nonempty_intervals(f) | _intervals())
+    within = data.draw(_nonempty_intervals(f) | _intervals())
+    parts, reference = f.preimage(target, within), _reference_preimage(f, target, within)
+    assert parts == reference and [str(p) for p in parts] == [str(p) for p in reference]

@@ -7,9 +7,10 @@ verdicts to the evidence of the dense candidate x index score matrix, which
 the survivor loop is also property-tested against.  Chains and length
 spectra are pinned to the values of the exact reach intervals, and
 property-tested against the grid transition graph they replaced, whose
-spectrum they must contain; the diameter-pair uniform horizon, the
-continuity certificate and the two modulus checks are tested against the
-grid-pair scans they replaced."""
+spectrum they must contain; the diameter-pair uniform horizon and the two
+modulus checks are tested against the grid-pair scans they replaced, and the
+closed-form continuity certificate against the grid pairs it must not admit
+and the grid certificate it replaced."""
 
 import json
 import math
@@ -458,31 +459,19 @@ def test_pinned_evidence_matches_dense_matrix(case):
 
 
 def _dense_certificate(m, f, eps, t, resolution):
-    """The full scan: every image pair at t, then every source pair at each
-    candidate horizon; the counterexample is the row-major first offending
-    pair with the largest source nearness."""
+    """The grid certificate the closed form replaced, as its (delta, t'):
+    every image pair at t, then every source pair at each candidate horizon;
+    (None, None) when no candidate admits a delta."""
     pts = m.grid(resolution)
     imgs = f.eval_array(pts)
-    pairs = pts.size * pts.size
-    image_near = m.eval_array(imgs[:, None], imgs[None, :], t)
-    bad = image_near <= 1.0 - eps
+    bad = m.eval_array(imgs[:, None], imgs[None, :], t) <= 1.0 - eps
     if not bad.any():
-        return fm.ContinuityCertificate(True, eps, t, eps, t, resolution, pairs)
-    worst_pair = None
+        return eps, t
     for t_prime in (t, *fm.HORIZON_LADDER):
-        source_near = m.eval_array(pts[:, None], pts[None, :], t_prime)
-        worst = float(source_near[bad].max())
+        worst = float(m.eval_array(pts[:, None], pts[None, :], t_prime)[bad].max())
         if worst < 1.0:
-            return fm.ContinuityCertificate(True, eps, t, min(eps, 1.0 - worst), t_prime,
-                                            resolution, pairs)
-        if worst_pair is None:
-            flat = np.where(bad.ravel(), source_near.ravel(), -np.inf)
-            i, j = np.unravel_index(int(np.argmax(flat)), bad.shape)
-            worst_pair = {"x": float(pts[i]), "x0": float(pts[j]),
-                          "source_nearness": float(source_near[i, j]),
-                          "image_nearness": float(image_near[i, j])}
-    return fm.ContinuityCertificate(False, eps, t, None, None, resolution, pairs,
-                                    counterexample=worst_pair)
+            return min(eps, 1.0 - worst), t_prime
+    return None, None
 
 
 def _dense_modulus(pts, lhs, rhs, factor):
@@ -555,47 +544,52 @@ def _certificate_inputs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(case=_certificate_inputs(), steps=st.integers(100, 334))
-def test_continuity_certificate_matches_dense_scan(case, steps):
+def test_continuity_certificate_admits_no_offending_grid_pair(case, steps):
+    # the float check of the benchmark's certificate ops, and never a delta
+    # above the grid's at the same horizon
     m, f, eps, t = case
-    _same(fm.certify_fuzzy_continuity(m, f, eps, t, 1.0 / steps),
-          _dense_certificate(m, f, eps, t, 1.0 / steps))
+    cert = fm.certify_fuzzy_continuity(m, f, eps, t, 1.0 / steps)
+    assert cert.holds and cert.t_prime == t
+    pts = m.grid(1.0 / steps)
+    imgs = f.eval_array(pts)
+    offending = m.eval_array(imgs[:, None], imgs[None, :], t) <= 1.0 - eps
+    admitted = m.eval_array(pts[:, None], pts[None, :], t) > 1.0 - cert.delta
+    assert not (offending & admitted).any()
+    delta, t_prime = _dense_certificate(m, f, eps, t, 1.0 / steps)
+    if t_prime == t:
+        assert 0.0 < cert.delta <= delta
 
 
-class _SaturatingMetric(fm.StandardFuzzyMetric):
-    """(t + s) / (t + |x - y|), capped at 1: nearness 1 below spread s at every
-    horizon.  It is no fuzzy metric, but it is symmetric and monotone in the
-    spread like the three metrics here, and it reaches the certificate's
-    failure branch, which needs an offending pair at nearness 1 on every
-    rung.  Under those three metrics, distinct grid points are never at
-    nearness 1 on the least rung, and an offending pair has distinct points,
-    so for a continuous map the branch is otherwise unreachable."""
-
-    name = "saturating"
-
-    def __init__(self, spread, lo_open):
-        super().__init__(lo_open=lo_open)
-        self.spread = spread
-
-    def _kernel(self, x, y, t):
-        return np.minimum(1.0, (t + self.spread) / (t + np.abs(x - y)))
+@settings(max_examples=150, deadline=None)
+@given(case=_certificate_inputs(), data=st.data())
+def test_continuity_certificate_holds_on_the_continuum(case, data):
+    # exactly: the delta-ball of x within the domain maps into the eps-ball
+    # of f(x), at every knot and at random rationals of the domain
+    m, f, eps, t = case
+    cert = fm.certify_fuzzy_continuity(m, f, eps, t)
+    lo, hi = f.knots[0], f.knots[-1]
+    xs = [x for x in f.knots if x in f.domain] + [
+        lo + (hi - lo) * Fraction(k, 10**6)
+        for k in data.draw(st.lists(st.integers(1, 10**6), min_size=30, max_size=30))]
+    for x in xs:
+        image = f.image(m.ball_interval(fm.Interval.point(x), cert.delta, t) & f.domain)
+        target = m.ball_interval(fm.Interval.point(f.value(x)), eps, t)
+        assert image & target == image, (x, image, target)
 
 
-def test_certificate_failure_branch():
-    m, f = _SaturatingMetric(0.015, lo_open=False), systems.tent(2.0)
-    cert = fm.certify_fuzzy_continuity(m, f, 0.004, 1.0, 1e-2)
+def test_continuity_certificate_values():
+    # tent:2 under the standard metric: L = 2, exactly 1/9 at eps = 1/5;
+    # example43 under ratio-phi: K = 3/2, exactly eps/K; both a few ulp below
+    cert = fm.certify_fuzzy_continuity(fm.StandardFuzzyMetric(), systems.tent(2.0), 0.2, 1.0)
+    assert 1 / 9 - 1e-14 < cert.delta < 1 / 9
+    cert = fm.certify_fuzzy_continuity(fm.RatioPhiFuzzyMetric(), systems.example43_map(),
+                                       0.2, 1.0)
+    assert 0.2 / 1.5 - 1e-14 < cert.delta < 0.2 / 1.5
+
+
+def test_continuity_certificate_fails_where_float_errors_swamp_eps():
+    cert = fm.certify_fuzzy_continuity(fm.StandardFuzzyMetric(), systems.tent(2.0), 0.2, 1e-300)
     assert not cert.holds and cert.delta is None and cert.t_prime is None
-    assert cert.counterexample["source_nearness"] == 1.0
-    _same(cert, _dense_certificate(m, f, 0.004, 1.0, 1e-2))
-
-
-@settings(max_examples=100, deadline=None)
-@given(f=st.one_of(st.sampled_from([systems.tent(2.0), *_HALF_OPEN_MAPS]), _pl_maps()),
-       spread=st.sampled_from([0.0, 0.005, 0.01, 0.03]), eps=st.floats(1e-3, 0.2),
-       t=st.floats(0.05, 4.0), steps=st.integers(100, 334))
-def test_saturating_certificate_matches_dense_scan(f, spread, eps, t, steps):
-    m = _SaturatingMetric(spread, f.lo_open)
-    _same(fm.certify_fuzzy_continuity(m, f, eps, t, 1.0 / steps),
-          _dense_certificate(m, f, eps, t, 1.0 / steps))
 
 
 _FACTORS = st.one_of(st.sampled_from([0.1, 0.5, 1.0, 2.0]), st.floats(0.01, 2.0))
