@@ -206,16 +206,13 @@ class StandardFuzzyMetric(FuzzyMetric):
     def float_slack(self, f, t: float) -> Fraction:
         # a state error e moves t/(t + d) by less than e/t; evaluating f, or
         # rounding its argument to a float, errs by under
-        # 2 ulp(1) * (|slope * x| + |intercept| + |x|)
-        scale = max(abs(p.slope * x) + abs(p.intercept) + abs(x)
-                    for p in f.pieces for x in (p.lo, p.hi))
-        return 2 * _ULP * scale / Fraction(t)
+        # 2 ulp(1) * max(|slope * x| + |intercept| + |x|)
+        return 2 * _ULP * f.eval_scale / Fraction(t)
 
     def continuity_delta(self, f, eps: Fraction, t: float) -> Fraction:
         # |f(x) - f(y)| <= L|x - y| with L the largest |slope|, and a pair is
         # near at radius r iff |x - y| < t*r/(1 - r): L*d/(1 - d) = e/(1 - e)
-        lip = max(abs(p.slope) for p in f.pieces)
-        return eps / (eps + lip * (1 - eps))
+        return eps / (eps + f.lipschitz * (1 - eps))
 
 
 class _RatioBase(FuzzyMetric):
@@ -244,10 +241,9 @@ class _RatioBase(FuzzyMetric):
     def float_slack(self, f, t: float) -> Fraction:
         # a state's relative error e moves min/max by a factor within 1 +- 2e;
         # evaluating f at a normal float, or rounding its argument to one,
-        # errs relatively by under ulp(1) * (cond + 1)
-        cond = max((abs(p.slope) * x + abs(p.intercept)) / p.value(x)
-                   for p in f.pieces for x in (p.lo, p.hi) if p.value(x) > 0)
-        return 4 * _ULP * (cond + 1)
+        # errs relatively by under ulp(1) * (cond + 1), with
+        # cond = max (|slope| x + |intercept|) / f(x)
+        return 4 * _ULP * (f.relative_eval_scale + 1)
 
     def continuity_delta(self, f, eps: Fraction, t: float) -> Fraction:
         # distinct points are near at radius r iff phi*min/max > 1 - r; with
@@ -258,9 +254,7 @@ class _RatioBase(FuzzyMetric):
         # log f is K-Lipschitz in log x, so the images' min/max is at least
         # r**K for sources at r, and r**K >= 1 - K(1 - r) for K >= 1
         # (Bernoulli), r**K >= r for K <= 1
-        k = max(abs(p.slope) * x / p.value(x)
-                for p in f.pieces for x in (p.lo, p.hi) if p.value(x) > 0)
-        return (phi - 1 + eps) / max(k, 1) + 1 - phi
+        return (phi - 1 + eps) / max(f.log_lipschitz, 1) + 1 - phi
 
 
 class RatioPhiFuzzyMetric(_RatioBase):

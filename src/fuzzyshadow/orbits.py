@@ -294,25 +294,12 @@ def classical_ns_set(seq: OrbitSequence, x: float, f, eps: float) -> IndexSet:
     return _violations(_trace_scores(seq, x, f, classical_score), -eps)
 
 
-def _orbit_start(f, x: float, n: int) -> float:
-    """x as a float, after checking that it lies in the domain of f and that
-    the count n is nonnegative."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    v = float(x)
-    if not f.contains(v):
-        raise ValueError(f"{v!r} outside domain of {f.name}")
-    return v
-
-
 def orbit_states(f, x: float, n: int) -> np.ndarray:
-    """The first n states x, f(x), ..., f^(n-1)(x) of the true orbit of x."""
-    v = _orbit_start(f, x, n)
-    states = [v]
-    for _ in range(n - 1):
-        v = f.eval(v)
-        states.append(v)
-    return np.array(states[:n])
+    """The first n states x, f(x), ..., f^(n-1)(x) of the true orbit of x,
+    from the map's own orbit loop (IntervalMap.states), whose states are the
+    bits of the step-by-step IntervalMap.eval.  x and every state the map is
+    applied to must lie in the domain; the last state is not checked."""
+    return np.array(f.states(x, n))
 
 
 # -- density -------------------------------------------------------------------
@@ -409,26 +396,15 @@ def interleave_for_power(seq: OrbitSequence, k: int, f) -> OrbitSequence:
 
 
 def perturbed_orbit(f, x0: float, n: int, noise: float, seed: int = 0) -> OrbitSequence:
-    """Orbit of x0 with seeded uniform per-step noise, clipped to the domain."""
-    v = _orbit_start(f, x0, n)
+    """Orbit of x0 under the IntervalMap f with seeded uniform per-step
+    noise, clipped to the domain (see IntervalMap.perturbed_states)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if not (math.isfinite(noise) and noise >= 0.0):
         raise ValueError(f"noise must be finite and nonnegative, got {noise!r}")
     # one draw of n kicks is the stream of n scalar draws
     kicks = np.random.default_rng(seed).uniform(-noise, noise, n).tolist()
-    lo, hi = f.domain_lo, f.domain_hi
-    floor = lo + (hi - lo) * 1e-12 if f.lo_open else lo
-    states = [v]
-    for kick in kicks:
-        # min(hi, max(floor, v)) to the bit, without two builtin calls a step:
-        # max keeps its first argument unless the second is greater, min
-        # unless the second is less
-        v = f.eval(v) + kick
-        if not v > floor:
-            v = floor
-        if not v < hi:
-            v = hi
-        states.append(v)
-    return OrbitSequence(np.array(states), provenance="perturbed")
+    return OrbitSequence(f.perturbed_states(x0, kicks), provenance="perturbed")
 
 
 # -- chains over float-safe reach intervals ---------------------------------------

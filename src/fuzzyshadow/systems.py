@@ -12,11 +12,12 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .fuzzy_metric import Interval, interval_grid
-from .orbits import OrbitSequence, orbit_states
+from .orbits import OrbitSequence
 
 
 class ConstructionError(RuntimeError):
@@ -56,6 +57,8 @@ class IntervalMap:
         self._validate_self_map()
         self.domain_lo = float(self.knots[0])
         self.domain_hi = float(self.knots[-1])
+        # the least float of the domain: contains(v) is least <= v <= domain_hi
+        self._least = math.nextafter(self.domain_lo, math.inf) if self.lo_open else self.domain_lo
         # float mirrors for evaluation: numpy arrays for eval_array, Python
         # lists for the scalar eval, which pays no numpy per-call overhead
         self._breaks = np.array([float(p.hi) for p in self.pieces[:-1]])
@@ -80,6 +83,34 @@ class IntervalMap:
         image = self.image(self.domain)
         if image & self.domain != image:
             raise ValueError(f"image {image} of {self.name} leaves its domain {self.domain}")
+
+    # -- exact constants the metrics' closed forms read, kept once computed -----
+
+    @cached_property
+    def lipschitz(self) -> Fraction:
+        """L = max |slope|: |f(x) - f(y)| <= L |x - y|."""
+        return max(abs(p.slope) for p in self.pieces)
+
+    @cached_property
+    def eval_scale(self) -> Fraction:
+        """max |slope x| + |intercept| + |x| over the piece ends: the scale of
+        eval's absolute float error."""
+        return max(abs(p.slope * x) + abs(p.intercept) + abs(x) for p, x, _ in self._ends())
+
+    @cached_property
+    def log_lipschitz(self) -> Fraction:
+        """K = max |slope| x / f(x) over the piece ends with f(x) > 0."""
+        return max(abs(p.slope) * x / y for p, x, y in self._ends() if y > 0)
+
+    @cached_property
+    def relative_eval_scale(self) -> Fraction:
+        """max (|slope| x + |intercept|) / f(x) over the piece ends with
+        f(x) > 0: the scale of eval's relative float error."""
+        return max((abs(p.slope) * x + abs(p.intercept)) / y for p, x, y in self._ends() if y > 0)
+
+    def _ends(self):
+        """Each piece with each of its ends x and f(x) there."""
+        return ((p, x, p.value(x)) for p in self.pieces for x in (p.lo, p.hi))
 
     # -- domain ----------------------------------------------------------------
 
@@ -170,21 +201,63 @@ class IntervalMap:
                 parts.append(part)
         return parts
 
+    def states(self, x: float, n: int) -> list[float]:
+        """The first n states x, f(x), ..., f^(n-1)(x) of the float orbit of
+        x, each the bits eval gives.  x and every state the map is applied to
+        must lie in the domain, and the first one outside raises eval's
+        ValueError; the last state is not checked."""
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        v = float(x)
+        least, hi = self._least, self.domain_hi
+        if not least <= v <= hi:
+            raise ValueError(f"{v!r} outside domain of {self.name}")
+        out = [v] if n else []
+        append, bisect, breaks, coeffs = out.append, bisect_left, self._break_list, self._coeffs
+        for _ in range(n - 1):
+            if not least <= v <= hi:
+                raise ValueError(f"{v!r} outside domain of {self.name}")
+            slope, intercept = coeffs[bisect(breaks, v)]
+            v = slope * v + intercept
+            append(v)
+        return out
+
+    def perturbed_states(self, x: float, kicks) -> list[float]:
+        """x, then per kick the state f(previous) + kick clamped to the domain
+        (above an open lower end, to 1e-12 of its length); f steps and the
+        domain is checked as in states."""
+        v = float(x)
+        least, lo, hi = self._least, self.domain_lo, self.domain_hi
+        if not least <= v <= hi:
+            raise ValueError(f"{v!r} outside domain of {self.name}")
+        floor = lo + (hi - lo) * 1e-12 if self.lo_open else lo
+        out = [v]
+        append, bisect, breaks, coeffs = out.append, bisect_left, self._break_list, self._coeffs
+        for kick in kicks:
+            if not least <= v <= hi:
+                raise ValueError(f"{v!r} outside domain of {self.name}")
+            slope, intercept = coeffs[bisect(breaks, v)]
+            # min(hi, max(floor, v)) to the bit, without two builtin calls a
+            # step: max keeps its first argument unless the second is
+            # greater, min unless the second is less
+            v = slope * v + intercept + kick
+            if not v > floor:
+                v = floor
+            if not v < hi:
+                v = hi
+            append(v)
+        return out
+
     def iterate(self, x: float, n: int) -> float:
         if n < 0:
             raise ValueError("iteration count must be nonnegative")
-        v = float(x)
-        if not self.contains(v):
-            raise ValueError(f"{v!r} outside domain of {self.name}")
-        for _ in range(n):
-            v = self.eval(v)
-        return v
+        return self.states(x, n + 1)[-1]
 
     def orbit(self, x: float, n: int) -> OrbitSequence:
         """States x, f(x), ..., f^n(x) as a true-orbit sequence."""
         if n < 0:
             raise ValueError("iteration count must be nonnegative")
-        return OrbitSequence(orbit_states(self, x, n + 1), provenance="true-orbit")
+        return OrbitSequence(self.states(x, n + 1), provenance="true-orbit")
 
     def fixed_points(self) -> tuple[float, ...]:
         """Solve slope*x + intercept = x exactly on each piece."""
@@ -283,7 +356,8 @@ def _verify_perturbation(f: IntervalMap, g: IntervalMap, alpha: Fraction) -> Non
 
 
 class IteratedMap:
-    """k-fold composition of a map, exposing the same evaluation surface."""
+    """k-fold composition of a map, exposing the same evaluation surface;
+    its scalar orbits stride the base map's, whose errors name the base."""
 
     def __init__(self, base: IntervalMap, k: int):
         if k < 1:
@@ -311,6 +385,12 @@ class IteratedMap:
 
     def iterate(self, x: float, n: int) -> float:
         return self.base.iterate(x, self.k * n)
+
+    def states(self, x: float, n: int) -> list[float]:
+        """x, f^k(x), ..., f^((n-1)k)(x): every k-th state of the base orbit."""
+        if n < 1:  # the base checks n and x
+            return self.base.states(x, n)
+        return self.base.states(x, (n - 1) * self.k + 1)[::self.k]
 
 
 def map_from_spec(spec: str) -> IntervalMap:

@@ -4,14 +4,19 @@ that changes how often a wrapped method is called per unit of work makes its
 traced counts incomparable with earlier runs."""
 
 import inspect
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fuzzyshadow import fuzzy_metric, orbits
 from fuzzyshadow.fuzzy_metric import StandardFuzzyMetric
-from fuzzyshadow.systems import IntervalMap, tent
+from fuzzyshadow.systems import IntervalMap, IteratedMap, Piece, example43_map, tent
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
@@ -27,29 +32,126 @@ def test_traced_names_exist_on_their_owners():
     assert not missing, f"traced names missing: {missing}"
 
 
-class _CountingMap(IntervalMap):
-    """Counts scalar evaluations, the calls the traced systems.eval span sees."""
-
-    calls = 0
-
-    def eval(self, x):
-        self.calls += 1
-        return super().eval(x)
-
-
-def _counting_tent():
-    base = tent(2.0)
-    return _CountingMap(base.pieces, base.lo_open, base.name)
+def _pl_map(knots, values, lo_open=False, name="map"):
+    """The continuous map through the points (knots[i], values[i])."""
+    pieces = []
+    for x0, x1, y0, y1 in zip(knots, knots[1:], values, values[1:]):
+        slope = (y1 - y0) / (x1 - x0)
+        pieces.append(Piece(x0, x1, slope, y0 - slope * x0))
+    return IntervalMap(pieces, lo_open=lo_open, name=name)
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 300])
-def test_scalar_orbits_evaluate_once_per_step(n):
-    f = _counting_tent()
-    orbits.orbit_states(f, 0.3, n)
-    assert f.calls == max(n - 1, 0)
-    f = _counting_tent()
-    orbits.perturbed_orbit(f, 0.3, n, 0.01, seed=2)
-    assert f.calls == n
+# in floats f(0.233) = -1.1e-16, outside the domain
+_LEAKY = _pl_map([Fraction(0), Fraction(233, 1000), Fraction(241, 250), Fraction(1)],
+                 [Fraction(2, 3), Fraction(0), Fraction(2, 3), Fraction(1, 3)], name="leaky")
+
+
+@st.composite
+def _cut_maps(draw):
+    """Continuous maps of [0, 1] or (0, 1] with knots and values on 1/1000."""
+    lo_open = draw(st.booleans())
+    cuts = sorted(draw(st.sets(st.integers(1, 999), max_size=5)))
+    # values at the domain's ends often, where float images can leave it
+    value = st.one_of(st.sampled_from([int(lo_open), 1000]), st.integers(int(lo_open), 1000))
+    values = draw(st.lists(value, min_size=len(cuts) + 2, max_size=len(cuts) + 2))
+    return _pl_map([Fraction(k, 1000) for k in (0, *cuts, 1000)],
+                   [Fraction(v, 1000) for v in values], lo_open)
+
+
+@st.composite
+def _orbit_cases(draw):
+    """(map, start, count): the leaky map, example43 with its open end,
+    tent:2 and random maps, with starts anywhere in the domain, at or next
+    to a breakpoint, at a domain end or just outside."""
+    f = draw(st.one_of(st.sampled_from([_LEAKY, example43_map(), tent(2.0)]), _cut_maps()))
+    breaks = [float(p.hi) for p in f.pieces[:-1]]
+    special = [f.domain_lo, f.domain_hi, math.nextafter(f.domain_lo, math.inf),
+               math.nextafter(f.domain_hi, math.inf), -0.0, *breaks,
+               *(math.nextafter(b, side) for b in breaks for side in (-math.inf, math.inf))]
+    x = draw(st.one_of(st.sampled_from(special), st.floats(f.domain_lo, f.domain_hi)))
+    return f, x, draw(st.one_of(st.integers(0, 12), st.integers(13, 300)))
+
+
+def _reference_states(f, x, n, k=1):
+    """x, f^k(x), ..., f^((n-1)k)(x), stepped by IntervalMap.eval, with the
+    start checked as eval checks a state."""
+    v = float(x)
+    if not f.contains(v):
+        raise ValueError(f"{v!r} outside domain of {f.name}")
+    out = [v]
+    for _ in range(n - 1):
+        for _ in range(k):
+            v = f.eval(v)
+        out.append(v)
+    return out[:n]
+
+
+def _reference_perturbed(f, x, n, noise, seed):
+    lo, hi = f.domain_lo, f.domain_hi
+    floor = lo + (hi - lo) * 1e-12 if f.lo_open else lo
+    out = _reference_states(f, x, 1)
+    for kick in np.random.default_rng(seed).uniform(-noise, noise, n).tolist():
+        out.append(min(hi, max(floor, f.eval(out[-1]) + kick)))
+    return out
+
+
+def _outcome(call):
+    """The bits of the states a call returns, or the message it raises."""
+    try:
+        result = call()
+    except ValueError as exc:
+        return str(exc)
+    states = np.atleast_1d(np.asarray(getattr(result, "states", result), dtype=float))
+    return [v.hex() for v in states.tolist()]
+
+
+def test_the_last_state_is_not_checked():
+    # f(0.233) leaves the domain in floats: it may end an orbit, but the map
+    # is not applied to it
+    assert orbits.orbit_states(_LEAKY, 0.233, 2).tolist() == [0.233, -2.0**-53]
+    with pytest.raises(ValueError, match=r"^-1\.1102230246251565e-16 outside domain of leaky$"):
+        orbits.orbit_states(_LEAKY, 0.233, 3)
+
+
+# the benchmark re-checks orbits with IntervalMap.eval: every orbit loop
+# gives its bits and raises its error at the same state
+
+
+@example(case=(_LEAKY, 0.233, 2), k=1)
+@example(case=(_LEAKY, 0.233, 3), k=1)
+@example(case=(_LEAKY, 0.233, 2), k=2)
+# f(x) = 0.233 in floats, so the power map's orbit ends outside the domain
+@example(case=(_LEAKY, 0.48848450000000004, 2), k=2)
+@example(case=(example43_map(), 0.0, 5), k=2)
+@settings(max_examples=300, deadline=None)
+@given(case=_orbit_cases(), k=st.integers(1, 4))
+def test_true_orbits_match_the_eval_reference(case, k):
+    f, x, n = case
+    ref = _outcome(lambda: _reference_states(f, x, n))
+    assert _outcome(lambda: orbits.orbit_states(f, x, n)) == ref
+    assert _outcome(lambda: f.states(x, n)) == ref
+    if n:
+        assert _outcome(lambda: f.orbit(x, n - 1)) == ref
+        last = ref[-1:] if isinstance(ref, list) else ref
+        assert _outcome(lambda: f.iterate(x, n - 1)) == last
+    assert _outcome(lambda: orbits.orbit_states(IteratedMap(f, k), x, n)) == _outcome(
+        lambda: _reference_states(f, x, n, k))
+
+
+# (1, 1.0001] is so narrow that its clamp floor rounds to the open end
+_NARROW = _pl_map([Fraction(1), Fraction(10001, 10000)], [Fraction(1), Fraction(10001, 10000)],
+                  lo_open=True, name="narrow")
+
+
+@example(case=(example43_map(), 5e-324, 50), noise=0.5, seed=1)
+@example(case=(_NARROW, 1.00005, 5), noise=0.5, seed=0)
+@settings(max_examples=300, deadline=None)
+@given(case=_orbit_cases(), noise=st.sampled_from([0.0, 1e-3, 0.1, 0.5]),
+       seed=st.integers(0, 99))
+def test_perturbed_orbits_match_the_eval_reference(case, noise, seed):
+    f, x, n = case
+    assert _outcome(lambda: orbits.perturbed_orbit(f, x, n, noise, seed)) == _outcome(
+        lambda: _reference_perturbed(f, x, n, noise, seed))
 
 
 @pytest.mark.parametrize("name", _CHAIN_OPS)

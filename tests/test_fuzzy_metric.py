@@ -216,6 +216,24 @@ def test_certify_identity(standard_metric):
     assert cert.t_prime == 1.0
 
 
+@pytest.mark.parametrize("f", [tent(2.0), tent(math.sqrt(2)), tent(1.6), example43_map(),
+                               perturbation_g(1 / 256)], ids=lambda f: f.name)
+def test_map_constants_are_exact_piece_end_maxima_kept_once(f):
+    ends = [(p, x) for p in f.pieces for x in (p.lo, p.hi)]
+    positive = [(p, x) for p, x in ends if p.value(x) > 0]
+    want = {
+        "lipschitz": max(abs(p.slope) for p in f.pieces),
+        "log_lipschitz": max(abs(p.slope) * x / p.value(x) for p, x in positive),
+        "eval_scale": max(abs(p.slope * x) + abs(p.intercept) + abs(x) for p, x in ends),
+        "relative_eval_scale": max((abs(p.slope) * x + abs(p.intercept)) / p.value(x)
+                                   for p, x in positive),
+    }
+    for name, value in want.items():
+        got = getattr(f, name)
+        assert type(got) is Fraction and got == value
+        assert getattr(f, name) is got  # computed on first use, then kept
+
+
 def test_certify_concrete_maps(ratio_phi_metric, ratio_metric, three_piece):
     cert = fm.certify_fuzzy_continuity(ratio_phi_metric, three_piece, eps=0.2, t=1.0)
     assert cert.holds and cert.delta > 0

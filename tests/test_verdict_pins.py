@@ -415,13 +415,17 @@ def test_probe_stops_exactly_at_violations(start):
 
 
 class _CountingMap(systems.IntervalMap):
-    """Counts the map points evaluated, scalar and batch."""
+    """Counts the map points evaluated: scalar, orbit steps and batch."""
 
     points = 0
 
     def eval(self, x):
         self.points += 1
         return super().eval(x)
+
+    def states(self, x, n):
+        self.points += max(n - 1, 0)
+        return super().states(x, n)
 
     def eval_array(self, xs):
         out = super().eval_array(xs)
