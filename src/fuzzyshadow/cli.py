@@ -17,11 +17,16 @@ including numeric parameters out of range, and 3 when a witness or a chain
 fails its independent re-check.
 Reports are deterministic JSON (no timestamps); stdout carries one summary
 line per run.  Map graphs are emitted as self-contained SVG.
+
+``main`` parses with one parser, built on its first call and kept for the
+life of the process, so a caller that runs several commands in one process
+builds it once; ``build_parser`` still returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -157,9 +162,9 @@ def _case_remark_4_2(seed: int) -> tuple[bool, dict, dict]:
     per_beta = {}
     passed = True
     entries = []
+    horizon = fm.uniform_horizon(metric, 0.1, resolution=1e-2)
     for label, beta in betas.items():
         f = systems.tent(beta)
-        horizon = fm.uniform_horizon(metric, 0.1, resolution=1e-2)
         orbit = orbits.perturbed_orbit(f, x0=0.3, n=1000, noise=0.05, seed=seed)
         verdict = shadowing.shadow_search(orbit, f, metric, eps=0.1, t0=horizon)
         ok = horizon is not None and abs(horizon - 9.0) <= 1e-6 and verdict.found
@@ -601,15 +606,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orbit", required=True)
     p.add_argument("--eps-list", dest="epss", type=_list_of(_UNIT), required=True)
     p.add_argument("--delta-list", dest="deltas", type=_list_of(_UNIT), required=True)
-    p.add_argument("--t0-list", dest="t0s", type=_list_of(_POSITIVE), default=[1.0])
+    p.add_argument("--t0-list", dest="t0s", type=_list_of(_POSITIVE), default=(1.0,))
     p.set_defaults(func=_cmd_sweep)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, systems.ConstructionError) as exc:

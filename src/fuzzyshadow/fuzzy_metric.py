@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .reports import AxiomReport, record, sweep_chunks
+from .reports import AxiomReport, record, require_samples, sweep_chunks
 from .tnorm import TNorm
 
 TOLERANCE = 1e-12
@@ -344,7 +344,9 @@ def check_axioms(m: FuzzyMetric, samples: int = 10_000, seed: int = 0) -> AxiomR
 
     The sample range is scanned vectorized, a chunk at a time
     (``sweep_chunks``); failures report the lowest-index counterexample.
+    At most ``reports.MAX_SAMPLES`` samples.
     """
+    require_samples(samples)
     rng = np.random.default_rng(seed)
     x = m.sample_states(rng, samples)
     y = m.sample_states(rng, samples)

@@ -50,6 +50,17 @@ class AxiomReport:
         }
 
 
+#: Most samples an axiom harness draws, the bound grids have too
+#: (``fuzzy_metric.MAX_GRID_POINTS``): each sample column takes 80 MB.
+MAX_SAMPLES = 10**7
+
+
+def require_samples(samples: int) -> None:
+    """Reject a sample count above MAX_SAMPLES before anything is allocated."""
+    if not samples <= MAX_SAMPLES:
+        raise ValueError(f"too many samples: {samples}, more than {MAX_SAMPLES}")
+
+
 # Samples per chunk of an axiom sweep.  A chunk's float arrays (96 KiB) stay
 # under glibc's default mmap threshold (128 KiB), so their temporaries are
 # reused from the heap.  Whole-sample arrays would each be mapped and faulted

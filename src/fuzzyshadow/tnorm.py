@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reports import AxiomReport, record, sweep_chunks
+from .reports import AxiomReport, record, require_samples, sweep_chunks
 
 TOLERANCE = 1e-12
 _BISECTION_STEPS = 64
@@ -32,7 +32,10 @@ class TNorm:
         """Aggregate two membership degrees in [0, 1]."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        if np.any(a < 0.0) or np.any(a > 1.0) or np.any(b < 0.0) or np.any(b > 1.0):
+        # Reductions build no bool temporaries, and a NaN fails every comparison;
+        # ``initial`` keeps empty arrays valid.
+        if not (a.min(initial=0.0) >= 0.0 and a.max(initial=1.0) <= 1.0
+                and b.min(initial=0.0) >= 0.0 and b.max(initial=1.0) <= 1.0):
             raise ValueError("t-norm arguments must lie in [0, 1]")
         if self.kind == "product":
             out = a * b
@@ -51,14 +54,14 @@ class TNorm:
         """
         r1 = np.asarray(r1, dtype=float)
         r2 = np.asarray(r2, dtype=float)
-        if np.any(r1 >= 1.0) or np.any(r2 <= 0.0) or np.any(r1 <= r2):
+        if not (np.all(r1 < 1.0) and np.all(r2 > 0.0) and np.all(r1 > r2)):
             raise ValueError("residuation requires 1 > r1 > r2 > 0")
         return self._bisect(lambda b: self.apply(r1, b) >= r2, np.broadcast(r1, r2).shape)
 
     def square_root(self, r4):
         """Smallest b with apply(b, b) >= r4, given r4 in (0, 1)."""
         r4 = np.asarray(r4, dtype=float)
-        if np.any(r4 <= 0.0) or np.any(r4 >= 1.0):
+        if not (np.all(r4 > 0.0) and np.all(r4 < 1.0)):
             raise ValueError("square_root requires r4 in (0, 1)")
         return self._bisect(lambda b: self.apply(b, b) >= r4, r4.shape)
 
@@ -81,8 +84,9 @@ def check_axioms(t: TNorm, samples: int = 10_000, seed: int = 0) -> AxiomReport:
     within TOLERANCE, identity and monotonicity exactly, and continuity via
     the 1-Lipschitz bound all three kinds satisfy.  The sample range is
     evaluated vectorized, a chunk at a time (``sweep_chunks``); the reported
-    counterexample is the lowest-index one.
+    counterexample is the lowest-index one.  At most ``reports.MAX_SAMPLES`` samples.
     """
+    require_samples(samples)
     rng = np.random.default_rng(seed)
     a, b, c, d = rng.uniform(0.0, 1.0, size=(4, samples))
     h = 1e-7

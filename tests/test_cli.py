@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import fuzzyshadow
 from fuzzyshadow import orbits, shadowing
-from fuzzyshadow.cli import main
+from fuzzyshadow.cli import build_parser, main
 from fuzzyshadow.fuzzy_metric import Ball, StandardFuzzyMetric
 from fuzzyshadow.orbits import perturbed_orbit
 from fuzzyshadow.systems import example43_map, tent
@@ -158,6 +159,56 @@ def test_reproduce_case(tmp_path):
     assert report["passed"] is True
     svg = (tmp_path / "example-4.3c.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+
+def _run_in_process(argv, out, capsys):
+    """Exit code, stdout and every report's bytes of one in-process call."""
+    rc = main(argv + ["--out", str(out)])
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return rc, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-tnorm", "product"],
+    ["reproduce", "example-4.3b"],
+    ["sweep", "--map", "tent:2", "--metric", "standard", "--orbit", "ORBIT",
+     "--eps-list", "0.1", "--delta-list", "0.05"],  # the default --t0-list
+], ids=lambda argv: " ".join(argv[:2]))
+def test_repeated_calls_in_one_process_agree(tmp_path, capsys, orbit_file, argv):
+    argv = [orbit_file if a == "ORBIT" else a for a in argv]
+    first = _run_in_process(argv, tmp_path / "out", capsys)
+    assert first == _run_in_process(argv, tmp_path / "out", capsys)
+    # a usage error in between leaves the parser as it was
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--bogus"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    assert first == _run_in_process(argv, tmp_path / "out", capsys)
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    argv = ["check-tnorm", "minimum", "--samples", "10", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == 0
+    assert built == []
+    # build_parser still builds a fresh parser on every call
+    assert build_parser() is not build_parser()
+    assert built
+
+
+def test_sweep_default_t0_list_is_immutable():
+    args = build_parser().parse_args(["sweep", "--map", "tent:2", "--metric", "standard",
+                                      "--orbit", "o.csv", "--eps-list", "0.1",
+                                      "--delta-list", "0.1"])
+    assert args.t0s == (1.0,)
 
 
 def test_module_entrypoint_help():

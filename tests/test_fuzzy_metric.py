@@ -137,6 +137,12 @@ def test_grid_point_count_is_capped(tent2):
         tent2.grid(1e-12)
 
 
+def test_check_axioms_sample_count_is_capped(standard_metric):
+    # fails before any sample is drawn
+    with pytest.raises(ValueError, match="too many samples: 10000001, more than 10000000"):
+        fm.check_axioms(standard_metric, samples=reports.MAX_SAMPLES + 1)
+
+
 @pytest.mark.parametrize("lo, hi, resolution", [
     (-1e308, 1e308, 0.1),  # hi - lo overflows
     (0.0, 1e300, 1e-10),  # the step count overflows

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fuzzyshadow.reports import MAX_SAMPLES
 from fuzzyshadow.tnorm import KINDS, TOLERANCE, TNorm, check_axioms
 
 ALL = [TNorm(k) for k in KINDS]
@@ -26,6 +27,25 @@ def test_apply_domain_errors(t):
         t.apply(-0.1, 0.5)
     with pytest.raises(ValueError):
         t.apply(0.5, 1.2)
+
+
+@pytest.mark.parametrize("t", ALL, ids=KINDS)
+def test_nan_arguments_rejected(t):
+    nan = float("nan")
+    with pytest.raises(ValueError, match="must lie in"):
+        t.apply(nan, 0.5)
+    with pytest.raises(ValueError, match="must lie in"):
+        t.apply(np.array([0.2, 0.4]), np.array([0.5, nan]))
+    with pytest.raises(ValueError, match="residuation requires"):
+        t.residuate(nan, 0.5)
+    with pytest.raises(ValueError, match="residuation requires"):
+        t.residuate(0.9, np.array([0.5, nan]))
+    with pytest.raises(ValueError, match="square_root requires"):
+        t.square_root(nan)
+
+
+def test_apply_accepts_empty_arrays():
+    assert TNorm("product").apply(np.array([]), np.array([])).shape == (0,)
 
 
 def test_unknown_kind_rejected():
@@ -120,3 +140,9 @@ def test_check_axioms_report(kind):
     payload = report.to_dict()
     assert payload["all_passed"] is True
     assert len(payload["checks"]) == 5
+
+
+def test_check_axioms_sample_count_is_capped():
+    # fails before any sample is drawn
+    with pytest.raises(ValueError, match="too many samples"):
+        check_axioms(TNorm("product"), samples=MAX_SAMPLES + 1)
