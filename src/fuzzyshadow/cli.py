@@ -35,18 +35,6 @@ from . import fuzzy_metric as fm
 from . import orbits, shadowing, systems, tnorm
 from .reports import json_text
 
-REPRODUCE_CASES = (
-    "example-4.1",
-    "remark-4.2",
-    "example-4.3a",
-    "example-4.3b",
-    "example-4.3c",
-    "example-4.3d",
-    "example-4.4",
-    "theorem-3.3-density",
-)
-
-
 # -- small helpers ---------------------------------------------------------------
 
 
@@ -133,7 +121,7 @@ _CROSSING_DELTA = 0.01
 def _case_example_4_1(seed: int) -> tuple[bool, dict, dict]:
     f = systems.tent(2.0)
     metric = fm.StandardFuzzyMetric()
-    horizon = fm.uniform_horizon(metric, 0.1, resolution=1e-2)
+    horizon = fm.uniform_horizon(metric, 0.1)
     orbit = orbits.perturbed_orbit(f, x0=0.3, n=1000, noise=0.05, seed=seed)
     valid = orbits.validate_f_pseudo_orbit(orbit, f, metric, 0.01, horizon).is_empty
     verdict = shadowing.shadow_search(orbit, f, metric, eps=0.1, t0=horizon)
@@ -162,7 +150,7 @@ def _case_remark_4_2(seed: int) -> tuple[bool, dict, dict]:
     per_beta = {}
     passed = True
     entries = []
-    horizon = fm.uniform_horizon(metric, 0.1, resolution=1e-2)
+    horizon = fm.uniform_horizon(metric, 0.1)
     for label, beta in betas.items():
         f = systems.tent(beta)
         orbit = orbits.perturbed_orbit(f, x0=0.3, n=1000, noise=0.05, seed=seed)
@@ -197,8 +185,8 @@ def _case_example_4_3a(seed: int) -> tuple[bool, dict, dict]:
 
 def _case_example_4_3b(seed: int) -> tuple[bool, dict, dict]:
     f = systems.example43_map()
-    metric = fm.StandardFuzzyMetric(lo=0.0, hi=1.0, lo_open=True)
-    horizon = fm.uniform_horizon(metric, _EPS_FIFTH, resolution=1e-2)
+    metric = fm.StandardFuzzyMetric()
+    horizon = fm.uniform_horizon(metric, _EPS_FIFTH)
     seq = shadowing.build_nonshadowable_orbit(_CROSSING_DELTA)
     verdict = shadowing.shadow_search(seq, f, metric, eps=_EPS_FIFTH, t0=horizon)
     passed = horizon is not None and verdict.found
@@ -321,6 +309,7 @@ _CASE_HANDLERS = {
     "example-4.4": _case_example_4_4,
     "theorem-3.3-density": _case_theorem_3_3_density,
 }
+REPRODUCE_CASES = tuple(_CASE_HANDLERS)
 
 
 # -- command handlers ------------------------------------------------------------------
@@ -470,16 +459,19 @@ def _cmd_density(args) -> int:
 def _cmd_sweep(args) -> int:
     f, metric = _map_and_metric(args)
     seq = orbits.OrbitSequence.from_csv(args.orbit)
+    # a witness does not depend on delta, so each (eps, t0) is searched once
+    witnesses = {}
     rows = []
     for delta in args.deltas:
         for t0 in args.t0s:
             valid = orbits.validate_f_pseudo_orbit(seq, f, metric, delta, t0).is_empty
             for eps in args.epss:
-                verdict = shadowing.shadow_search(seq, f, metric, eps=eps, t0=t0,
-                                                  resolution=args.grid)
+                if (eps, t0) not in witnesses:
+                    witnesses[eps, t0] = shadowing.shadow_search(
+                        seq, f, metric, eps=eps, t0=t0, resolution=args.grid).witness
                 rows.append({
                     "delta": delta, "t0": t0, "eps": eps,
-                    "orbit_valid": valid, "witness": verdict.witness,
+                    "orbit_valid": valid, "witness": witnesses[eps, t0],
                 })
     payload = {"command": "sweep", "map": args.map_spec, "metric": args.metric,
                "orbit": args.orbit, "grid": args.grid, "rows": rows}

@@ -27,8 +27,8 @@ TOLERANCE = 1e-12
 # spacing of the floats in [1, 2)
 _ULP = Fraction(2.0**-52)
 
-#: Geometric horizon candidates the uniform-horizon search brackets with:
-#: 2**-20 .. 2**40.
+#: Geometric horizons 2**-20 .. 2**40, which no search here uses: kept for
+#: the benchmark's horizon check and the tests' grid-reference horizon.
 HORIZON_LADDER = tuple(2.0**k for k in range(-20, 41))
 
 METRIC_NAMES = ("standard", "ratio-phi", "ratio")
@@ -126,8 +126,10 @@ class FuzzyMetric:
     in rounding a state move a ball's edge; and ``continuity_delta(f, eps,
     t)``, an exact radius delta such that f maps every pair nearer than
     1 - delta at horizon t to one nearer than 1 - eps at t, for eps in
-    (0, 1).  This class owns domain validation, grids, and seeded state
-    sampling.
+    (0, 1); and ``horizon_bound(eps)``, the least horizon above which every
+    pair of floats of the space, at its float distance, is nearer than
+    1 - eps, or None.  This class owns domain validation, grids, and seeded
+    state sampling.
     """
 
     name = "base"
@@ -214,6 +216,17 @@ class StandardFuzzyMetric(FuzzyMetric):
         # near at radius r iff |x - y| < t*r/(1 - r): L*d/(1 - d) = e/(1 - e)
         return eps / (eps + f.lipschitz * (1 - eps))
 
+    def horizon_bound(self, eps: Fraction) -> Fraction | None:
+        # rounding is monotone, so no two floats of the space are farther
+        # apart in floats than d = fl(hi - least), and t/(t + d) > 1 - eps iff
+        # t > d(1 - eps)/eps; the kernel forms t + d = d/eps, which must stay
+        # a float with room to spare (half the largest)
+        least = math.nextafter(self.lo, math.inf) if self.lo_open else self.lo
+        d = self.hi - least
+        if not d / float(eps) < 2.0**1023:
+            return None
+        return Fraction(d) * (1 - eps) / eps
+
 
 class _RatioBase(FuzzyMetric):
     """min/max ratio on (0, 1], damped by the horizon weight min(t, 1) when
@@ -255,6 +268,11 @@ class _RatioBase(FuzzyMetric):
         # r**K for sources at r, and r**K >= 1 - K(1 - r) for K >= 1
         # (Bernoulli), r**K >= r for K <= 1
         return (phi - 1 + eps) / max(f.log_lipschitz, 1) + 1 - phi
+
+    def horizon_bound(self, eps: Fraction) -> None:
+        # (0, 1] holds the floats 5e-324 and 1, and distinct points have
+        # M <= min/max, so no horizon makes every pair near
+        return None
 
 
 class RatioPhiFuzzyMetric(_RatioBase):
@@ -387,47 +405,34 @@ def check_axioms(m: FuzzyMetric, samples: int = 10_000, seed: int = 0) -> AxiomR
                        checks=tuple(checks))
 
 
-# -- horizon search ----------------------------------------------------------
+# -- uniform horizon -----------------------------------------------------------
 
 
 def uniform_horizon(m: FuzzyMetric, eps: float, resolution: float = 1e-2) -> float | None:
-    """Least horizon making every grid pair closer than 1 - eps, if one exists.
+    """A horizon at which the float kernel puts every pair of floats of the
+    space of m above 1 - eps, in closed form (see ``horizon_bound``): under
+    the standard metric d (1 - eps) / eps, with d = fl(hi - least) and least
+    the least float of the space; under the ratio metrics None.
 
-    Scans the geometric ladder for a bracketing rung, then bisects down to the
-    boundary; returns a horizon satisfying the strict bound, or None when even
-    the largest rung fails (horizon-independent metrics with spread-out grids).
-
-    Every metric here is monotone in the spread of a pair (|x - y|, or the
-    min/max ratio), and so is its float evaluation, so the least nearness over
-    the grid pairs is exactly that of the diameter pair, the only one checked.
+    It is float-safe: the bound is taken at e = eps less 4 ulp(1) and
+    rounded up to t, so t/(t + d) >= 1 - e.  The kernel rounds t + d and the
+    quotient, each by a relative 2**-53, so it gives at least
+    (1 - e)(1 - 2**-52) > 1 - eps + 2**-52, above fl(1 - eps); every other
+    pair is nearer, as the kernel is monotone in the distance.  So t exceeds
+    d (1 - eps) / eps by a relative 4 ulp(1) / (e (1 - eps)), besides the
+    rounding up.  None also when e <= 0, when the space is too wide, or when
+    it holds one float.
+    ``resolution`` is unused.  It stays third, with its 1e-2 default, only
+    because perfbench/ passes grids there, by position and by name.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    pts = m.grid(resolution)
-    first, last = pts[0], pts[-1]
-    target = 1.0 - eps
-
-    def passes(t: float) -> bool:
-        return bool(m.eval_array(first, last, t) > target)
-
-    lo = 0.0
-    hi = None
-    for rung in HORIZON_LADDER:
-        if passes(rung):
-            hi = rung
-            break
-        lo = rung
-    if hi is None:
+    e = Fraction(eps) - 4 * _ULP
+    bound = m.horizon_bound(e) if e > 0 else None
+    if not bound:  # None, or 0 on a space of one float
         return None
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid <= 0.0:
-            break
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    t = float(bound)
+    return t if t >= bound else math.nextafter(t, math.inf)
 
 
 # -- continuity certification --------------------------------------------------

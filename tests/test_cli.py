@@ -142,6 +142,30 @@ def test_sweep_command(tmp_path, orbit_file):
         "delta,t0,eps,orbit_valid,witness"
 
 
+def test_sweep_searches_each_eps_and_t0_once(tmp_path, orbit_file, monkeypatch):
+    epss, deltas, t0s = (0.05, 0.1, 0.2), (0.01, 0.05), (1.0, 9.5)
+    f, m = tent(2.0), StandardFuzzyMetric()
+    seq = orbits.OrbitSequence.from_csv(orbit_file)
+    # the rows as a search per (delta, t0, eps) gives them
+    expected = [{"delta": delta, "t0": t0, "eps": eps,
+                 "orbit_valid": orbits.validate_f_pseudo_orbit(seq, f, m, delta, t0).is_empty,
+                 "witness": shadowing.shadow_search(seq, f, m, eps, t0).witness}
+                for delta in deltas for t0 in t0s for eps in epss]
+    calls = []
+    search = shadowing.shadow_search
+
+    def counting_search(*args, **kwargs):
+        calls.append(kwargs)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(shadowing, "shadow_search", counting_search)
+    assert main(["sweep", "--map", "tent:2", "--metric", "standard", "--orbit", orbit_file,
+                 "--eps-list", "0.05,0.1,0.2", "--delta-list", "0.01,0.05",
+                 "--t0-list", "1,9.5", "--out", str(tmp_path)]) == 0
+    assert len(calls) == len(epss) * len(t0s)
+    assert read_report(tmp_path, "sweep.json")["rows"] == expected
+
+
 def test_malformed_orbit_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("index,value\n0,0.3\nbad,row\n")

@@ -124,11 +124,47 @@ def test_ball_validation():
 
 def test_uniform_horizon_standard(standard_metric):
     # solve t/(t + diameter) = 1 - eps: t = 9 for eps = 0.1, t = 1 for eps = 0.5
-    t_01 = fm.uniform_horizon(standard_metric, 0.1, resolution=1e-2)
+    t_01 = fm.uniform_horizon(standard_metric, 0.1)
     assert t_01 == pytest.approx(9.0, abs=1e-6)
     assert np.min(standard_metric.eval_array(0.0, 1.0, t_01)) > 0.9
-    t_05 = fm.uniform_horizon(standard_metric, 0.5, resolution=1e-2)
+    t_05 = fm.uniform_horizon(standard_metric, 0.5)
     assert t_05 == pytest.approx(1.0, abs=1e-6)
+
+
+def test_uniform_horizon_covers_the_whole_space():
+    # the diameter 1 of (0, 1] is not attained, but in floats the pair
+    # (5e-324, 1) is as far apart as 0 and 1, so the horizon at eps 1/5 is
+    # at least 4, and pairs that a grid leaves out, such as (1e-9, 1), are
+    # near too
+    m = fm.StandardFuzzyMetric(lo_open=True)
+    t = fm.uniform_horizon(m, 0.2)
+    assert 4.0 <= t <= 4.0 * (1 + 1e-12)
+    assert t == fm.uniform_horizon(fm.StandardFuzzyMetric(), 0.2)
+    assert m.eval(5e-324, 1.0, t) > 0.8 and m.eval(1e-9, 1.0, t) > 0.8
+
+
+@st.composite
+def _standard_spaces(draw):
+    lo = draw(st.floats(-3.0, 1.0))
+    hi = lo + draw(st.floats(0.25, 4.0))
+    return fm.StandardFuzzyMetric(lo=lo, hi=hi, lo_open=draw(st.booleans()))
+
+
+@given(m=_standard_spaces(), eps=st.floats(1e-12, 0.995), seed=st.integers(0, 2**32 - 1))
+def test_uniform_horizon_is_float_safe_on_the_whole_space(m, eps, seed):
+    t = fm.uniform_horizon(m, eps)
+    least = math.nextafter(m.lo, math.inf) if m.lo_open else m.lo
+    # the extreme float pair, and random pairs of the space
+    rng = np.random.default_rng(seed)
+    xs = np.concatenate([[least], m.sample_states(rng, 50)])
+    ys = np.concatenate([[m.hi], m.sample_states(rng, 50)])
+    assert np.all(m.eval_array(xs, ys, t) > 1.0 - eps)
+    # at or above the exact bound, by at most the margin's relative slack
+    # 4 ulp(1) / (e (1 - eps)) and the rounding up
+    ulp, eps = Fraction(2.0**-52), Fraction(eps)
+    d, e = Fraction(m.hi - least), eps - 4 * ulp
+    exact = d * (1 - eps) / eps
+    assert exact <= t <= exact * (1 + 4 * ulp / (e * (1 - eps))) * (1 + ulp)
 
 
 def test_grid_point_count_is_capped(tent2):
@@ -150,14 +186,32 @@ def test_check_axioms_sample_count_is_capped(standard_metric):
 def test_grid_step_count_must_be_finite(lo, hi, resolution):
     metric = fm.StandardFuzzyMetric(lo=lo, hi=hi)
     with pytest.raises(ValueError, match="too many grid steps"):
-        fm.uniform_horizon(metric, 0.1, resolution=resolution)
-    with pytest.raises(ValueError, match="too many grid steps"):
         metric.grid(resolution)
 
 
+@pytest.mark.parametrize("lo, hi, eps", [
+    (-1e308, 1e308, 0.1),  # hi - lo overflows
+    (0.0, 1e308, 0.5),  # t + (hi - lo) overflows in the kernel
+    (0.0, 1.0, 4 * 2.0**-52),  # nothing is left of eps after the margin
+])
+def test_uniform_horizon_none_when_no_float_horizon(lo, hi, eps):
+    assert fm.uniform_horizon(fm.StandardFuzzyMetric(lo=lo, hi=hi), eps) is None
+
+
+def test_uniform_horizon_rounds_up():
+    # d(1 - e)/e is just above 5e-324 here; its nearest float, 5e-324, would
+    # put the pair at exactly 1/2
+    m = fm.StandardFuzzyMetric(lo=0.0, hi=5e-324)
+    t = fm.uniform_horizon(m, 0.5)
+    assert t == 1e-323 and m.eval(0.0, 5e-324, t) > 0.5
+
+
 def test_uniform_horizon_ratio_none(ratio_metric, ratio_phi_metric):
-    assert fm.uniform_horizon(ratio_metric, 0.1, resolution=1e-2) is None
-    assert fm.uniform_horizon(ratio_phi_metric, 0.1, resolution=1e-2) is None
+    # at eps 0.995 the pair (0.01, 1) is near at every horizon, but the
+    # pair (5e-324, 1) is near at none
+    for eps in (0.1, 0.995):
+        assert fm.uniform_horizon(ratio_metric, eps) is None
+        assert fm.uniform_horizon(ratio_phi_metric, eps) is None
 
 
 def test_bridge_threshold_matches_predicate(standard_metric):

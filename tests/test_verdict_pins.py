@@ -7,10 +7,11 @@ verdicts to the evidence of the dense candidate x index score matrix, which
 the survivor loop is also property-tested against.  Chains and length
 spectra are pinned to the values of the exact reach intervals, and
 property-tested against the grid transition graph they replaced, whose
-spectrum they must contain; the diameter-pair uniform horizon and the two
-modulus checks are tested against the grid-pair scans they replaced, and the
-closed-form continuity certificate against the grid pairs it must not admit
-and the grid certificate it replaced."""
+spectrum they must contain; the closed-form uniform horizon must be at
+least the grid-pair scan it replaced, the two modulus checks are tested
+against the grid-pair scans they replaced, and the closed-form continuity
+certificate against the grid pairs it must not admit and the grid
+certificate it replaced."""
 
 import json
 import math
@@ -87,8 +88,8 @@ PINNED = {
     },
     "fuzzy-e43-standard": {
         "verdict": "witness-found", "witness": 0.001, "worst_index": 46,
-        "worst_value": 0.8878922649482234, "grid": 0.001, "candidates": 1000, "eps": 0.2,
-        "t0": 3.960000000000003, "mode": "fuzzy", "near_miss": None,
+        "worst_value": 0.8888887780243964, "grid": 0.001, "candidates": 1000, "eps": 0.2,
+        "t0": 4.000000000000022, "mode": "fuzzy", "near_miss": None,
     },
     "classical-e43-crossing": {
         "verdict": "no-witness", "witness": None, "worst_index": 25,
@@ -176,8 +177,12 @@ def _metrics(draw):
 @given(m=_metrics(), eps=st.floats(0.005, 0.995),
        steps=st.integers(1, 60), jitter=st.floats(0.5, 1.0))
 def test_uniform_horizon_matches_dense_scan(m, eps, steps, jitter):
+    # the horizon holds over the whole space, so no grid needs a larger one
     resolution = (m.hi - m.lo) / steps * jitter
-    assert fm.uniform_horizon(m, eps, resolution) == _dense_horizon(m, eps, resolution)
+    if m.name == "standard":
+        assert _dense_horizon(m, eps, resolution) <= fm.uniform_horizon(m, eps)
+    else:
+        assert fm.uniform_horizon(m, eps) is None
 
 
 def _chains():
