@@ -9,15 +9,21 @@ grid resolution, which every verdict records; refining the grid is the
 validation knob.  Witness verdicts are re-verified index by index before
 being returned.
 
-The tracing verdicts are grid-exhaustive, but their work is not: the least
-survivor is run ahead on its own, and once it reaches the end of the
-sequence the rest of the grid is not stepped.  A search in which every
-candidate traces, as at the uniform horizon, costs O(n + grid) map steps for
-n states rather than n x grid; see _survivor_search for the general bound.
+The tracing verdicts are grid-exhaustive, but their work is not.  The grid
+must be ascending.  No score rises, in floats too, as a candidate moves
+away from the first state x_0 on either side, so the candidates alive at
+index 0 are one run of the grid: a search over both run ends at once finds
+it from O(log grid) scores (at most 308 of 100 001 grid points), and a
+search that dies at index 0 ends there.  Otherwise the least survivor
+is run ahead on its own, and once it reaches the end of the sequence the
+rest of the grid is not stepped.  A search in which every candidate traces,
+as at the uniform horizon, costs O(n) map steps for n states rather than
+n x grid; see _survivor_search for the general bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -117,51 +123,134 @@ def _survivor_search(seq: OrbitSequence, f, cands: np.ndarray, score,
                      floor: float) -> tuple[float | None, int, float, float | None]:
     """The survivor loop behind both tracing searches.
 
-    Ascending candidates are advanced alongside the sequence and dropped at
-    their first index with score(f^i(x), x_i) <= floor; only the survivors'
-    grid indices and states are kept.  Returns (witness, worst index, worst
-    score, near miss).  The witness is the smallest survivor, re-verified; its
-    worst index and score are the first least score of that re-check.  With
-    no survivor, the worst index is where the last candidates died and the
-    near miss is the one of them scoring highest there (the smallest on ties).
+    The candidates, which must be ascending, are advanced alongside the
+    sequence and dropped at their first index with score(f^i(x), x_i) <=
+    floor; only the survivors and their states are kept.  Returns (witness,
+    worst index, worst score, near miss).  The witness is the smallest
+    survivor, re-verified; its worst index and score are the first least score
+    of that re-check.  With no survivor, the worst index is where the last
+    candidates died and the near miss is the one of them scoring highest there
+    (the smallest on ties).
 
-    The verdict is that of the whole grid, but the work is not.  When the
-    least survivor changes, a scalar probe runs it ahead; if it reaches the
-    last index it is the least witness, and the loop stops.  Scalar and
+    The verdict is that of the whole grid, but the work is not.  Index 0
+    scores no candidate it need not: its survivors are one run of the
+    ascending grid, which _index0_run finds from O(log grid) scores.  When
+    the least survivor changes, a scalar probe runs it ahead; if it reaches
+    the last index it is the least witness, and the loop stops.  Scalar and
     array evaluation give the same bits, so a probe fails exactly where the
     loop would drop its candidate.  After a probe started at index i fails,
     the next one waits for index 2i + 1.  So at most log2(n) + 1 probes run,
     they take O(n) scalar steps in all, and the loop takes at most twice the
     vector steps it takes before the least witness becomes the least
     survivor.  When every candidate survives, as at the uniform horizon, the
-    first probe succeeds: O(n + grid) steps in place of n x grid.
+    first probe succeeds before index 0 is scored: O(n) steps in place of
+    n x grid.  A search that dies at index 0 takes O(log grid) scores.
     """
     states = require_in_domain(f, seq.states)
-    X, idx = cands, np.arange(cands.size)
-    probed, next_probe = -1, 0
+    # the survivors' grid values C and their states X at index i
+    C = X = cands
+    probed, next_probe = None, 0
     for i, target_state in enumerate(states):
-        if i >= next_probe and idx[0] != probed:
-            probed = idx[0]
+        if i >= next_probe and C[0] != probed:
+            probed = C[0]
             if _probe(f, X[0], states, i, score, floor):
                 break
             next_probe = 2 * i + 1
-        vals = score(X, target_state)
-        dead = vals <= floor
-        if dead.any():
-            if dead.all():
-                j = int(np.argmax(vals))
-                return None, i, float(vals[j]), float(cands[idx[j]])
-            idx, X = idx[~dead], X[~dead]
+        if i:
+            vals = score(X, target_state)
+            dead = vals <= floor
+            if dead.any():
+                if dead.all():
+                    j = int(np.argmax(vals))
+                    return None, i, float(vals[j]), float(C[j])
+                C, X = C[~dead], X[~dead]
+        else:
+            lo, hi, near = _index0_run(cands, target_state, score, floor)
+            if near is not None:
+                j, peak = near
+                return None, 0, peak, float(cands[j])
+            C = X = cands[lo:hi]
         if i + 1 < states.size:
             X = f.eval_array(X)
 
-    w = float(cands[idx[0]])
-    scores = _trace_scores(seq, w, f, score)
+    w = float(C[0])
+    try:
+        scores = _trace_scores(seq, w, f, score)
+    except ValueError as exc:  # the scalar orbit of w left the domain
+        raise VerificationError(f"witness re-verification failed: {exc}") from exc
     bad = _violations(scores, floor)
     if not bad.is_empty:
         raise VerificationError(f"witness re-verification failed at index {bad.indices[0]}")
     k = int(np.argmin(scores))
     return w, k, float(scores[k]), None
+
+
+def _index0_run(cands: np.ndarray, s, score,
+                floor: float) -> tuple[int, int, tuple[int, float] | None]:
+    """(lo, hi, near): cands[lo:hi] are the ascending candidates x with
+    score(x, s) > floor.  When there are none, near is the index of the first
+    greatest score with that score; otherwise it is None.
+
+    Every score kind is nondecreasing in x below k = searchsorted(cands, s)
+    and nonincreasing from k on: the float subtraction, abs, division, min,
+    max and the product with a constant round monotonically, and a
+    candidate equal to s, which scores highest, sits at k.  So the scores
+    peak at k - 1 or k, the survivors form one run around them, and the
+    first greatest score starts the plateau that ends at the peak.  Two
+    scores at the peak, then one _first_hits search for both run ends or for
+    the plateau's start, score at most cands.size points, and O(log grid).
+    """
+    k = int(np.searchsorted(cands, s))
+    around = [j for j in (k - 1, k) if 0 <= j < cands.size]
+    vals = score(cands[around], s).tolist()
+    left = vals[0] if k else -math.inf
+    right = vals[-1] if k < cands.size else -math.inf
+    if max(left, right) <= floor:
+        if right > left:
+            return k, k, (k, right)
+        # the first j < k scoring at least left: above the next float down
+        near, = _first_hits(cands, s, score, [(0, k - 1, math.nextafter(left, -math.inf), True)])
+        return k, k, (near, left)
+    # a dead side of the peak gets the empty bracket (k, k), found at k
+    lo, hi = _first_hits(cands, s, score, [
+        (0, k - 1, floor, True) if left > floor else (k, k, floor, True),
+        (k + 1, cands.size, floor, False) if right > floor else (k, k, floor, False)])
+    return lo, hi, None
+
+
+_FAN_OUT = 64
+
+
+def _first_hits(cands: np.ndarray, s, score, brackets) -> list[int]:
+    """For each bracket (a, b, c, rising), the first j in [a, b) at which
+    score(cands[j], s) is above c when rising, at most c when not; b when
+    there is none.  The test must switch at most once over [a, b), from
+    false to true.
+
+    A round scores up to _FAN_OUT points of every open bracket, both of its
+    ends among them, in one call, and cuts it to the gap before its first
+    hit, so a bracket of g points closes after O(log g / log _FAN_OUT)
+    rounds; no point is scored twice.
+    """
+    found = [b for a, b, _, _ in brackets]
+    todo = [(n, a, b, c, rising) for n, (a, b, c, rising) in enumerate(brackets) if a < b]
+    while todo:
+        picks = [np.arange(a, b) if b - a <= _FAN_OUT
+                 else a + np.arange(_FAN_OUT) * (b - a - 1) // (_FAN_OUT - 1)
+                 for _, a, b, _, _ in todo]
+        vals = score(cands[np.concatenate(picks)], s)
+        nxt, start = [], 0
+        for (n, a, b, c, rising), p in zip(todo, picks):
+            v = vals[start:start + p.size]
+            start += p.size
+            hits = np.count_nonzero(v > c if rising else v <= c)
+            t = p.size - hits  # the first hit, the tests being monotone
+            gap_lo = int(p[t - 1]) + 1 if t else a
+            found[n] = int(p[t]) if hits else b
+            if gap_lo < found[n]:
+                nxt.append((n, gap_lo, found[n], c, rising))
+        todo = nxt
+    return found
 
 
 _PROBE_FIRST, _PROBE_GROWTH = 8, 4

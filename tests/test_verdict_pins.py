@@ -398,10 +398,136 @@ _LEAKY = systems.IntervalMap((
 @example(case=(orbits.perturbed_orbit(systems.tent(2.0), 0.3, 299, 0.1, seed=3), systems.tent(2.0),
                _STD.grid(1 / 400),
                orbits.fuzzy_score(systems.tent(2.0), _STD, fm.uniform_horizon(_STD, 0.1)), 0.9))
+# at resolution 1e-4 an index-0 run takes more than one search round; one
+# case per score kind: a witness, the uniform horizon, a death at the last
+# index, and an empty index-0 run
+@example(case=(orbits.perturbed_orbit(systems.tent(math.sqrt(2)), 0.3, 20, 1e-2, seed=5),
+               systems.tent(math.sqrt(2)), systems.tent(math.sqrt(2)).grid(1e-4),
+               orbits.classical_score, -0.05))
+@example(case=(orbits.perturbed_orbit(systems.tent(2.0), 0.3, 20, 0.1, seed=3), systems.tent(2.0),
+               _STD.grid(1e-4),
+               orbits.fuzzy_score(systems.tent(2.0), _STD, fm.uniform_horizon(_STD, 0.1)), 0.9))
+@example(case=(orbits.perturbed_orbit(systems.example43_map(), 0.45, 20, 1e-2, seed=2),
+               systems.example43_map(), systems.example43_map().grid(1e-4),
+               orbits.fuzzy_score(systems.example43_map(), fm.RatioFuzzyMetric(), 1.0), 0.95))
+@example(case=(orbits.perturbed_orbit(systems.example43_map(), 0.7312345, 20, 1e-2, seed=1),
+               systems.example43_map(), systems.example43_map().grid(1e-4),
+               orbits.fuzzy_score(systems.example43_map(), fm.RatioPhiFuzzyMetric(), 0.5), 0.9))
 @settings(max_examples=300, deadline=None)
 @given(case=_survivor_inputs())
 def test_survivor_search_matches_dense_matrix(case):
     assert shadowing._survivor_search(*case) == _dense_survivors(*case)
+
+
+def _counting(score):
+    """score, wrapped to add the points it scores to the returned list."""
+    counts = []
+
+    def counted(x, y):
+        counts.append(np.size(x))
+        return score(x, y)
+    return counted, counts
+
+
+_RUN_GRIDS = (1 / 4, 1 / 10, 1e-2, 1e-3, 1e-4, 1e-5)
+
+
+@st.composite
+def _run_inputs(draw):
+    name = draw(st.sampled_from(("classical", *fm.METRIC_NAMES)))
+    f = systems.example43_map() if name in ("ratio", "ratio-phi") else systems.tent(2.0)
+    cands = f.grid(draw(st.sampled_from(_RUN_GRIDS)))
+    eps = draw(st.floats(0.005, 0.995))
+    if name == "classical":
+        return cands, _run_state(draw, f, cands), orbits.classical_score, -eps
+    m = _STD if name == "standard" else fm.metric_from_name(name)
+    # 5e-324 scales every ratio-phi score into the subnormals, where whole
+    # stretches of the grid tie
+    t0 = draw(st.one_of(st.floats(0.01, 4.0), st.just(5e-324) if name == "ratio-phi"
+                        else st.just(fm.uniform_horizon(_STD, eps) if name == "standard" else 1.0)))
+    return cands, _run_state(draw, f, cands), orbits.fuzzy_score(f, m, t0), 1.0 - eps
+
+
+def _run_state(draw, f, cands):
+    return draw(st.one_of(st.sampled_from(cands[[0, 1, cands.size // 2, -2, -1]].tolist()),
+                          st.floats(f.domain_lo, f.domain_hi, exclude_min=f.lo_open)))
+
+
+_E43 = systems.example43_map()
+
+
+# a candidate at exactly the floor dies: the run is the state's grid point
+@example(case=(systems.tent(2.0).grid(0.25), 0.25, orbits.classical_score, -0.25))
+# the state on the grid: alone under ratio-phi below t0 = 1 - eps, inside a
+# run under ratio
+@example(case=(_E43.grid(1e-3), 0.501, orbits.fuzzy_score(_E43, fm.RatioPhiFuzzyMetric(), 0.5),
+               0.5))
+@example(case=(_E43.grid(1e-4), 0.5001, orbits.fuzzy_score(_E43, fm.RatioFuzzyMetric(), 1.0), 0.99))
+# runs that reach either end of the grid
+@example(case=(_STD.grid(1e-5), 0.01, orbits.fuzzy_score(systems.tent(2.0), _STD, 1.0), 0.9))
+@example(case=(_E43.grid(1e-5), 0.999, orbits.fuzzy_score(_E43, fm.RatioFuzzyMetric(), 1.0), 0.9))
+# the whole grid at the uniform horizon
+@example(case=(_STD.grid(1e-5), 0.3,
+               orbits.fuzzy_score(systems.tent(2.0), _STD, fm.uniform_horizon(_STD, 0.1)), 0.9))
+# empty runs whose greatest score is tied: between the neighbours of the
+# state at their geometric mean, and over a stretch of subnormal scores
+@example(case=(_E43.grid(0.1), 0.7483314773547883,
+               orbits.fuzzy_score(_E43, fm.RatioPhiFuzzyMetric(), 0.5), 0.5))
+@example(case=(_E43.grid(1e-5), 0.6000012,
+               orbits.fuzzy_score(_E43, fm.RatioPhiFuzzyMetric(), 5e-324), 0.5))
+@settings(max_examples=200, deadline=None)
+@given(case=_run_inputs())
+def test_index0_run_matches_dense_mask(case):
+    cands, s, score, floor = case
+    vals = score(cands, s)
+    alive = np.flatnonzero(vals > floor)
+    counted, counts = _counting(score)
+    lo, hi, near = shadowing._index0_run(cands, s, counted, floor)
+    assert np.array_equal(np.arange(lo, hi), alive)
+    if alive.size:
+        assert near is None
+    else:
+        j = int(np.argmax(vals))
+        assert near == (j, float(vals[j]))
+    # never more points than the dense step scored, and at most 2 + 2 x (64 +
+    # 64 + 25) on grids of up to 100 001 points
+    assert sum(counts) <= min(cands.size, 308)
+
+
+def test_index0_run_edge_cases_are_what_they_claim():
+    # the examples above are only edge cases if these hold
+    exact = orbits.classical_score(systems.tent(2.0).grid(0.25), 0.25)
+    assert list(exact) == [-0.25, 0.0, -0.25, -0.5, -0.75]
+    assert 0.501 in _E43.grid(1e-3) and 0.5001 in _E43.grid(1e-4)
+    rphi = orbits.fuzzy_score(_E43, fm.RatioPhiFuzzyMetric(), 0.5)
+    tie = rphi(_E43.grid(0.1), 0.7483314773547883)
+    assert tie.max() <= 0.5 and np.count_nonzero(tie == tie.max()) == 2
+    sub = orbits.fuzzy_score(_E43, fm.RatioPhiFuzzyMetric(), 5e-324)(_E43.grid(1e-5), 0.6000012)
+    assert sub.max() <= 0.5 and np.count_nonzero(sub == sub.max()) > 1000
+    ends = orbits.fuzzy_score(systems.tent(2.0), _STD, 1.0)(_STD.grid(1e-5), 0.01)
+    assert ends[0] > 0.9 and ends[-1] <= 0.9
+    horizon = orbits.fuzzy_score(systems.tent(2.0), _STD, fm.uniform_horizon(_STD, 0.1))
+    assert (horizon(_STD.grid(1e-5), 0.3) > 0.9).all()
+
+
+def test_a_search_dying_at_index_0_scores_a_sliver_of_the_grid():
+    f = systems.example43_map()
+    seq = orbits.perturbed_orbit(f, 0.7312345, 100, 1e-2, seed=1)
+    cands = f.grid(1e-5)
+    counted, counts = _counting(orbits.fuzzy_score(f, fm.RatioPhiFuzzyMetric(), 0.5))
+    witness, index, _, _ = shadowing._survivor_search(seq, f, cands, counted, 0.9)
+    assert witness is None and index == 0 and cands.size == 100_000
+    # scoring index 0 densely took 100 000 points
+    assert sum(counts) <= 2000
+
+
+def test_a_witness_whose_float_orbit_leaves_the_domain_fails_verification():
+    # the grid loop extrapolates f(0.233) = -1.1e-16 and keeps the
+    # candidate; the scalar re-check cannot step it, which is a failed
+    # verification, not bad input
+    seq = orbits.OrbitSequence(np.array([0.233, 0.0, 2 / 3]))
+    with pytest.raises(orbits.VerificationError, match="outside domain of leaky"):
+        shadowing.classical_shadow_search(seq, _LEAKY, 0.001, 0.001)
 
 
 @pytest.mark.parametrize("start", [0, 7, 8, 50, 299])
