@@ -438,8 +438,6 @@ def _cmd_density(args) -> int:
         report = orbits.density(orbits.IndexSet(skeleton, universe=args.n))
         source = {"construction": args.construction, "n": args.n}
     else:
-        if args.orbit is None:
-            raise ValueError("density needs --construction or --orbit")
         if None in (args.map_spec, args.metric, args.delta):
             raise ValueError("density --orbit needs --map, --metric and --delta")
         f, metric = _map_and_metric(args)
@@ -586,9 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="prefix-density report")
     _add_common(p, None, metric_required=False)
-    p.add_argument("--construction", choices=("theorem-3.3",), default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--construction", choices=("theorem-3.3",), default=None)
+    source.add_argument("--orbit", default=None)
     p.add_argument("--n", type=_COUNT, default=10**6, help="construction universe length")
-    p.add_argument("--orbit", default=None)
     p.add_argument("--delta", type=_UNIT, default=None)
     p.add_argument("--t0", type=_POSITIVE, default=1.0)
     p.set_defaults(func=_cmd_density)

@@ -332,7 +332,6 @@ class Ball:
     center: float
     radius: float
     t: float
-    closed: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.radius < 1.0:
@@ -341,10 +340,9 @@ class Ball:
 
 
 def ball_members(m: FuzzyMetric, ball: Ball, ys: np.ndarray) -> np.ndarray:
-    """Exact membership mask; open balls compare strictly, closed ones do not."""
+    """Exact membership mask: balls are open, so the comparison is strict."""
     values = m.eval_array(np.asarray(ball.center, float), np.asarray(ys, float), ball.t)
-    threshold = 1.0 - ball.radius
-    return values >= threshold if ball.closed else values > threshold
+    return values > 1.0 - ball.radius
 
 
 # -- axiom harness -----------------------------------------------------------

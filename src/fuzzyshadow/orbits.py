@@ -36,6 +36,14 @@ from .fuzzy_metric import (Interval, _require_finite_positive, require_in_domain
 DENSITY_THRESHOLD = 0.01
 _DENSITY_LADDER_BASE = 100
 
+#: Most steps a chain search, a chain-length spectrum or a mixing probe
+#: takes, as ``fuzzy_metric.MAX_GRID_POINTS`` bounds grids: a spectrum
+#: keeps about 90 B per step.
+MAX_STEPS = 10**6
+#: Longest universe ``transitivity_skeleton`` indexes: about 2 sqrt(n)
+#: indices, whose arrays take about 150 MB at 10**12.
+MAX_UNIVERSE = 10**12
+
 
 class OrbitFileError(ValueError):
     """Raised when an orbit CSV cannot be parsed; carries the offending line."""
@@ -180,10 +188,6 @@ class IndexSet:
     def issubset(self, other: np.ndarray) -> bool:
         return bool(np.isin(self.indices, np.asarray(other, dtype=np.int64)).all())
 
-    def to_dict(self) -> dict:
-        return {"universe": self.universe, "count": int(self.indices.size),
-                "indices": self.indices.tolist()}
-
 
 @dataclass
 class DensityReport:
@@ -262,13 +266,20 @@ def _transition_violations(seq: OrbitSequence, f, score, floor: float) -> IndexS
 def _trace_scores(seq: OrbitSequence, x: float, f, score) -> np.ndarray:
     """Scores score(f^i(x), x_i) of the true orbit of x against the sequence."""
     states = require_in_domain(f, seq.states)
-    return score(orbit_states(f, x, states.size), states)
+    return score(np.array(f.states(x, states.size)), states)
+
+
+def _require_unit(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
 def validate_f_pseudo_orbit(seq: OrbitSequence, f, m, delta: float, t0: float) -> IndexSet:
     """Indices i where the fuzzy transition bound fails, i.e.
     M(f(x_i), x_{i+1}, t0) <= 1 - delta.  Empty means the sequence is a valid
-    delta-pseudo-orbit of f at horizon t0."""
+    delta-pseudo-orbit of f at horizon t0.  Raises ValueError unless delta
+    lies in (0, 1)."""
+    _require_unit("delta", delta)
     return _transition_violations(seq, f, fuzzy_score(f, m, t0), 1.0 - delta)
 
 
@@ -279,27 +290,25 @@ def npo_set(seq: OrbitSequence, f, m, delta: float, t0: float) -> IndexSet:
 
 
 def ns_set(seq: OrbitSequence, x: float, f, m, delta: float, t0: float) -> IndexSet:
-    """Indices i where the tracing bound fails: M(f^i(x), x_i, t0) <= 1 - delta."""
+    """Indices i where the tracing bound fails: M(f^i(x), x_i, t0) <= 1 - delta.
+    Raises ValueError unless delta lies in (0, 1)."""
+    _require_unit("delta", delta)
     return _violations(_trace_scores(seq, x, f, fuzzy_score(f, m, t0)), 1.0 - delta)
 
 
 def classical_validate(seq: OrbitSequence, f, delta: float) -> IndexSet:
     """Classical twin of the fuzzy validator: violations are steps with
-    d(f(x_i), x_{i+1}) >= delta."""
+    d(f(x_i), x_{i+1}) >= delta.  Raises ValueError unless delta is finite
+    and positive."""
+    _require_finite_positive("delta", delta)
     return _transition_violations(seq, f, classical_score, -delta)
 
 
 def classical_ns_set(seq: OrbitSequence, x: float, f, eps: float) -> IndexSet:
-    """Classical tracing violations: indices with d(f^i(x), x_i) >= eps."""
+    """Classical tracing violations: indices with d(f^i(x), x_i) >= eps.
+    Raises ValueError unless eps is finite and positive."""
+    _require_finite_positive("eps", eps)
     return _violations(_trace_scores(seq, x, f, classical_score), -eps)
-
-
-def orbit_states(f, x: float, n: int) -> np.ndarray:
-    """The first n states x, f(x), ..., f^(n-1)(x) of the true orbit of x,
-    from the map's own orbit loop (IntervalMap.states), whose states are the
-    bits of the step-by-step IntervalMap.eval.  x and every state the map is
-    applied to must lie in the domain; the last state is not checked."""
-    return np.array(f.states(x, n))
 
 
 # -- density -------------------------------------------------------------------
@@ -342,6 +351,8 @@ def transitivity_skeleton(n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n > MAX_UNIVERSE:
+        raise ValueError(f"universe too long: {n}, more than {MAX_UNIVERSE}")
     k_max = int(math.isqrt(n)) + 1
     ks = np.arange(k_max + 1, dtype=np.int64)
     a = ks * (ks + 1)
@@ -365,8 +376,8 @@ def build_transitivity_orbit(x: float, y: float, f, length: int) -> OrbitSequenc
     states[0] = x
     # longest segment needed: k_max + 1 entries where 1 + k_max*(k_max+1) >= length
     k_needed = int(math.isqrt(length)) + 1
-    orbit_x = orbit_states(f, x, k_needed + 1)
-    orbit_y = orbit_states(f, y, k_needed + 1)
+    orbit_x = np.array(f.states(x, k_needed + 1))
+    orbit_y = np.array(f.states(y, k_needed + 1))
     i = 1
     k = 0
     while i < length:
@@ -440,9 +451,9 @@ def _chain_radii(x: float, y: float, f, m, delta: float, t0: float,
     walk-back radius, and a float step inside a walk-back ball passes
     validate_f_pseudo_orbit.  x and y must lie in the domain of f, and the
     domain in the space of m."""
-    if not (0.0 < delta < 1.0 and 0.0 < t0 < math.inf and n_max >= 1):
+    if not (0.0 < delta < 1.0 and 0.0 < t0 < math.inf and 1 <= n_max <= MAX_STEPS):
         raise ValueError("chains need delta in (0, 1), a finite horizon t0 > 0 and "
-                         f"n_max >= 1, got {delta!r}, {t0!r} and {n_max!r}")
+                         f"n_max in [1, {MAX_STEPS}], got {delta!r}, {t0!r} and {n_max!r}")
     require_map_in_space(f, m)
     require_in_domain(f, np.array([x, y], dtype=float))
     slack = m.float_slack(f, t0)

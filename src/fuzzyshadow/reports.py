@@ -9,8 +9,7 @@ bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, is_dataclass
-from typing import Any
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,27 +88,6 @@ def record(checks: list, name: str, ok_mask, witness) -> None:
         checks.append(AxiomCheck(name, False, witness(int(np.argmax(~ok_mask)))))
 
 
-def to_jsonable(obj: Any) -> Any:
-    """Recursively convert numpy scalars/arrays and dataclasses to JSON types."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        if hasattr(obj, "to_dict"):
-            return to_jsonable(obj.to_dict())
-        return to_jsonable(asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def json_text(payload: dict) -> str:
     """Render a payload as canonical JSON text (sorted keys, trailing newline)."""
-    return json.dumps(to_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

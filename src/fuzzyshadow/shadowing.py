@@ -14,11 +14,11 @@ must be ascending.  No score rises, in floats too, as a candidate moves
 away from the first state x_0 on either side, so the candidates alive at
 index 0 are one run of the grid: a search over both run ends at once finds
 it from O(log grid) scores (at most 308 of 100 001 grid points), and a
-search that dies at index 0 ends there.  Otherwise the least survivor
-is run ahead on its own, and once it reaches the end of the sequence the
-rest of the grid is not stepped.  A search in which every candidate traces,
-as at the uniform horizon, costs O(n) map steps for n states rather than
-n x grid; see _survivor_search for the general bound.
+search that dies at index 0 ends there.  Otherwise the least survivor's
+scalar orbit is checked from index 0, and once it traces to the end of the
+sequence the rest of the grid is not stepped.  A search in which every
+candidate traces, as at the uniform horizon, costs n map steps for n states
+rather than n x grid; see _survivor_search for the general bound.
 """
 
 from __future__ import annotations
@@ -30,18 +30,16 @@ import numpy as np
 
 from .fuzzy_metric import Ball, FuzzyMetric, ball_members, require_map_in_space
 from .orbits import (
+    MAX_STEPS,
     DensityReport,
     MixingReport,
     OrbitSequence,
     VerificationError,
     _cofinite_onset,
-    _trace_scores,
-    _violations,
     classical_score,
     density,
     fuzzy_score,
     ns_set,
-    orbit_states,
     require_in_domain,
 )
 from .systems import ConstructionError, example43_map
@@ -127,24 +125,26 @@ def _survivor_search(seq: OrbitSequence, f, cands: np.ndarray, score,
     sequence and dropped at their first index with score(f^i(x), x_i) <=
     floor; only the survivors and their states are kept.  Returns (witness,
     worst index, worst score, near miss).  The witness is the smallest
-    survivor, re-verified; its worst index and score are the first least score
-    of that re-check.  With no survivor, the worst index is where the last
-    candidates died and the near miss is the one of them scoring highest there
-    (the smallest on ties).
+    survivor, confirmed by _trace; its worst index and score are the first
+    least score of that check.  With no survivor, the worst index is where
+    the last candidates died and the near miss is the one of them scoring
+    highest there (the smallest on ties).
 
     The verdict is that of the whole grid, but the work is not.  Index 0
     scores no candidate it need not: its survivors are one run of the
     ascending grid, which _index0_run finds from O(log grid) scores.  When
-    the least survivor changes, a scalar probe runs it ahead; if it reaches
-    the last index it is the least witness, and the loop stops.  Scalar and
-    array evaluation give the same bits, so a probe fails exactly where the
-    loop would drop its candidate.  After a probe started at index i fails,
-    the next one waits for index 2i + 1.  So at most log2(n) + 1 probes run,
-    they take O(n) scalar steps in all, and the loop takes at most twice the
-    vector steps it takes before the least witness becomes the least
-    survivor.  When every candidate survives, as at the uniform horizon, the
-    first probe succeeds before index 0 is scored: O(n) steps in place of
-    n x grid.  A search that dies at index 0 takes O(log grid) scores.
+    the least survivor changes, _trace probes its scalar orbit from index 0;
+    if it traces to the last index it is the least witness, and the loop
+    stops.  Scalar and array evaluation give the same bits, so a probe fails
+    exactly where the loop would drop its candidate.  After a probe at index
+    i fails, the next one waits for index 2i + 1.  So at most log2(n) + 1
+    probes run, re-scoring the indices before their i adds at most 2n steps,
+    and the loop takes at most twice the vector steps it takes before the
+    least witness becomes the least survivor.  When every candidate
+    survives, as at the uniform horizon, the first probe succeeds before
+    index 0 is scored: n steps in place of n x grid.  A search that dies at
+    index 0 takes O(log grid) scores.  A least survivor that no probe
+    confirmed is checked once more; its failure raises VerificationError.
     """
     states = require_in_domain(f, seq.states)
     # the survivors' grid values C and their states X at index i
@@ -153,7 +153,8 @@ def _survivor_search(seq: OrbitSequence, f, cands: np.ndarray, score,
     for i, target_state in enumerate(states):
         if i >= next_probe and C[0] != probed:
             probed = C[0]
-            if _probe(f, X[0], states, i, score, floor):
+            scores = _trace(f, float(probed), states, score, floor)
+            if not isinstance(scores, str):
                 break
             next_probe = 2 * i + 1
         if i:
@@ -172,17 +173,12 @@ def _survivor_search(seq: OrbitSequence, f, cands: np.ndarray, score,
             C = X = cands[lo:hi]
         if i + 1 < states.size:
             X = f.eval_array(X)
-
-    w = float(C[0])
-    try:
-        scores = _trace_scores(seq, w, f, score)
-    except ValueError as exc:  # the scalar orbit of w left the domain
-        raise VerificationError(f"witness re-verification failed: {exc}") from exc
-    bad = _violations(scores, floor)
-    if not bad.is_empty:
-        raise VerificationError(f"witness re-verification failed at index {bad.indices[0]}")
+    else:
+        scores = _trace(f, float(C[0]), states, score, floor)
+        if isinstance(scores, str):
+            raise VerificationError(f"witness re-verification failed{scores}")
     k = int(np.argmin(scores))
-    return w, k, float(scores[k]), None
+    return float(C[0]), k, float(scores[k]), None
 
 
 def _index0_run(cands: np.ndarray, s, score,
@@ -253,26 +249,32 @@ def _first_hits(cands: np.ndarray, s, score, brackets) -> list[int]:
     return found
 
 
-_PROBE_FIRST, _PROBE_GROWTH = 8, 4
+_TRACE_FIRST, _TRACE_GROWTH = 8, 4
 
 
-def _probe(f, x: float, states: np.ndarray, i: int, score, floor: float) -> bool:
-    """Whether the scalar orbit of x, the state at index i, scores above floor
-    at every index from i on.  It is scored in chunks that grow
-    geometrically and stops at the first chunk with a violation, so a probe
-    that fails at index j takes O(j - i) steps."""
-    size = _PROBE_FIRST
+def _trace(f, x: float, states: np.ndarray, score, floor: float) -> np.ndarray | str:
+    """The scores score(f^i(x), x_i) of the scalar orbit of x against every
+    state when each is above floor; otherwise why not: " at index k" for
+    the first k scoring at most floor, or ": " and the error of the first
+    state the orbit cannot step.  The orbit is scored in chunks that grow
+    geometrically and stops at the first chunk with a violation, so an orbit
+    that fails at index j takes O(j) steps."""
+    parts, i, size = [], 0, _TRACE_FIRST
     try:
-        while True:
+        while i < states.size:
             end = min(i + size, states.size)
-            orbit = orbit_states(f, x, end - i)
-            if (score(orbit, states[i:end]) <= floor).any():
-                return False
-            if end == states.size:
-                return True
-            x, i, size = f.eval(orbit[-1]), end, size * _PROBE_GROWTH
-    except ValueError:  # the float orbit left the domain: the loop decides
-        return False
+            orbit = np.array(f.states(x, end - i))
+            vals = score(orbit, states[i:end])
+            bad = np.flatnonzero(vals <= floor)
+            if bad.size:
+                return f" at index {i + int(bad[0])}"
+            parts.append(vals)
+            if end < states.size:
+                x = f.eval(orbit[-1])
+            i, size = end, size * _TRACE_GROWTH
+    except ValueError as exc:  # the float orbit left the domain
+        return f": {exc}"
+    return np.concatenate(parts)
 
 
 def build_nonshadowable_orbit(delta: float, f=None) -> OrbitSequence:
@@ -343,10 +345,13 @@ def topological_mixing_probe(f, U: Ball, V: Ball, m: FuzzyMetric, n_max: int = 6
     """Step counts n <= n_max after which some grid point of U lands in V.
 
     Grid points of f inside U are iterated exactly; membership of their
-    images in V uses the ball's own comparison.  Raises ValueError when the
+    images in the open ball V is exact.  Raises ValueError when the
     domain of f leaves the space of m or a ball's center lies outside the
-    domain, and EmptyBallError when either ball captures no grid point.
+    domain or n_max is outside [1, MAX_STEPS], and EmptyBallError when either
+    ball captures no grid point.
     """
+    if not 1 <= n_max <= MAX_STEPS:
+        raise ValueError(f"n_max must lie in [1, {MAX_STEPS}], got {n_max!r}")
     require_map_in_space(f, m)
     for name, ball in (("U", U), ("V", V)):
         if not f.contains(ball.center):

@@ -108,9 +108,9 @@ def _outcome(call):
 def test_the_last_state_is_not_checked():
     # f(0.233) leaves the domain in floats: it may end an orbit, but the map
     # is not applied to it
-    assert orbits.orbit_states(_LEAKY, 0.233, 2).tolist() == [0.233, -2.0**-53]
+    assert _LEAKY.states(0.233, 2) == [0.233, -2.0**-53]
     with pytest.raises(ValueError, match=r"^-1\.1102230246251565e-16 outside domain of leaky$"):
-        orbits.orbit_states(_LEAKY, 0.233, 3)
+        _LEAKY.states(0.233, 3)
 
 
 # the benchmark re-checks orbits with IntervalMap.eval: every orbit loop
@@ -128,13 +128,12 @@ def test_the_last_state_is_not_checked():
 def test_true_orbits_match_the_eval_reference(case, k):
     f, x, n = case
     ref = _outcome(lambda: _reference_states(f, x, n))
-    assert _outcome(lambda: orbits.orbit_states(f, x, n)) == ref
     assert _outcome(lambda: f.states(x, n)) == ref
     if n:
         assert _outcome(lambda: f.orbit(x, n - 1)) == ref
         last = ref[-1:] if isinstance(ref, list) else ref
         assert _outcome(lambda: f.iterate(x, n - 1)) == last
-    assert _outcome(lambda: orbits.orbit_states(IteratedMap(f, k), x, n)) == _outcome(
+    assert _outcome(lambda: IteratedMap(f, k).states(x, n)) == _outcome(
         lambda: _reference_states(f, x, n, k))
 
 

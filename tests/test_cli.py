@@ -126,8 +126,42 @@ def test_density_orbit_mode(tmp_path, orbit_file):
     assert rc == 0
 
 
-def test_density_requires_a_source(tmp_path):
-    assert main(["density", "--out", str(tmp_path)]) == 2
+def _exit_code(argv) -> int:
+    """main's exit code, whether returned or raised by the argument parser."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["--construction", "theorem-3.3", "--n", "1000", "--orbit", "ORBIT", "--map", "tent:2",
+     "--metric", "standard", "--delta", "0.01"],
+    [],
+    ["--orbit", "ORBIT", "--map", "tent:2", "--metric", "standard"],
+], ids=["both-sources", "no-source", "orbit-without-delta"])
+def test_density_takes_exactly_one_source(tmp_path, capsys, orbit_file, argv):
+    out = tmp_path / "out"
+    argv = [orbit_file if a == "ORBIT" else a for a in argv]
+    assert _exit_code(["density", *argv, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chain", "--map", "tent:2", "--metric", "standard", "--from", "0.2", "--to", "0.8",
+      "--delta", "0.1", "--lengths", "--n-max", "1000001"], "n_max in [1, 1000000]"),
+    (["mix", "--map", "tent:2", "--metric", "standard", "--u-center", "0.3", "--u-radius",
+      "0.1", "--v-center", "0.6", "--v-radius", "0.1", "--n-max", "1000001"],
+     "n_max must lie in [1, 1000000]"),
+    (["density", "--construction", "theorem-3.3", "--n", "1000000000001"],
+     "universe too long"),
+], ids=["chain", "mix", "density"])
+def test_sizes_over_the_caps_exit_2_without_a_report(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_command(tmp_path, orbit_file):

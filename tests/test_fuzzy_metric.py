@@ -108,9 +108,8 @@ def test_ball_membership_cases(standard_metric):
     assert fm.ball_members(standard_metric, ball, 0.59)
     # nearness at 0.5 + 1/9 evaluates to 0.8999999999999999, not above 1 - r
     assert not fm.ball_members(standard_metric, ball, 0.5 + 1.0 / 9.0)
-    # exact boundary: M(0, 1, 1) = 0.5, excluded open, included closed
+    # exact boundary: M(0, 1, 1) = 0.5, excluded from the open ball
     assert not fm.ball_members(standard_metric, fm.Ball(0.0, 0.5, 1.0), 1.0)
-    assert fm.ball_members(standard_metric, fm.Ball(0.0, 0.5, 1.0, closed=True), 1.0)
 
 
 def test_ball_validation():

@@ -238,7 +238,7 @@ def test_perturbed_orbit_pinned(spec, x0, noise, seed, digest):
     (lambda f: perturbed_orbit(f, 0.3, 5, float("inf")), "noise must be finite"),
     (lambda f: perturbed_orbit(f, 0.3, 5, -0.01), "noise must be finite and nonnegative"),
     (lambda f: perturbed_orbit(f, 0.3, -1, 0.01), "n must be nonnegative"),
-    (lambda f: orbits.orbit_states(f, 0.3, -1), "n must be nonnegative"),
+    (lambda f: f.states(0.3, -1), "n must be nonnegative"),
 ], ids=["x0-above", "x0-below", "noise-nan", "noise-inf", "noise-negative", "n-negative",
         "orbit-states-n-negative"])
 def test_orbit_inputs_rejected(tent2, call, message):
@@ -249,7 +249,7 @@ def test_orbit_inputs_rejected(tent2, call, message):
 def test_perturbed_orbit_without_steps(tent2):
     assert perturbed_orbit(tent2, 0.3, 0, 0.01).states.tolist() == [0.3]
     quiet = perturbed_orbit(tent2, 0.3, 10, 0.0).states
-    assert np.array_equal(quiet, orbits.orbit_states(tent2, 0.3, 11))
+    assert np.array_equal(quiet, tent2.states(0.3, 11))
 
 
 def _reference_orbit(f, x, n):
@@ -267,7 +267,7 @@ def _reference_orbit(f, x, n):
 def test_orbit_states_matches_reference(spec, n):
     f = map_from_spec(spec)
     for x in (0.5, 0.3, 1.0, np.float64(0.77)):
-        got = orbits.orbit_states(f, x, n)
+        got = np.array(f.states(x, n))
         assert got.dtype == np.float64 and got.shape == (n,)
         assert got.tobytes() == _reference_orbit(f, x, n).tobytes()
 
@@ -314,7 +314,7 @@ def test_chain_nodes_outside_map_domain(tent2, standard_metric):
 
 def test_chain_with_singleton_balls_is_the_true_orbit(three_piece, ratio_phi_metric):
     # ratio-phi at t0 = 1/2 and delta = 0.05: every ball is one point
-    orbit = orbits.orbit_states(three_piece, 0.25, 6)
+    orbit = np.array(three_piece.states(0.25, 6))
     chain = chain_search(0.25, orbit[-1], three_piece, ratio_phi_metric, 0.05, 0.5)
     assert chain.states.tolist() == orbit.tolist()
     rep = chain_mixing_check(0.25, orbit[-1], three_piece, ratio_phi_metric, 0.05, 0.5,
@@ -421,7 +421,7 @@ def test_walk_back_balls_hold_only_float_valid_steps(spec, name, x, delta, t0, u
 
 @pytest.mark.parametrize("kwargs", [{"delta": 0.0}, {"delta": 1.0}, {"t0": 0.0},
                                     {"t0": float("inf")}, {"t0": float("nan")},
-                                    {"n_max": 0}])
+                                    {"n_max": 0}, {"n_max": 10**6 + 1}])
 def test_chain_parameters_checked(tent2, standard_metric, kwargs):
     args = {"delta": 0.1, "t0": 1.0, **kwargs}
     for check in (chain_search, chain_mixing_check):
@@ -444,6 +444,33 @@ def test_validators_reject_states_outside_map_domain(tent2, standard_metric, val
     # an open lower end excludes 0 itself
     with pytest.raises(ValueError, match="state 0.0 outside domain of example43"):
         validate(OrbitSequence(np.array([0.3, 0.0, 0.3])), example43_map(), standard_metric)
+
+
+_BAD_UNIT = [float("nan"), 0.0, 1.0, 1.5, -0.1]
+_BAD_RADIUS = [float("nan"), float("inf"), 0.0, -1.0]
+
+
+@pytest.mark.parametrize("validate, radius", [
+    *((lambda seq, f, m, r: validate_f_pseudo_orbit(seq, f, m, r, 1.0), r) for r in _BAD_UNIT),
+    *((lambda seq, f, m, r: npo_set(seq, f, m, r, 1.0), r) for r in _BAD_UNIT),
+    *((lambda seq, f, m, r: ns_set(seq, 0.3, f, m, r, 1.0), r) for r in _BAD_UNIT),
+    *((lambda seq, f, m, r: classical_validate(seq, f, r), r) for r in _BAD_RADIUS),
+    *((lambda seq, f, m, r: orbits.classical_ns_set(seq, 0.3, f, r), r) for r in _BAD_RADIUS),
+], ids=[f"{name}-{r}" for name, rs in (("validate", _BAD_UNIT), ("npo", _BAD_UNIT),
+                                       ("ns", _BAD_UNIT), ("classical-validate", _BAD_RADIUS),
+                                       ("classical-ns", _BAD_RADIUS)) for r in rs])
+def test_validators_reject_radii_out_of_range(tent2, standard_metric, validate, radius):
+    # unchecked, nan and 1.5 passed every index and -1.0 flagged all of them
+    seq = perturbed_orbit(tent2, 0.3, 50, 0.3, seed=1)
+    with pytest.raises(ValueError, match=r"(delta|eps) must (lie in \(0, 1\)|be finite and "
+                                         r"positive), got"):
+        validate(seq, tent2, standard_metric, radius)
+
+
+def test_skeleton_universe_capped():
+    # unchecked, 10**18 would allocate 8 GB index arrays
+    with pytest.raises(ValueError, match="^universe too long: 1000000000001, more than "):
+        transitivity_skeleton(orbits.MAX_UNIVERSE + 1)
 
 
 def test_csv_roundtrip(tmp_path, tent2):

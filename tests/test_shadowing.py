@@ -184,6 +184,14 @@ def test_probe_rejects_a_center_outside_the_domain(standard_metric, spec, u, v, 
                                  resolution=1e-2)
 
 
+@pytest.mark.parametrize("n_max", [-3, 0, 10**6 + 1])
+def test_probe_rejects_step_counts_out_of_range(standard_metric, n_max):
+    # unchecked, -3 gave an empty report and 10**6 + 1 ran that many steps
+    with pytest.raises(ValueError, match=r"^n_max must lie in \[1, 1000000\], got "):
+        topological_mixing_probe(map_from_spec("tent:2"), fm.Ball(0.3, 0.1, 1.0),
+                                 fm.Ball(0.6, 0.1, 1.0), standard_metric, n_max=n_max)
+
+
 _ENTRY_POINTS = {
     "shadow_search": lambda f, m: shadow_search(f.orbit(0.3, 5), f, m, 0.1, 1.0, 1e-2),
     "ergodic_shadow_search": lambda f, m: ergodic_shadow_search(f.orbit(0.3, 5), f, m,

@@ -531,18 +531,43 @@ def test_a_witness_whose_float_orbit_leaves_the_domain_fails_verification():
 
 
 @pytest.mark.parametrize("start", [0, 7, 8, 50, 299])
-def test_probe_stops_exactly_at_violations(start):
+def test_trace_stops_exactly_at_violations(start):
     # chunks of 8, 32, 128, ... scalar steps: violations on both sides of
     # their boundaries, and none, which only the last chunk can confirm
     f = systems.tent(math.sqrt(2))
-    states = f.orbit(0.3, 299).states
-    x = float(states[start])
-    assert shadowing._probe(f, x, states, start, orbits.classical_score, -1e-9)
-    violations = {start, start + 7, start + 8, start + 39, start + 40, 299}
-    for k in sorted(violations & set(range(start, 300))):
+    states = f.orbit(0.3, 299).states[start:]
+    x = float(states[0])
+    scores = shadowing._trace(f, x, states, orbits.classical_score, -1e-9)
+    assert np.array_equal(scores, np.zeros(states.size))
+    violations = {0, 7, 8, 39, 40, 299 - start}
+    for k in sorted(violations & set(range(states.size))):
         bad = states.copy()
         bad[k] += 0.5 if bad[k] < 0.5 else -0.5
-        assert not shadowing._probe(f, x, bad, start, orbits.classical_score, -1e-9), k
+        assert shadowing._trace(f, x, bad, orbits.classical_score, -1e-9) == f" at index {k}"
+
+
+class _SkewedMap(systems.IntervalMap):
+    """A map whose batch evaluation sends one state elsewhere than its
+    scalar orbit does."""
+
+    def __init__(self, base, x, image):
+        super().__init__(base.pieces, base.lo_open, base.name)
+        self.x, self.image = x, image
+
+    def eval_array(self, xs):
+        out = super().eval_array(xs)
+        return np.where(xs == self.x, self.image, out)
+
+
+def test_a_least_survivor_the_scalar_orbit_rejects_fails_verification():
+    # the grid loop sends 0.25 to 0.5, the scalar orbit to 0.25 * 2 = 0.5 as
+    # well, then 0.5 to 0.99 where the scalar orbit goes to 1.0; the first
+    # probe fails at index 2 and the loop keeps 0.25 to the end
+    f = _SkewedMap(systems.tent(2.0), 0.5, 0.99)
+    seq = orbits.OrbitSequence(np.array([0.25, 0.5, 0.99, 0.02]))
+    with pytest.raises(orbits.VerificationError,
+                       match="^witness re-verification failed at index 2$"):
+        shadowing.classical_shadow_search(seq, f, 0.005, 0.25)
 
 
 class _CountingMap(systems.IntervalMap):
@@ -571,8 +596,9 @@ def test_witness_search_work_is_linear_when_every_candidate_traces():
     grid = _STD.grid(1e-4)
     verdict = shadowing.shadow_search(seq, f, _STD, 0.1, fm.uniform_horizon(_STD, 0.1), 1e-4)
     assert verdict.witness == 0.0 and verdict.candidates == grid.size == 10001
-    # stepping every candidate to the end would take 999 x 10001 points
-    assert f.points < 2 * (len(seq) + grid.size)
+    # stepping every candidate to the end would take 999 x 10001 points;
+    # the witness's one scalar check takes 999
+    assert f.points <= len(seq)
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))
