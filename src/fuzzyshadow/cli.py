@@ -432,20 +432,33 @@ def _cmd_mix(args) -> int:
     return 0 if report.present else 1
 
 
+def _reject_flags(source: str, flags: dict) -> None:
+    """Raise ValueError naming each flag given a value that source ignores."""
+    given = [flag for flag, value in flags.items() if value is not None]
+    if given:
+        raise ValueError(f"density {source} does not take {', '.join(given)}")
+
+
 def _cmd_density(args) -> int:
+    # --n and --t0 default to None, so a flag given its default is still seen
     if args.construction is not None:
-        skeleton = orbits.transitivity_skeleton(args.n)
-        report = orbits.density(orbits.IndexSet(skeleton, universe=args.n))
-        source = {"construction": args.construction, "n": args.n}
+        _reject_flags("--construction", {"--map": args.map_spec, "--metric": args.metric,
+                                         "--delta": args.delta, "--t0": args.t0})
+        n = 10**6 if args.n is None else args.n
+        skeleton = orbits.transitivity_skeleton(n)
+        report = orbits.density(orbits.IndexSet(skeleton, universe=n))
+        source = {"construction": args.construction, "n": n}
     else:
+        _reject_flags("--orbit", {"--n": args.n})
         if None in (args.map_spec, args.metric, args.delta):
             raise ValueError("density --orbit needs --map, --metric and --delta")
+        t0 = 1.0 if args.t0 is None else args.t0
         f, metric = _map_and_metric(args)
         seq = orbits.OrbitSequence.from_csv(args.orbit)
-        iset = orbits.npo_set(seq, f, metric, delta=args.delta, t0=args.t0)
+        iset = orbits.npo_set(seq, f, metric, delta=args.delta, t0=t0)
         report = orbits.density(iset)
         source = {"orbit": args.orbit, "map": args.map_spec, "metric": args.metric,
-                  "delta": args.delta, "t0": args.t0}
+                  "delta": args.delta, "t0": t0}
     payload = {"command": "density", **source, "report": report.to_dict()}
     path = _write_report(args.out, "density.json", payload)
     _write(args.out, "density.csv", _density_csv(report))
@@ -587,9 +600,10 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--construction", choices=("theorem-3.3",), default=None)
     source.add_argument("--orbit", default=None)
-    p.add_argument("--n", type=_COUNT, default=10**6, help="construction universe length")
-    p.add_argument("--delta", type=_UNIT, default=None)
-    p.add_argument("--t0", type=_POSITIVE, default=1.0)
+    p.add_argument("--n", type=_COUNT, default=None,
+                   help="construction universe length (default 1000000)")
+    p.add_argument("--delta", type=_UNIT, default=None, help="orbit mode only")
+    p.add_argument("--t0", type=_POSITIVE, default=None, help="orbit mode only (default 1.0)")
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("sweep", help="tabulate verdicts over parameter combinations")

@@ -14,11 +14,14 @@ must be ascending.  No score rises, in floats too, as a candidate moves
 away from the first state x_0 on either side, so the candidates alive at
 index 0 are one run of the grid: a search over both run ends at once finds
 it from O(log grid) scores (at most 308 of 100 001 grid points), and a
-search that dies at index 0 ends there.  Otherwise the least survivor's
-scalar orbit is checked from index 0, and once it traces to the end of the
-sequence the rest of the grid is not stepped.  A search in which every
-candidate traces, as at the uniform horizon, costs n map steps for n states
-rather than n x grid; see _survivor_search for the general bound.
+search that dies at index 0 ends there.  Those are counts of scores, not
+time: f.grid(resolution) still builds the whole grid array first, in
+O(grid) time and memory, and at grid 1e-5 that takes 0.1-0.35 ms of such a
+search.  Otherwise the least survivor's scalar orbit is checked from index
+0, and once it traces to the end of the sequence the rest of the grid is
+not stepped.  A search in which every candidate traces, as at the uniform
+horizon, costs n map steps for n states rather than n x grid; see
+_survivor_search for the general bound.
 """
 
 from __future__ import annotations
@@ -143,8 +146,10 @@ def _survivor_search(seq: OrbitSequence, f, cands: np.ndarray, score,
     least witness becomes the least survivor.  When every candidate
     survives, as at the uniform horizon, the first probe succeeds before
     index 0 is scored: n steps in place of n x grid.  A search that dies at
-    index 0 takes O(log grid) scores.  A least survivor that no probe
-    confirmed is checked once more; its failure raises VerificationError.
+    index 0 takes O(log grid) scores, but not O(log grid) time: the caller
+    built cands, the whole grid, in O(grid) time and memory.  A least
+    survivor that no probe confirmed is checked once more; its failure
+    raises VerificationError.
     """
     states = require_in_domain(f, seq.states)
     # the survivors' grid values C and their states X at index i

@@ -123,6 +123,8 @@ def test_the_last_state_is_not_checked():
 # f(x) = 0.233 in floats, so the power map's orbit ends outside the domain
 @example(case=(_LEAKY, 0.48848450000000004, 2), k=2)
 @example(case=(example43_map(), 0.0, 5), k=2)
+# tent:2 sends -0.0 to 0.0: equal, but not the same bits, so not yet settled
+@example(case=(tent(2.0), -0.0, 3), k=1)
 @settings(max_examples=300, deadline=None)
 @given(case=_orbit_cases(), k=st.integers(1, 4))
 def test_true_orbits_match_the_eval_reference(case, k):
@@ -135,6 +137,107 @@ def test_true_orbits_match_the_eval_reference(case, k):
         assert _outcome(lambda: f.iterate(x, n - 1)) == last
     assert _outcome(lambda: IteratedMap(f, k).states(x, n)) == _outcome(
         lambda: _reference_states(f, x, n, k))
+
+
+_TENTS = (tent(2.0), tent(math.sqrt(2)), tent(1.6))
+
+
+def _edge_points(f):
+    """Each breakpoint and both its float neighbours, the signed zeros, the
+    least subnormal, finite points outside the domain and the infinities."""
+    breaks = f._break_list
+    return [*breaks, *(math.nextafter(b, side) for b in breaks for side in (-math.inf, math.inf)),
+            0.0, -0.0, 5e-324, -0.25, 1.5, -1e300, 1e300, math.inf, -math.inf]
+
+
+@st.composite
+def _point_cases(draw):
+    f = draw(st.one_of(st.sampled_from([_LEAKY, example43_map(), *_TENTS]), _cut_maps()))
+    point = st.one_of(st.sampled_from(_edge_points(f)), st.floats(allow_nan=False))
+    return f, draw(st.lists(point, max_size=20))
+
+
+def _searchsorted_eval(f, xs):
+    idx = np.searchsorted(f._breaks, xs, side="left")
+    return f._slopes[idx] * xs + f._icepts[idx]
+
+
+@example(case=(_LEAKY, _edge_points(_LEAKY)), k=2)
+@example(case=(example43_map(), _edge_points(example43_map())), k=2)
+@example(case=(_TENTS[0], _edge_points(_TENTS[0])), k=3)
+@example(case=(_TENTS[1], _edge_points(_TENTS[1])), k=2)
+@example(case=(_TENTS[2], _edge_points(_TENTS[2])), k=2)
+@settings(max_examples=300, deadline=None)
+@given(case=_point_cases(), k=st.integers(1, 4))
+def test_piece_index_counts_the_breaks_below(case, k):
+    # eval_array picks pieces by comparing with each break; a binary search
+    # over the breaks is the reference, and the values match it bit for bit
+    f, xs = case
+    xs = np.array(xs, dtype=float)
+    assert np.array_equal(f.piece_index(xs), np.searchsorted(f._breaks, xs, side="left"))
+    # far outside the domain a value may overflow, and a flat piece sends
+    # the infinities to NaN, alike in both
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _searchsorted_eval(f, xs)
+        assert np.array_equal(f.eval_array(xs).view(np.int64), want.view(np.int64))
+        for _ in range(k - 1):
+            want = _searchsorted_eval(f, want)
+        assert np.array_equal(IteratedMap(f, k).eval_array(xs).view(np.int64),
+                              want.view(np.int64))
+
+
+class _CountedCoeffs(tuple):
+    """A map's coefficient table that counts its lookups, one per orbit step."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return super().__getitem__(i)
+
+
+def _counted(f):
+    f._coeffs = _CountedCoeffs(f._coeffs)
+    return f
+
+
+def _seeded_starts(f, count=200):
+    return np.random.default_rng(0).uniform(f.domain_lo, f.domain_hi, count).tolist()
+
+
+@pytest.mark.parametrize("make, bound", [(lambda: tent(2.0), 60), (example43_map, 130)],
+                         ids=["tent:2", "example43"])
+def test_settled_orbits_stop_stepping(make, bound):
+    # float orbits of the paper's maps reach a float fixed point, where the
+    # rest of the orbit is filled in without stepping
+    f = _counted(make())
+    for x in _seeded_starts(f):
+        f._coeffs.lookups = 0
+        out = f.states(x, 10**5)
+        assert f._coeffs.lookups <= bound
+        assert len(out) == 10**5 and out[-1] == out[bound]
+    x = _seeded_starts(f, 1)[0]
+    assert f.states(x, 300) == _reference_states(f, x, 300)
+
+
+def test_orbits_that_never_settle_step_every_state():
+    f = _counted(tent(math.sqrt(2)))
+    for x in _seeded_starts(f, 5):
+        f._coeffs.lookups = 0
+        f.states(x, 10**4)
+        assert f._coeffs.lookups == 10**4 - 1
+
+
+def test_settling_compares_bits_not_values():
+    assert [v.hex() for v in tent(2.0).states(-0.0, 3)] == ["-0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]
+
+
+def test_power_maps_of_settling_orbits_match_the_reference():
+    f = tent(2.0)
+    g = IteratedMap(f, 3)
+    for x in _seeded_starts(f, 20):
+        assert g.states(x, 100) == _reference_states(f, x, 100, 3)
+        assert g.iterate(x, 30) == _reference_states(f, x, 91)[-1]
 
 
 # (1, 1.0001] is so narrow that its clamp floor rounds to the open end

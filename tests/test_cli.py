@@ -148,6 +148,32 @@ def test_density_takes_exactly_one_source(tmp_path, capsys, orbit_file, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--construction", "theorem-3.3", "--map", "tent:2"], "--map"),
+    (["--construction", "theorem-3.3", "--metric", "standard"], "--metric"),
+    (["--construction", "theorem-3.3", "--delta", "0.1"], "--delta"),
+    # given its default value, a flag is still one the construction ignores
+    (["--construction", "theorem-3.3", "--t0", "1.0"], "--t0"),
+    (["--orbit", "ORBIT", "--map", "tent:2", "--metric", "standard", "--delta", "0.1",
+      "--n", "1000000"], "--n"),
+], ids=["construction-map", "construction-metric", "construction-delta", "construction-t0",
+        "orbit-n"])
+def test_density_rejects_the_other_sources_flags(tmp_path, capsys, orbit_file, argv, flag):
+    out = tmp_path / "out"
+    argv = [orbit_file if a == "ORBIT" else a for a in argv]
+    assert main(["density", *argv, "--out", str(out)]) == 2
+    assert f"error: density {argv[0]} does not take {flag}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_density_records_its_defaults(tmp_path, orbit_file):
+    main(["density", "--construction", "theorem-3.3", "--out", str(tmp_path / "c")])
+    assert read_report(tmp_path / "c", "density.json")["n"] == 10**6
+    main(["density", "--orbit", orbit_file, "--map", "tent:2", "--metric", "standard",
+          "--delta", "0.2", "--out", str(tmp_path / "o")])
+    assert read_report(tmp_path / "o", "density.json")["t0"] == 1.0
+
+
 @pytest.mark.parametrize("argv, message", [
     (["chain", "--map", "tent:2", "--metric", "standard", "--from", "0.2", "--to", "0.8",
       "--delta", "0.1", "--lengths", "--n-max", "1000001"], "n_max in [1, 1000000]"),
