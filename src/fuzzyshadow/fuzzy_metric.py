@@ -9,6 +9,10 @@ Three constructions are provided, all with the product t-norm by default:
 
 A metric evaluates M(x, y, t) in (0, 1]: 1 means indistinguishable at
 horizon t, and nearness never decreases as the horizon grows.
+
+The axioms of the three families under the three t-norms are decided from a
+proof table (``check_axioms``), not sampled: ratio and ratio-phi break the
+triangle under minimum, at one exact rational triple, and all else holds.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .reports import AxiomReport, record, require_samples, sweep_chunks
+from .reports import AxiomCheck, AxiomReport, VerificationError
 from .tnorm import TNorm
 
 TOLERANCE = 1e-12
@@ -129,7 +133,7 @@ class FuzzyMetric:
     (0, 1); and ``horizon_bound(eps)``, the least horizon above which every
     pair of floats of the space, at its float distance, is nearer than
     1 - eps, or None.  This class owns domain validation, grids, and seeded
-    state sampling.
+    state sampling (for the tests).
     """
 
     name = "base"
@@ -345,62 +349,81 @@ def ball_members(m: FuzzyMetric, ball: Ball, ys: np.ndarray) -> np.ndarray:
     return values > 1.0 - ball.radius
 
 
-# -- axiom harness -----------------------------------------------------------
+# -- axiom proof table ---------------------------------------------------------
+
+_BELOW_PRODUCT = "max(u + v - 1, 0) <= uv, so the product triangle gives it"
+_RATIO_PROOFS = {  # phi is min(t, 1) under ratio-phi and 1 under ratio
+    "positive": "x, y > 0 give phi min/max > 0",
+    "identity_of_indiscernibles": "M = 1 on the diagonal and M <= min/max < 1 off it",
+    "symmetric": "min/max is symmetric",
+    "triangle": {"product": "phi(t + s) >= phi(t) phi(s), and r = min/max has r(x, z) >= "
+                            "r(x, y) r(y, z): the triangle inequality for |log x - log z|",
+                 "minimum": None, "lukasiewicz": _BELOW_PRODUCT},
+    "horizon_continuous": "phi is 1-Lipschitz in t",
+    "horizon_nondecreasing": "phi is nondecreasing in t",
+}
+#: Per metric class, each axiom's one-line proof; the triangle's depends on
+#: the t-norm, and None marks one refuted at _TRIANGLE_COUNTEREXAMPLE.
+_AXIOM_PROOFS = {
+    StandardFuzzyMetric: {
+        "positive": "t > 0 and d = |x - y| finite give t/(t + d) > 0",
+        "identity_of_indiscernibles": "t/(t + d) = 1 iff d = 0 iff x = y",
+        "symmetric": "|x - y| = |y - x|",
+        "triangle": {  # a = d(x, y) and b = d(y, z), so d(x, z) <= a + b
+            "product": "(t+s)(t+a)(s+b) - ts(t+s+a+b) = t^2 b + tab + as^2 + sab >= 0",
+            "minimum": "the mediant inequality (a + b)/(t + s) <= max(a/t, b/s)",
+            "lukasiewicz": _BELOW_PRODUCT},
+        "horizon_continuous": "t/(t + d) has slope d/(t + d)^2 <= 1/(4t) in t",
+        "horizon_nondecreasing": "the slope d/(t + d)^2 is >= 0",
+    },
+    RatioPhiFuzzyMetric: _RATIO_PROOFS,
+    RatioFuzzyMetric: _RATIO_PROOFS,
+}
+_TRIANGLE_COUNTEREXAMPLE = {"x": 0.25, "y": 0.5, "z": 1.0, "t": 1.0, "s": 1.0}
 
 
-def check_axioms(m: FuzzyMetric, samples: int = 10_000, seed: int = 0) -> AxiomReport:
-    """Seeded sampling harness for the five fuzzy-metric axioms.
-
-    Checks, per sampled triple (x, y, z) and horizons (t, s):
-
-    1. positivity, 2. nearness-1 exactly on the diagonal and strictly below 1
-    off it, 3. symmetry, 4. the t-norm triangle inequality at horizon t + s,
-    5. continuity in the horizon (Lipschitz bound (1 + 1/t) * h), plus the
-    nondecreasing-in-horizon property as a sixth sweep.
-
-    The sample range is scanned vectorized, a chunk at a time
-    (``sweep_chunks``); failures report the lowest-index counterexample.
-    At most ``reports.MAX_SAMPLES`` samples.
+def check_axioms(m: FuzzyMetric) -> AxiomReport:
+    """The six axiom checks, decided from the proof table: positivity,
+    nearness 1 exactly on the diagonal, symmetry, the triangle
+    M(x, z, t + s) >= T(M(x, y, t), M(y, z, s)), and continuity and
+    monotonicity in t.  With a = d(x, y) and b = d(y, z), the triangle
+    under product is (t+s)(t+a)(s+b) - ts(t+s+a+b) = t^2 b + tab + as^2 +
+    sab >= 0 (standard), or the triangle inequality for |log x - log z|
+    (ratio), with min(t + s, 1) >= min(t, 1) min(s, 1) (ratio-phi); under
+    minimum the mediant inequality (a + b)/(t + s) <= max(a/t, b/s)
+    (standard); under Lukasiewicz, which lies below product, the product
+    one.  Ratio and ratio-phi fail it under minimum at x, y, z = 1/4, 1/2,
+    1 and t = s = 1, where M(x, z, 2) = 1/4 < 1/2; that is evaluated in
+    Fraction and in the float kernel, and VerificationError is raised
+    unless both fail.  A metric or t-norm class outside the table raises
+    ValueError.
     """
-    require_samples(samples)
-    rng = np.random.default_rng(seed)
-    x = m.sample_states(rng, samples)
-    y = m.sample_states(rng, samples)
-    z = m.sample_states(rng, samples)
-    t = rng.uniform(0.05, 2.0, size=samples)
-    s = rng.uniform(0.05, 2.0, size=samples)
-
-    def sweeps(x, y, z, t, s):
-        m_xy_t = m.eval_array(x, y, t)
-        m_yx_t = m.eval_array(y, x, t)
-        m_yz_s = m.eval_array(y, z, s)
-        m_xz_ts = m.eval_array(x, z, t + s)
-        diag = m.eval_array(x, x, t)
-        off_diag_ok = np.where(x == y, True, m_xy_t < 1.0)
-        h = 1e-7
-        m_xy_th = m.eval_array(x, y, t + h)
-        cont_bound = (1.0 + 1.0 / t) * h + TOLERANCE
-        t_lo, t_hi = np.minimum(t, s), np.maximum(t, s)
-        return {
-            "positive": m_xy_t > 0.0,
-            "identity_of_indiscernibles": (diag == 1.0) & off_diag_ok,
-            "symmetric": np.abs(m_xy_t - m_yx_t) <= TOLERANCE,
-            "triangle": m_xz_ts >= m.tnorm.apply(m_xy_t, m_yz_s) - TOLERANCE,
-            "horizon_continuous": np.abs(m_xy_th - m_xy_t) <= cont_bound,
-            "horizon_nondecreasing": (m.eval_array(x, y, t_lo)
-                                      <= m.eval_array(x, y, t_hi) + TOLERANCE),
-        }
-
-    def triple(i):
-        return {"x": float(x[i]), "y": float(y[i]), "z": float(z[i]),
-                "t": float(t[i]), "s": float(s[i])}
-
+    proofs = _AXIOM_PROOFS.get(type(m))
+    if proofs is None or type(m.tnorm) is not TNorm:
+        raise ValueError(f"no axiom proofs for {type(m).__name__} under {type(m.tnorm).__name__}")
     checks = []
-    for name, ok in sweep_chunks(sweeps, x, y, z, t, s).items():
-        record(checks, name, ok, triple)
+    for name, proof in proofs.items():
+        if isinstance(proof, dict):
+            proof = proof[m.tnorm.kind]
+        checks.append(AxiomCheck(name, True, proof=proof) if proof
+                      else AxiomCheck(name, False, _triangle_counterexample(m)))
+    return AxiomReport(subject=f"metric:{m.name}", checks=tuple(checks))
 
-    return AxiomReport(subject=f"metric:{m.name}", samples=samples, seed=seed,
-                       checks=tuple(checks))
+
+def _triangle_counterexample(m: _RatioBase) -> dict:
+    w = _TRIANGLE_COUNTEREXAMPLE
+    x, y, z, t, s = (Fraction(w[k]) for k in "xyzts")
+
+    def exact(u, v, h):  # u != v
+        return (min(h, 1) if m.damped else 1) * min(u, v) / max(u, v)
+
+    lhs, rhs = exact(x, z, t + s), min(exact(x, y, t), exact(y, z, s))
+    float_lhs = m.eval(w["x"], w["z"], w["t"] + w["s"])
+    float_rhs = m.tnorm.apply(m.eval(w["x"], w["y"], w["t"]), m.eval(w["y"], w["z"], w["s"]))
+    if not (lhs < rhs and float_lhs < float_rhs - TOLERANCE):
+        raise VerificationError(f"triangle counterexample not confirmed: exact {lhs} < {rhs}, "
+                                f"float {float_lhs!r} < {float_rhs!r}")
+    return {**w, "lhs": str(lhs), "rhs": str(rhs)}
 
 
 # -- uniform horizon -----------------------------------------------------------

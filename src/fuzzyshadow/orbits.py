@@ -32,6 +32,7 @@ import numpy as np
 
 from .fuzzy_metric import (Interval, _require_finite_positive, require_in_domain,
                            require_map_in_space)
+from .reports import VerificationError
 
 DENSITY_THRESHOLD = 0.01
 _DENSITY_LADDER_BASE = 100
@@ -419,10 +420,6 @@ def perturbed_orbit(f, x0: float, n: int, noise: float, seed: int = 0) -> OrbitS
 
 
 # -- chains over float-safe reach intervals ---------------------------------------
-
-
-class VerificationError(RuntimeError):
-    """A result failed its independent re-check, so it is not returned."""
 
 
 _EMPTY = Interval(Fraction(1), Fraction(0))

@@ -31,7 +31,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fuzzy_metric import Ball, FuzzyMetric, ball_members, require_map_in_space
+from .fuzzy_metric import (Ball, FuzzyMetric, _require_finite_positive, ball_members,
+                           require_map_in_space)
 from .orbits import (
     MAX_STEPS,
     DensityReport,
@@ -111,8 +112,7 @@ def classical_shadow_search(seq: OrbitSequence, f, eps: float,
     Runs the survivor loop of shadow_search on the negated distance; worst
     values are reported as distances.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    _require_finite_positive("eps", eps)
     cands = f.grid(resolution)
     witness, arg, value, near = _survivor_search(seq, f, cands, classical_score, -eps)
     # scores are negated distances; 0.0 - v maps a zero score to +0.0
@@ -290,30 +290,35 @@ def build_nonshadowable_orbit(delta: float, f=None) -> OrbitSequence:
     (appended exactly).  Under the ratio metrics every transition keeps
     min/max nearness above 1 - delta, yet no single orbit can trace both the
     1/4 and the 1 entries: orbits starting at or below 1/2 never leave
-    (0, 1/2], and orbits starting above never come back down.
+    (0, 1/2], and orbits starting above never come back down.  A ride that
+    does not arrive in MAX_STEPS steps (tent:1.5 never nears 1) raises
+    ConstructionError.
     """
     if not 0.0 < delta < 0.5:
         raise ConstructionError("crossing construction needs delta in (0, 1/2)")
     if f is None:
         f = example43_map()
     states = [0.25]
-    v = 0.25
     # ascend toward 1/2 until the hop onto 1/2 is a valid ratio step
-    while not f.eval(v) > (1.0 - delta) / 2.0:
-        v = f.eval(v)
-        states.append(v)
-    states.append(0.5)
+    _ride(f, 0.25, states, lambda v: f.eval(v) > (1.0 - delta) / 2.0, "1/2")
     hop = 0.5 / (1.0 - delta / 2.0)
-    states.append(hop)
-    v = hop
+    states += [0.5, hop]
     # ascend toward the fixed point at 1, then land on it exactly
-    while v < 1.0 - 1e-9 or not f.eval(v) > 1.0 - delta:
-        v = f.eval(v)
-        states.append(v)
-        if v == 1.0:
-            break
+    _ride(f, hop, states,
+          lambda v: v == 1.0 or (v >= 1.0 - 1e-9 and f.eval(v) > 1.0 - delta), "1")
     states.append(1.0)
     return OrbitSequence(np.array(states), provenance="constructed")
+
+
+def _ride(f, v: float, states: list, arrived, target: str) -> None:
+    """Append the float orbit of v after v to states until arrived(v)."""
+    for _ in range(MAX_STEPS):
+        if arrived(v):
+            return
+        v = f.eval(v)
+        states.append(v)
+    raise ConstructionError(f"crossing construction: the orbit does not reach {target} "
+                            f"within {MAX_STEPS} steps")
 
 
 def ergodic_shadow_search(seq: OrbitSequence, f, m: FuzzyMetric, eps: float, t0: float,

@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fuzzyshadow
+from fuzzyshadow import fuzzy_metric as fm
 from fuzzyshadow import orbits, shadowing
 from fuzzyshadow.cli import build_parser, main
 from fuzzyshadow.fuzzy_metric import Ball, StandardFuzzyMetric
@@ -36,6 +38,36 @@ def test_check_metric_pass(tmp_path):
 
 def test_check_tnorm_pass(tmp_path):
     assert main(["check-tnorm", "lukasiewicz", "--out", str(tmp_path)]) == 0
+
+
+# the proof table's verdicts: ratio and ratio-phi fail the triangle under
+# minimum, at an exact counterexample, and everything else passes
+_AXIOM_EXITS = [
+    *((["check-metric", m, "--tnorm", t], int(t == "minimum" and m != "standard"))
+      for m in ("standard", "ratio-phi", "ratio") for t in ("product", "minimum", "lukasiewicz")),
+    *((["check-tnorm", t], 0) for t in ("product", "minimum", "lukasiewicz")),
+]
+
+
+@pytest.mark.parametrize("sampling", [[], ["--samples", "7", "--seed", "3"]],
+                         ids=["plain", "sampling-flags"])
+@pytest.mark.parametrize("argv, code", _AXIOM_EXITS, ids=[" ".join(a) for a, _ in _AXIOM_EXITS])
+def test_axiom_commands_exit_codes(tmp_path, argv, code, sampling):
+    # --samples and --seed are accepted and change nothing
+    assert main(argv + sampling + ["--out", str(tmp_path)]) == code
+    report = read_report(tmp_path, f"{argv[0]}-{argv[1]}.json")["report"]
+    assert report["all_passed"] is (code == 0)
+    for check in report["checks"]:
+        assert check["passed"] is (check["counterexample"] is None)
+        if not check["passed"]:
+            # the counterexample breaks the minimum triangle in the float
+            # kernel too, with the exact sides reported
+            assert check["name"] == "triangle"
+            w = check["counterexample"]
+            m = fm.metric_from_name(argv[1])
+            lhs = m.eval(w["x"], w["z"], w["t"] + w["s"])
+            rhs = min(m.eval(w["x"], w["y"], w["t"]), m.eval(w["y"], w["z"], w["s"]))
+            assert (lhs, rhs) == (0.25, 0.5) == (Fraction(w["lhs"]), Fraction(w["rhs"]))
 
 
 def test_check_metric_unknown_name(tmp_path, capsys):

@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzyshadow import fuzzy_metric as fm
-from fuzzyshadow import reports, tnorm
+from fuzzyshadow import tnorm
+from fuzzyshadow.reports import VerificationError
 from fuzzyshadow.systems import IntervalMap, Piece, example43_map, perturbation_g, tent
 from fuzzyshadow.tnorm import TNorm
 
@@ -48,7 +49,7 @@ def test_metric_from_name():
 
 @pytest.mark.parametrize("name", fm.METRIC_NAMES)
 def test_axiom_suite_passes(name):
-    report = fm.check_axioms(fm.metric_from_name(name), samples=10_000, seed=0)
+    report = fm.check_axioms(fm.metric_from_name(name))
     assert report.all_passed, report.failing()
 
 
@@ -56,7 +57,7 @@ def test_broken_metric_fails_triangle():
     # the ratio construction needs the product t-norm; the minimum t-norm
     # demands more than multiplicative ratios can deliver
     broken = fm.RatioFuzzyMetric(TNorm("minimum"))
-    report = fm.check_axioms(broken, samples=10_000, seed=0)
+    report = fm.check_axioms(broken)
     assert not report.all_passed
     assert "triangle" in report.failing()
     failing = [c for c in report.checks if c.name == "triangle"][0]
@@ -67,16 +68,62 @@ def test_broken_metric_fails_triangle():
     assert lhs < rhs
 
 
-@pytest.mark.parametrize("chunk", [7, 4096])
-@pytest.mark.parametrize("harness", [
-    lambda: fm.check_axioms(fm.RatioFuzzyMetric(TNorm("minimum")), samples=10_000, seed=3),
-    lambda: fm.check_axioms(fm.StandardFuzzyMetric(), samples=10_000, seed=3),
-    lambda: tnorm.check_axioms(TNorm("lukasiewicz"), samples=10_000, seed=3),
-], ids=["broken-ratio", "standard", "lukasiewicz"])
-def test_axiom_sweeps_do_not_depend_on_the_chunk(monkeypatch, harness, chunk):
-    whole = harness().to_dict()
-    monkeypatch.setattr(reports, "SWEEP_CHUNK", chunk)
-    assert harness().to_dict() == whole
+def _float_checks(m, x, y, z, t, s):
+    """The sampled harness's float predicates for each axiom of the table."""
+    m_xy_t = m.eval_array(x, y, t)
+    h = 1e-7
+    return {
+        "positive": m_xy_t > 0.0,
+        # the standard kernel gives 1.0 for floats much nearer than t ulp,
+        # such as 0.5 and its neighbour at t = 2; uniform draws never are
+        "identity_of_indiscernibles": (m.eval_array(x, x, t) == 1.0)
+        & np.where(x == y, True, m_xy_t < 1.0),
+        "symmetric": np.abs(m_xy_t - m.eval_array(y, x, t)) <= fm.TOLERANCE,
+        "triangle": m.eval_array(x, z, t + s)
+        >= m.tnorm.apply(m_xy_t, m.eval_array(y, z, s)) - fm.TOLERANCE,
+        "horizon_continuous": np.abs(m.eval_array(x, y, t + h) - m_xy_t)
+        <= (1.0 + 1.0 / t) * h + fm.TOLERANCE,
+        "horizon_nondecreasing": m.eval_array(x, y, np.minimum(t, s))
+        <= m.eval_array(x, y, np.maximum(t, s)) + fm.TOLERANCE,
+    }
+
+
+@given(name=st.sampled_from(fm.METRIC_NAMES), kind=st.sampled_from(tnorm.KINDS),
+       seed=st.integers(0, 2**32 - 1))
+def test_float_kernels_agree_with_the_proof_table(name, kind, seed):
+    # the draw ranges of the sampled harness: states of the space, t and s
+    # in [0.05, 2]
+    m = fm.metric_from_name(name, TNorm(kind))
+    rng = np.random.default_rng(seed)
+    x, y, z = (m.sample_states(rng, 1000) for _ in range(3))
+    t, s = rng.uniform(0.05, 2.0, size=(2, 1000))
+    floats = _float_checks(m, x, y, z, t, s)
+    checks = fm.check_axioms(m).checks
+    assert [c.name for c in checks] == list(floats)
+    for check in checks:
+        if check.passed:
+            assert check.proof and floats[check.name].all(), check.name
+
+
+def test_check_axioms_rejects_classes_outside_the_table():
+    class Shifted(fm.StandardFuzzyMetric):
+        pass
+
+    class Drastic(TNorm):
+        pass
+
+    with pytest.raises(ValueError, match="no axiom proofs for Shifted under TNorm"):
+        fm.check_axioms(Shifted())
+    with pytest.raises(ValueError, match="no axiom proofs for StandardFuzzyMetric under Drastic"):
+        fm.check_axioms(fm.StandardFuzzyMetric(Drastic("product")))
+
+
+def test_a_counterexample_the_float_kernel_misses_raises(monkeypatch):
+    # exact arithmetic refutes the triangle, so a float kernel that passes
+    # it is a fault, never a pass
+    monkeypatch.setattr(fm.RatioFuzzyMetric, "_kernel", lambda self, x, y, t: np.ones(np.shape(x)))
+    with pytest.raises(VerificationError, match="triangle counterexample not confirmed"):
+        fm.check_axioms(fm.RatioFuzzyMetric(TNorm("minimum")))
 
 
 def test_horizon_monotonicity_bulk(standard_metric, ratio_phi_metric):
@@ -170,12 +217,6 @@ def test_grid_point_count_is_capped(tent2):
     # 1e12 points, which numpy would refuse to allocate at once
     with pytest.raises(ValueError, match=r"1e\+12 points, more than 10000000"):
         tent2.grid(1e-12)
-
-
-def test_check_axioms_sample_count_is_capped(standard_metric):
-    # fails before any sample is drawn
-    with pytest.raises(ValueError, match="too many samples: 10000001, more than 10000000"):
-        fm.check_axioms(standard_metric, samples=reports.MAX_SAMPLES + 1)
 
 
 @pytest.mark.parametrize("lo, hi, resolution", [

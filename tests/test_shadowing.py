@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from fuzzyshadow.shadowing import (
     shadow_search,
     topological_mixing_probe,
 )
-from fuzzyshadow.systems import ConstructionError, IntervalMap, map_from_spec, perturbation_g
+from fuzzyshadow.systems import ConstructionError, IntervalMap, map_from_spec, perturbation_g, tent
 
 
 def test_true_orbit_traced_by_its_start(tent2, standard_metric):
@@ -54,6 +55,13 @@ def test_crossing_orbit_construction(three_piece, ratio_phi_metric, ratio_metric
     assert validate_f_pseudo_orbit(seq, three_piece, ratio_metric, 0.01, 1.0).is_empty
     with pytest.raises(ConstructionError):
         build_nonshadowable_orbit(0.5)
+
+
+def test_crossing_orbit_rides_are_bounded():
+    # the float tent:1.5 orbit never nears 1, so the second ride once looped
+    # forever
+    with pytest.raises(ConstructionError, match="does not reach 1 within 1000000 steps"):
+        build_nonshadowable_orbit(0.01, tent(1.5))
 
 
 def test_crossing_orbit_classical_bridge(three_piece):
@@ -338,6 +346,8 @@ def test_shadow_search_eps_validation(tent2, standard_metric):
         shadow_search(orb, tent2, standard_metric, eps=1.5, t0=1.0)
     with pytest.raises(ValueError):
         classical_shadow_search(orb, tent2, eps=0.0)
+    with pytest.raises(ValueError, match="eps must be finite and positive, got inf"):
+        classical_shadow_search(orb, tent2, eps=math.inf)
 
 
 @pytest.mark.parametrize("t0", [float("nan"), float("inf"), 0.0, -1.0])
