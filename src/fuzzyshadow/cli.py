@@ -47,6 +47,9 @@ def _write(outdir: str, name: str, text: str) -> Path:
     path = Path(outdir)
     path.mkdir(parents=True, exist_ok=True)
     target = path / name
+    # a new file, not an old one truncated in place: on ext4, truncating
+    # a file that holds data and writing it again costs three times as much
+    target.unlink(missing_ok=True)
     target.write_text(text)
     return target
 

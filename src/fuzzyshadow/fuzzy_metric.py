@@ -315,6 +315,14 @@ def require_map_in_space(f, m: FuzzyMetric) -> None:
                          f"space {m.describe_space()}")
 
 
+def require_pieces(f) -> None:
+    """Check that f is given by its pieces, whose exact tables chains and
+    continuity certificates read; a power map (systems.IteratedMap) has none."""
+    if not hasattr(f, "pieces"):
+        raise ValueError(f"{f.name} is not given by its pieces (a power map, say); chains "
+                         "and continuity certificates need a piecewise-linear map")
+
+
 def bridge_threshold(delta: float, t0: float) -> float:
     """Classical distance threshold equivalent to a standard-metric bound.
 
@@ -499,6 +507,7 @@ def certify_fuzzy_continuity(m: FuzzyMetric, f, eps: float, t: float,
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     _require_finite_positive("horizon", t)
+    require_pieces(f)
     require_map_in_space(f, m)
     inner = Fraction(eps) - 4 * _ULP - 2 * m.float_slack(f, t)
     delta = min(eps, float(m.continuity_delta(f, inner, t) - 4 * _ULP)) if inner > 0 else 0.0

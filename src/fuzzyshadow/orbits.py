@@ -9,6 +9,16 @@ Conventions, fixed package-wide:
   construction);
 * a classical transition is valid when d(f(x_i), x_{i+1}) < delta, violated
   when the distance is >= delta;
+* long sequences are walked in blocks of _BLOCK = 2**15 states: the
+  transition validators (validate_f_pseudo_orbit, npo_set,
+  classical_validate) map, score and compare one block of transitions at a
+  time, and interleave_for_power fills one block of rows at a time.  So
+  their transient memory is O(block), about 1 MB traced for a 10**6-state
+  validation where whole-array passes took 22.9 MB, and every pass stays in
+  cache.  Each step is elementwise, so the bits are those of one pass over
+  the whole sequence.  On 10**6 states (2-core Xeon, 4 MB L2) the fuzzy
+  validation took 10.6, 10.6, 9.2, 10.6 and 13.7 ms at blocks of 2**13 ...
+  2**17, against 13.2-14.2 ms whole;
 * prefix densities count violations in [0, n) and divide by n.  Infinite
   sequences are represented by finite prefixes, so density verdicts are
   finite-prefix judgments against an explicit threshold, never limit claims;
@@ -18,7 +28,8 @@ Conventions, fixed package-wide:
   one interval R_n.  It is computed with exact rational arithmetic on balls
   shrunk by a float-error slack and rounded inward to float ends, so that
   every state of R_n ends a float chain that validate_f_pseudo_orbit
-  accepts.
+  accepts.  Chains read the exact pieces of the map, so a power map is
+  refused.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fuzzy_metric import (Interval, _require_finite_positive, require_in_domain,
-                           require_map_in_space)
+                           require_map_in_space, require_pieces)
 from .reports import VerificationError
 
 DENSITY_THRESHOLD = 0.01
@@ -44,6 +55,10 @@ MAX_STEPS = 10**6
 #: Longest universe ``transitivity_skeleton`` indexes: about 2 sqrt(n)
 #: indices, whose arrays take about 150 MB at 10**12.
 MAX_UNIVERSE = 10**12
+#: States a long-sequence pass (the transition validators and
+#: interleave_for_power) maps and compares at once: each block's
+#: temporaries, 256 KB an array, stay in cache.
+_BLOCK = 2**15
 
 
 class OrbitFileError(ValueError):
@@ -257,11 +272,21 @@ def _violations(scores: np.ndarray, floor: float) -> IndexSet:
 
 
 def _transition_violations(seq: OrbitSequence, f, score, floor: float) -> IndexSet:
+    """Indices i with score(f(x_i), x_{i+1}) <= floor, found one block of
+    _BLOCK transitions at a time, so that f(x) and the scores are never held
+    at full length.  The whole sequence is checked to lie in the domain
+    first."""
     states = seq.states
     if states.size < 2:
         raise ValueError("need at least two states to validate transitions")
     require_in_domain(f, states)
-    return _violations(score(f.eval_array(states[:-1]), states[1:]), floor)
+    n = states.size - 1
+    found = []
+    for i in range(0, n, _BLOCK):
+        stop = min(i + _BLOCK, n)
+        scores = score(f.eval_array(states[i:stop]), states[i + 1:stop + 1])
+        found.append(np.flatnonzero(scores <= floor) + i)
+    return IndexSet(np.concatenate(found), universe=n)
 
 
 def _trace_scores(seq: OrbitSequence, x: float, f, score) -> np.ndarray:
@@ -348,18 +373,19 @@ def transitivity_skeleton(n: int) -> np.ndarray:
     The skeleton interleaves two index families built from the recurrence
     a_0 = 0, b_0 = 1, a_k = b_{k-1} + k, b_k = a_k + k + 1, whose closed forms
     are a_k = k(k+1) and b_k = (k+1)**2; about 2*sqrt(n) of them sit below n,
-    so the family has vanishing prefix density.
+    so the family has vanishing prefix density.  The families strictly
+    alternate, k(k+1) < (k+1)**2 < (k+1)(k+2), so a_0, b_0, a_1, b_1, ...
+    is already sorted.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > MAX_UNIVERSE:
         raise ValueError(f"universe too long: {n}, more than {MAX_UNIVERSE}")
-    k_max = int(math.isqrt(n)) + 1
-    ks = np.arange(k_max + 1, dtype=np.int64)
-    a = ks * (ks + 1)
-    b = (ks + 1) ** 2
-    merged = np.unique(np.concatenate([a, b]))
-    return merged[merged < n]
+    ks = np.arange(math.isqrt(n) + 1, dtype=np.int64)
+    merged = np.empty(2 * ks.size, dtype=np.int64)
+    merged[0::2] = ks * (ks + 1)
+    merged[1::2] = (ks + 1) ** 2
+    return merged[:np.searchsorted(merged, n)]
 
 
 def build_transitivity_orbit(x: float, y: float, f, length: int) -> OrbitSequence:
@@ -398,13 +424,16 @@ def interleave_for_power(seq: OrbitSequence, k: int, f) -> OrbitSequence:
     if k < 1:
         raise ValueError("k must be at least 1")
     base = seq.states
-    out = np.empty(k * base.size)
-    cur = base.copy()
-    for l in range(k):
-        out[l::k] = cur
-        if l + 1 < k:
-            cur = f.eval_array(cur)
-    return OrbitSequence(out, provenance="constructed")
+    # row i of out holds x_i, f(x_i), ..., f^(k-1)(x_i); a block of rows is
+    # filled column by column while its states sit in cache
+    out = np.empty((base.size, k))
+    for i in range(0, base.size, _BLOCK):
+        rows, cur = out[i:i + _BLOCK], base[i:i + _BLOCK]
+        for l in range(k):
+            rows[:, l] = cur
+            if l + 1 < k:
+                cur = f.eval_array(cur)
+    return OrbitSequence(out.ravel(), provenance="constructed")
 
 
 def perturbed_orbit(f, x0: float, n: int, noise: float, seed: int = 0) -> OrbitSequence:
@@ -451,6 +480,7 @@ def _chain_radii(x: float, y: float, f, m, delta: float, t0: float,
     if not (0.0 < delta < 1.0 and 0.0 < t0 < math.inf and 1 <= n_max <= MAX_STEPS):
         raise ValueError("chains need delta in (0, 1), a finite horizon t0 > 0 and "
                          f"n_max in [1, {MAX_STEPS}], got {delta!r}, {t0!r} and {n_max!r}")
+    require_pieces(f)
     require_map_in_space(f, m)
     require_in_domain(f, np.array([x, y], dtype=float))
     slack = m.float_slack(f, t0)

@@ -36,6 +36,21 @@ def test_check_metric_pass(tmp_path):
     assert report["report"]["all_passed"] is True
 
 
+def test_a_report_replaces_what_sits_at_its_path(tmp_path):
+    elsewhere = tmp_path / "elsewhere.json"
+    elsewhere.write_text("kept")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "check-metric-ratio-phi.json").symlink_to(elsewhere)
+    (out / "check-tnorm-lukasiewicz.json").write_text("x" * 10_000)
+    assert main(["check-metric", "ratio-phi", "--out", str(out)]) == 0
+    assert main(["check-tnorm", "lukasiewicz", "--out", str(out)]) == 0
+    report = out / "check-metric-ratio-phi.json"
+    assert not report.is_symlink() and elsewhere.read_text() == "kept"
+    assert read_report(out, report.name)["report"]["all_passed"] is True
+    assert read_report(out, "check-tnorm-lukasiewicz.json")["report"]["all_passed"] is True
+
+
 def test_check_tnorm_pass(tmp_path):
     assert main(["check-tnorm", "lukasiewicz", "--out", str(tmp_path)]) == 0
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from fuzzyshadow import fuzzy_metric as fm
 from fuzzyshadow import tnorm
 from fuzzyshadow.reports import VerificationError
-from fuzzyshadow.systems import IntervalMap, Piece, example43_map, perturbation_g, tent
+from fuzzyshadow.systems import (IntervalMap, IteratedMap, Piece, example43_map,
+                                 perturbation_g, tent)
 from fuzzyshadow.tnorm import TNorm
 
 
@@ -363,6 +364,15 @@ def test_modulus_checks_reject_states_outside_the_space(check, message):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             check()
+
+
+@pytest.mark.parametrize("metric", [fm.StandardFuzzyMetric(), fm.RatioFuzzyMetric()],
+                         ids=["standard", "ratio"])
+def test_certify_rejects_a_power_map(metric):
+    # both read a constant of the pieces (eval_scale, relative_eval_scale)
+    # that a power map lacks, and raised AttributeError
+    with pytest.raises(ValueError, match=r"example43\^2 is not given by its pieces"):
+        fm.certify_fuzzy_continuity(metric, IteratedMap(example43_map(), 2), 0.2, 1.0)
 
 
 _NOT_FINITE_POSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0]

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from fuzzyshadow.orbits import (
     transitivity_skeleton,
     validate_f_pseudo_orbit,
 )
-from fuzzyshadow.systems import IntervalMap, example43_map, map_from_spec, tent
+from fuzzyshadow.systems import IntervalMap, IteratedMap, example43_map, map_from_spec, tent
 
 
 def brute_force_skeleton(n):
@@ -137,6 +138,13 @@ def test_skeleton_density_values():
         assert count <= 2 * (int(np.sqrt(n)) + 1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 10**5, 10**8])
+def test_skeleton_length_counts_both_families(n):
+    # a_k = k(k+1) < n for the k counted here, b_k = (k+1)**2 < n for k < isqrt(n - 1)
+    a_count = sum(1 for k in range(math.isqrt(n) + 2) if k * (k + 1) < n)
+    assert len(transitivity_skeleton(n)) == a_count + math.isqrt(n - 1)
+
+
 def test_density_report_shapes():
     iset = IndexSet(transitivity_skeleton(10**6), universe=10**6)
     rep = density(iset)
@@ -194,6 +202,98 @@ def test_interleave_downsample_roundtrip(k, seed, n):
     expanded = interleave_for_power(seq, k, f)
     assert len(expanded) == k * n
     assert np.array_equal(expanded.states[::k], seq.states)
+
+
+_B = orbits._BLOCK
+_BLOCK_EDGE_LENGTHS = (1, 2, _B - 1, _B, _B + 1, 2 * _B + 1)
+_VALIDATOR_CASES = {
+    "standard": ("tent:sqrt2", "standard"),
+    "ratio": ("example43", "ratio"),
+    "ratio-phi": ("example43", "ratio-phi"),
+    "classical": ("tent:sqrt2", None),
+}
+
+
+def _whole_array_violations(states, f, name, delta, t0):
+    """The transition violations of one pass over the whole sequence."""
+    mapped, nxt = f.eval_array(states[:-1]), states[1:]
+    if name is None:
+        return np.flatnonzero(-np.abs(mapped - nxt) <= -delta)
+    return np.flatnonzero(metric_from_name(name).eval_array(mapped, nxt, t0) <= 1.0 - delta)
+
+
+def _sequence(f, transitions, noise, seed, bump):
+    """A perturbed orbit with the given number of transitions; replacing
+    state bump puts violations at transitions bump - 1 and bump."""
+    states = perturbed_orbit(f, 0.3, transitions, noise, seed=seed).states
+    if 0 < bump < states.size:
+        states[bump] = 0.9 if states[bump] < 0.6 else 0.2
+    return OrbitSequence(states)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(sorted(_VALIDATOR_CASES)),
+       transitions=st.one_of(st.sampled_from(_BLOCK_EDGE_LENGTHS),
+                             st.integers(min_value=1, max_value=2 * _B + 2)),
+       noise=st.sampled_from([0.0, 0.005, 0.02]),
+       seed=st.integers(min_value=0, max_value=2**16),
+       bump=st.integers(min_value=0, max_value=2 * _B + 2))
+@example(case="standard", transitions=_B - 1, noise=0.0, seed=0, bump=0)
+@example(case="standard", transitions=_B + 1, noise=0.0, seed=0, bump=_B - 1)
+@example(case="standard", transitions=2 * _B + 1, noise=0.0, seed=0, bump=_B + 1)
+@example(case="classical", transitions=2 * _B + 1, noise=0.0, seed=0, bump=_B)
+@example(case="ratio", transitions=_B, noise=0.005, seed=1, bump=_B - 1)
+@example(case="ratio-phi", transitions=2 * _B + 1, noise=0.0, seed=2, bump=2 * _B + 1)
+@example(case="classical", transitions=1, noise=0.02, seed=3, bump=1)
+@example(case="ratio", transitions=2, noise=0.0, seed=4, bump=2)
+def test_blocked_validators_match_one_whole_array_pass(case, transitions, noise, seed, bump):
+    spec, name = _VALIDATOR_CASES[case]
+    f, delta, t0 = map_from_spec(spec), 0.01, 1.0
+    seq = _sequence(f, transitions, noise, seed, bump)
+    if name is None:
+        got = classical_validate(seq, f, delta)
+    else:
+        got = validate_f_pseudo_orbit(seq, f, metric_from_name(name), delta, t0)
+    want = _whole_array_violations(seq.states, f, name, delta, t0)
+    assert got.universe == transitions
+    assert got.indices.dtype == np.int64 and np.array_equal(got.indices, want)
+    if noise == 0.0 and 0 < bump <= transitions:
+        assert {bump - 1, bump} & set(got.indices.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(min_value=1, max_value=5),
+       n=st.one_of(st.sampled_from(_BLOCK_EDGE_LENGTHS),
+                   st.integers(min_value=1, max_value=2 * _B + 2)),
+       seed=st.integers(min_value=0, max_value=2**16))
+@example(k=4, n=2 * _B + 1, seed=0)
+@example(k=3, n=_B + 1, seed=1)
+@example(k=2, n=_B, seed=2)
+@example(k=5, n=_B - 1, seed=3)
+@example(k=2, n=1, seed=4)
+def test_blocked_interleave_matches_one_whole_array_pass(k, n, seed):
+    f = tent(math.sqrt(2))
+    seq = OrbitSequence(np.random.default_rng(seed).uniform(0.0, 1.0, n))
+    want = np.empty(k * n)
+    cur = seq.states
+    for l in range(k):
+        want[l::k] = cur
+        cur = f.eval_array(cur)
+    got = interleave_for_power(seq, k, f).states
+    assert got.tobytes() == want.tobytes()
+
+
+def test_validation_memory_stays_blocked(tent2, standard_metric):
+    # one pass over the whole sequence holds 22.9 MB of temporaries here
+    seq = build_transitivity_orbit(0.3, 0.7, tent2, 10**6)
+    tracemalloc.start()
+    try:
+        bad = validate_f_pseudo_orbit(seq, tent2, standard_metric, 0.01, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bad.issubset(transitivity_skeleton(len(seq)))
+    assert peak < 3 * 2**20
 
 
 def test_perturbed_orbit_validity(tent2, standard_metric):
@@ -417,6 +517,17 @@ def test_walk_back_balls_hold_only_float_valid_steps(spec, name, x, delta, t0, u
         if z in ball and m.contains(z):
             seq = OrbitSequence(np.array([x, z]))
             assert validate_f_pseudo_orbit(seq, f, m, delta, t0).is_empty
+
+
+def test_chain_search_rejects_a_power_map(standard_metric):
+    with pytest.raises(ValueError, match=r"tent:2\^2 is not given by its pieces"):
+        chain_search(0.2, 0.8, IteratedMap(tent(2.0), 2), standard_metric, 0.1, 1.0)
+
+
+def test_chain_mixing_check_rejects_a_power_map(ratio_phi_metric):
+    with pytest.raises(ValueError, match=r"example43\^3 is not given by its pieces"):
+        chain_mixing_check(0.2, 0.8, IteratedMap(example43_map(), 3), ratio_phi_metric,
+                           0.1, 1.0)
 
 
 @pytest.mark.parametrize("kwargs", [{"delta": 0.0}, {"delta": 1.0}, {"t0": 0.0},
