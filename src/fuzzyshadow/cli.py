@@ -13,8 +13,11 @@ sweep                 tabulate orbit validity and witness verdicts over
                       (eps, delta, t0) combinations
 
 Exit codes: 0 for found/pass, 1 for a negative verdict, 2 for usage errors,
-including numeric parameters out of range, and 3 when a witness or a chain
-fails its independent re-check.
+including numeric parameters out of range and radii too small to decide in
+floats, and 3 when a witness or a chain fails its independent re-check.
+A radius (``--eps``, ``--delta`` and their lists) must exceed the metric's
+float slack on the map at the horizon, and a chain's ``--delta`` 4 ulp(1)
+plus twice that slack; the error line names the bound.
 Reports are deterministic JSON (no timestamps); stdout carries one summary
 line per run.  Map graphs are emitted as self-contained SVG.
 
@@ -371,8 +374,20 @@ def _map_and_metric(args):
     return systems.map_from_spec(args.map_spec), fm.metric_from_name(args.metric)
 
 
+def _require_resolved(f, metric, t0: float, flag: str, radii) -> None:
+    """Raise ValueError, so exit 2, on a radius the float predicates cannot
+    decide: one at or below the metric's float slack on f at t0, where
+    rounding alone can turn a verdict."""
+    fm.require_map_in_space(f, metric)  # the slack is read on the metric's space
+    slack = metric.float_slack(f, t0)
+    for radius in radii:
+        fm.require_resolved(flag, radius, slack,
+                            f"the float slack of {metric.name} on {f.name} at t0 {t0!r}")
+
+
 def _cmd_shadow(args) -> int:
     f, metric = _map_and_metric(args)
+    _require_resolved(f, metric, args.t0, "--eps", [args.eps])
     seq = orbits.OrbitSequence.from_csv(args.orbit)
     verdict = shadowing.shadow_search(seq, f, metric, eps=args.eps, t0=args.t0,
                                       resolution=args.grid)
@@ -462,6 +477,7 @@ def _cmd_density(args) -> int:
             raise ValueError("density --orbit needs --map, --metric and --delta")
         t0 = 1.0 if args.t0 is None else args.t0
         f, metric = _map_and_metric(args)
+        _require_resolved(f, metric, t0, "--delta", [args.delta])
         seq = orbits.OrbitSequence.from_csv(args.orbit)
         iset = orbits.npo_set(seq, f, metric, delta=args.delta, t0=t0)
         report = orbits.density(iset)
@@ -477,6 +493,9 @@ def _cmd_density(args) -> int:
 
 def _cmd_sweep(args) -> int:
     f, metric = _map_and_metric(args)
+    for t0 in args.t0s:
+        _require_resolved(f, metric, t0, "--eps-list", args.epss)
+        _require_resolved(f, metric, t0, "--delta-list", args.deltas)
     seq = orbits.OrbitSequence.from_csv(args.orbit)
     # a witness does not depend on delta, so each (eps, t0) is searched once
     witnesses = {}

@@ -59,6 +59,18 @@ def interval_grid(lo: float, hi: float, lo_open: bool, resolution: float) -> np.
     return np.linspace(lo, hi, steps + 1)
 
 
+def require_resolved(name: str, radius: float, least: Fraction, what: str) -> None:
+    """Raise ValueError unless radius exceeds least, the narrowest radius a
+    float predicate decides (``what`` says whose); the message names the
+    greatest float at or below least, which every accepted radius exceeds."""
+    if radius <= least:
+        bound = float(least)
+        if bound > least:
+            bound = math.nextafter(bound, -math.inf)
+        raise ValueError(f"{name} {radius!r} is too small to decide in floats: it must "
+                         f"exceed {bound!r}, {what}")
+
+
 def _require_finite_positive(name: str, value: float) -> None:
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")

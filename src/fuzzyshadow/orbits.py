@@ -12,13 +12,17 @@ Conventions, fixed package-wide:
 * long sequences are walked in blocks of _BLOCK = 2**15 states: the
   transition validators (validate_f_pseudo_orbit, npo_set,
   classical_validate) map, score and compare one block of transitions at a
-  time, and interleave_for_power fills one block of rows at a time.  So
-  their transient memory is O(block), about 1 MB traced for a 10**6-state
-  validation where whole-array passes took 22.9 MB, and every pass stays in
-  cache.  Each step is elementwise, so the bits are those of one pass over
-  the whole sequence.  On 10**6 states (2-core Xeon, 4 MB L2) the fuzzy
-  validation took 10.6, 10.6, 9.2, 10.6 and 13.7 ms at blocks of 2**13 ...
-  2**17, against 13.2-14.2 ms whole;
+  time; the tracing sets (ns_set, classical_ns_set) step, score and compare
+  one block of the true orbit at a time; interleave_for_power fills one
+  block of rows, perturbed_orbit one block of states, to_csv writes one
+  block of rows and from_csv parses one block of text at a time.  So their
+  transient memory is O(block): no pass holds a Python object per state,
+  and a 10**6-state validation traces about 1 MB where whole-array passes
+  took 22.9 MB.  Each step is elementwise or sequential, so the bits and
+  the errors are those of one pass over the whole sequence.  On 10**6
+  states (2-core Xeon, 4 MB L2) the fuzzy validation took 10.6, 10.6, 9.2,
+  10.6 and 13.7 ms at blocks of 2**13 ... 2**17, against 13.2-14.2 ms
+  whole;
 * prefix densities count violations in [0, n) and divide by n.  Infinite
   sequences are represented by finite prefixes, so density verdicts are
   finite-prefix judgments against an explicit threshold, never limit claims;
@@ -42,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fuzzy_metric import (Interval, _require_finite_positive, require_in_domain,
-                           require_map_in_space, require_pieces)
+                           require_map_in_space, require_pieces, require_resolved)
 from .reports import VerificationError
 
 DENSITY_THRESHOLD = 0.01
@@ -55,8 +59,8 @@ MAX_STEPS = 10**6
 #: Longest universe ``transitivity_skeleton`` indexes: about 2 sqrt(n)
 #: indices, whose arrays take about 150 MB at 10**12.
 MAX_UNIVERSE = 10**12
-#: States a long-sequence pass (the transition validators and
-#: interleave_for_power) maps and compares at once: each block's
+#: States a long-sequence pass (validators, tracing sets, orbit
+#: generation, interleaving, CSV writing) handles at once: each block's
 #: temporaries, 256 KB an array, stay in cache.
 _BLOCK = 2**15
 
@@ -83,7 +87,9 @@ class OrbitSequence:
         self.states = np.asarray(self.states, dtype=float).ravel()
         if self.states.size == 0:
             raise ValueError("orbit sequence must be nonempty")
-        if not np.isfinite(self.states).all():
+        # NaN propagates through min and max, and an infinity is always an
+        # extreme, so the two decide finiteness without an n-long mask
+        if not (math.isfinite(self.states.min()) and math.isfinite(self.states.max())):
             raise ValueError("orbit states must be finite")
 
     def __len__(self) -> int:
@@ -94,10 +100,13 @@ class OrbitSequence:
 
     def to_csv(self, path) -> None:
         # the bytes csv.writer writes: a float repr needs no quoting, and
-        # rows end in "\r\n"
-        rows = "".join(f"{i},{v!r}\r\n" for i, v in enumerate(self.states.tolist()))
+        # rows end in "\r\n"; a list joins faster than a generator
+        states = self.states
         with open(path, "w", newline="") as fh:
-            fh.write("index,value\r\n" + rows)
+            fh.write("index,value\r\n")
+            for i in range(0, states.size, _BLOCK):
+                fh.write("".join([f"{j},{v!r}\r\n" for j, v in
+                                  enumerate(states[i:i + _BLOCK].tolist(), i)]))
 
     @classmethod
     def from_csv(cls, path) -> "OrbitSequence":
@@ -112,7 +121,7 @@ class OrbitSequence:
             if values is None:
                 fh.seek(0)
                 values = _read_rows(fh)
-        return cls(np.array(values), provenance="file")
+        return cls(values, provenance="file")
 
 
 # characters per bulk block: the text and fields held at once stay bounded,
@@ -122,30 +131,38 @@ _CSV_BLOCK = 1 << 16
 _NUMBER_CHARS = str.maketrans("", "", "0123456789+-.e")
 
 
-def _read_bulk(fh) -> list[float] | None:
-    """The values of a file in to_csv's layout, read a block of lines at a
-    time, or None as soon as a block departs from that layout.
+def _read_bulk(fh) -> np.ndarray | None:
+    """The values of a file in to_csv's layout, read _CSV_BLOCK characters
+    at a time, or None as soon as a block departs from that layout.
 
-    A block passes when deleting the number characters from it leaves
-    ",\\r\\n" once per line, so that csv.reader would split each line into
-    the same two fields, and when it is no longer than csv's field size
-    limit, so that no field exceeds it.  Its fields then go through the int
-    and float the row loop applies, so both readers accept the same values.
+    Each chunk is cut after its last line end and the partial line carried
+    into the next.  A block passes when deleting the number characters from
+    it leaves ",\\r\\n" once per line, so that csv.reader would split each
+    line into the same two fields, and when it is no longer than csv's field
+    size limit, so that no field exceeds it; a carried line longer than the
+    limit fails at once.  Its fields then go through the int and float the
+    row loop applies, so both readers accept the same values.
     """
     if fh.readline() != "index,value\r\n":
         return None
     limit = csv.field_size_limit()
-    values = []
-    while lines := fh.readlines(_CSV_BLOCK):
-        block = "".join(lines)
-        if len(block) > limit or block.translate(_NUMBER_CHARS) != ",\r\n" * len(lines):
+    blocks, tail, start = [], "", 0
+    while chunk := fh.read(_CSV_BLOCK):
+        text = tail + chunk
+        cut = text.rfind("\n") + 1
+        text, tail = text[:cut], text[cut:]
+        lines = text.count("\n")
+        if (len(text) > limit or len(tail) > limit
+                or text.translate(_NUMBER_CHARS) != ",\r\n" * lines):
             return None
-        fields = block.replace("\r\n", ",").split(",")
-        start = len(values)
-        if list(map(int, fields[0:-1:2])) != list(range(start, start + len(lines))):
+        fields = text.replace("\r\n", ",").split(",")
+        if list(map(int, fields[0:-1:2])) != list(range(start, start + lines)):
             return None
-        values.extend(map(float, fields[1::2]))
-    return values or None
+        blocks.append(np.fromiter(map(float, fields[1::2]), float, lines))
+        start += lines
+    if tail or not start:  # a last line without its "\r\n", or no rows
+        return None
+    return np.concatenate(blocks)
 
 
 def _read_rows(fh) -> list[float]:
@@ -189,7 +206,8 @@ class IndexSet:
         if self.universe < 1:
             raise ValueError("universe length must be positive")
         if self.indices.size:
-            if np.any(np.diff(self.indices) <= 0):
+            # a comparison of neighbours takes a bool a pair, np.diff an int64
+            if not (self.indices[1:] > self.indices[:-1]).all():
                 raise ValueError("indices must be strictly increasing")
             if self.indices[0] < 0 or self.indices[-1] >= self.universe:
                 raise ValueError("indices must lie in [0, universe)")
@@ -267,10 +285,6 @@ def classical_score(x, y):
     return -np.abs(x - y)
 
 
-def _violations(scores: np.ndarray, floor: float) -> IndexSet:
-    return IndexSet(np.flatnonzero(scores <= floor), universe=scores.size)
-
-
 def _transition_violations(seq: OrbitSequence, f, score, floor: float) -> IndexSet:
     """Indices i with score(f(x_i), x_{i+1}) <= floor, found one block of
     _BLOCK transitions at a time, so that f(x) and the scores are never held
@@ -289,10 +303,22 @@ def _transition_violations(seq: OrbitSequence, f, score, floor: float) -> IndexS
     return IndexSet(np.concatenate(found), universe=n)
 
 
-def _trace_scores(seq: OrbitSequence, x: float, f, score) -> np.ndarray:
-    """Scores score(f^i(x), x_i) of the true orbit of x against the sequence."""
+def _tracing_violations(seq: OrbitSequence, x: float, f, score, floor: float) -> IndexSet:
+    """Indices i with score(f^i(x), x_i) <= floor, found one block of _BLOCK
+    states at a time, so that neither the true orbit nor the scores are
+    held at full length.  The whole sequence is checked to lie in the
+    domain first."""
     states = require_in_domain(f, seq.states)
-    return score(np.array(f.states(x, states.size)), states)
+    n, v, found = states.size, x, []
+    for i in range(0, n, _BLOCK):
+        # a later block restarts from the state before it: f.states checks
+        # every state but its last, so the bits and errors are those of one
+        # f.states(x, n) call, whose last state stays unchecked
+        skip = 1 if i else 0
+        orbit = np.array(f.states(v, min(_BLOCK, n - i) + skip))[skip:]
+        v = orbit[-1]
+        found.append(np.flatnonzero(score(orbit, states[i:i + orbit.size]) <= floor) + i)
+    return IndexSet(np.concatenate(found), universe=n)
 
 
 def _require_unit(name: str, value: float) -> None:
@@ -319,7 +345,7 @@ def ns_set(seq: OrbitSequence, x: float, f, m, delta: float, t0: float) -> Index
     """Indices i where the tracing bound fails: M(f^i(x), x_i, t0) <= 1 - delta.
     Raises ValueError unless delta lies in (0, 1)."""
     _require_unit("delta", delta)
-    return _violations(_trace_scores(seq, x, f, fuzzy_score(f, m, t0)), 1.0 - delta)
+    return _tracing_violations(seq, x, f, fuzzy_score(f, m, t0), 1.0 - delta)
 
 
 def classical_validate(seq: OrbitSequence, f, delta: float) -> IndexSet:
@@ -334,7 +360,7 @@ def classical_ns_set(seq: OrbitSequence, x: float, f, eps: float) -> IndexSet:
     """Classical tracing violations: indices with d(f^i(x), x_i) >= eps.
     Raises ValueError unless eps is finite and positive."""
     _require_finite_positive("eps", eps)
-    return _violations(_trace_scores(seq, x, f, classical_score), -eps)
+    return _tracing_violations(seq, x, f, classical_score, -eps)
 
 
 # -- density -------------------------------------------------------------------
@@ -443,9 +469,14 @@ def perturbed_orbit(f, x0: float, n: int, noise: float, seed: int = 0) -> OrbitS
         raise ValueError("n must be nonnegative")
     if not (math.isfinite(noise) and noise >= 0.0):
         raise ValueError(f"noise must be finite and nonnegative, got {noise!r}")
-    # one draw of n kicks is the stream of n scalar draws
-    kicks = np.random.default_rng(seed).uniform(-noise, noise, n).tolist()
-    return OrbitSequence(f.perturbed_states(x0, kicks), provenance="perturbed")
+    rng, states, v = np.random.default_rng(seed), np.empty(n + 1), x0
+    # a block of kicks continues the stream of scalar draws; n = 0 still
+    # checks x0
+    for i in range(0, max(n, 1), _BLOCK):
+        stop = min(i + _BLOCK, n)
+        states[i:stop + 1] = f.perturbed_states(v, rng.uniform(-noise, noise, stop - i).tolist())
+        v = states[stop]
+    return OrbitSequence(states, provenance="perturbed")
 
 
 # -- chains over float-safe reach intervals ---------------------------------------
@@ -476,7 +507,8 @@ def _chain_radii(x: float, y: float, f, m, delta: float, t0: float,
     a state of R_k rounded to a float still has a predecessor under the
     walk-back radius, and a float step inside a walk-back ball passes
     validate_f_pseudo_orbit.  x and y must lie in the domain of f, and the
-    domain in the space of m."""
+    domain in the space of m.  A delta at or below 4 ulp(1) plus twice the
+    slack leaves no reach radius, and raises ValueError."""
     if not (0.0 < delta < 1.0 and 0.0 < t0 < math.inf and 1 <= n_max <= MAX_STEPS):
         raise ValueError("chains need delta in (0, 1), a finite horizon t0 > 0 and "
                          f"n_max in [1, {MAX_STEPS}], got {delta!r}, {t0!r} and {n_max!r}")
@@ -484,6 +516,8 @@ def _chain_radii(x: float, y: float, f, m, delta: float, t0: float,
     require_map_in_space(f, m)
     require_in_domain(f, np.array([x, y], dtype=float))
     slack = m.float_slack(f, t0)
+    require_resolved("delta", delta, 4 * Fraction(2.0**-52) + 2 * slack,
+                     f"4 ulp(1) plus twice the float slack of {m.name} on {f.name} at t0 {t0!r}")
     walk = Fraction(delta) - 4 * Fraction(2.0**-52) - slack
     return walk - slack, walk
 
@@ -498,7 +532,7 @@ def _reach_sets(x: float, f, m, radius: Fraction, t0: float, n_max: int):
         yield reach
         if reach != prev:  # a stationary set repeats forever
             prev = reach
-            if reach.is_empty or radius <= 0:
+            if reach.is_empty:
                 reach = _EMPTY
                 continue
             image = f.image(reach)

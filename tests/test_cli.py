@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import fuzzyshadow
 from fuzzyshadow import fuzzy_metric as fm
-from fuzzyshadow import orbits, shadowing
+from fuzzyshadow import orbits, shadowing, systems
 from fuzzyshadow.cli import build_parser, main
 from fuzzyshadow.fuzzy_metric import Ball, StandardFuzzyMetric
 from fuzzyshadow.orbits import perturbed_orbit
@@ -541,3 +542,79 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, orbit_file, argv):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# the true float orbit of 0.3 under tent:sqrt2, 51 states: below float
+# resolution shadow answered "no witness" and chain "none"
+_SQRT2 = "tent:sqrt2"
+
+
+def _sqrt2_slack_bound():
+    """The greatest float at or below the standard metric's float slack on
+    tent:sqrt2 at t0 = 1."""
+    f = systems.map_from_spec(_SQRT2)
+    slack = StandardFuzzyMetric().float_slack(f, 1.0)
+    bound = float(slack)
+    return math.nextafter(bound, -math.inf) if bound > slack else bound
+
+
+@pytest.fixture
+def sqrt2_orbit(tmp_path):
+    path = tmp_path / "sqrt2.csv"
+    systems.map_from_spec(_SQRT2).orbit(0.3, 50).to_csv(path)
+    return str(path)
+
+
+_TINY_RADIUS_CASES = [
+    (["shadow", "--eps", "1e-17"], "--eps 1e-17"),
+    (["shadow", "--eps", "1e-15"], "--eps 1e-15"),
+    (["shadow", "--eps", "BOUND"], "--eps BOUND"),
+    (["density", "--delta", "1e-17"], "--delta 1e-17"),
+    (["sweep", "--eps-list", "0.1,1e-17", "--delta-list", "0.1"], "--eps-list 1e-17"),
+    (["sweep", "--eps-list", "0.1", "--delta-list", "0.1,1e-17"], "--delta-list 1e-17"),
+]
+
+
+@pytest.mark.parametrize("argv, named", _TINY_RADIUS_CASES,
+                         ids=[" ".join(argv) for argv, _ in _TINY_RADIUS_CASES])
+def test_radii_below_float_resolution_exit_2(tmp_path, capsys, sqrt2_orbit, argv, named):
+    bound = repr(_sqrt2_slack_bound())
+    argv = [bound if a == "BOUND" else a for a in argv]
+    out = tmp_path / "out"
+    rc = main(argv + ["--map", _SQRT2, "--metric", "standard", "--orbit", sqrt2_orbit,
+                      "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {named.replace('BOUND', bound)} is too small to decide in floats: "
+                   f"it must exceed {bound}, the float slack of standard on tent:1.41421 "
+                   "at t0 1.0\n")
+    assert not out.exists()
+
+
+def test_a_chain_below_float_resolution_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["chain", "--map", _SQRT2, "--metric", "standard", "--from", "0.3",
+               "--to", "0.4242640687119285", "--delta", "1e-17", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: delta 1e-17 is too small to decide in floats: it must exceed ")
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["shadow", "--eps", "ABOVE", "--orbit", "ORBIT"],
+    ["density", "--delta", "ABOVE", "--orbit", "ORBIT"],
+    ["sweep", "--eps-list", "ABOVE", "--delta-list", "ABOVE", "--orbit", "ORBIT"],
+    ["chain", "--from", "0.3", "--to", "0.4242640687119285", "--delta", "CHAIN_ABOVE"],
+], ids=lambda argv: argv[0])
+def test_radii_just_above_float_resolution_still_run(tmp_path, capsys, sqrt2_orbit, argv):
+    f = systems.map_from_spec(_SQRT2)
+    least = 4 * Fraction(2.0**-52) + 2 * StandardFuzzyMetric().float_slack(f, 1.0)
+    # the float after the nearest float of a bound exceeds the bound
+    subs = {"ABOVE": repr(math.nextafter(_sqrt2_slack_bound(), math.inf)), "ORBIT": sqrt2_orbit,
+            "CHAIN_ABOVE": repr(math.nextafter(float(least), math.inf))}
+    argv = [subs.get(a, a) for a in argv]
+    rc = main(argv + ["--map", _SQRT2, "--metric", "standard", "--out", str(tmp_path)])
+    assert rc in (0, 1) and capsys.readouterr().err == ""
+    if argv[0] == "shadow":
+        assert rc == 0 and read_report(tmp_path, "shadow.json")["witness"] == 0.3

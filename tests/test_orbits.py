@@ -33,7 +33,8 @@ from fuzzyshadow.orbits import (
     transitivity_skeleton,
     validate_f_pseudo_orbit,
 )
-from fuzzyshadow.systems import IntervalMap, IteratedMap, example43_map, map_from_spec, tent
+from fuzzyshadow.systems import (IntervalMap, IteratedMap, Piece, example43_map, map_from_spec,
+                                 tent)
 
 
 def brute_force_skeleton(n):
@@ -296,6 +297,138 @@ def test_validation_memory_stays_blocked(tent2, standard_metric):
     assert peak < 3 * 2**20
 
 
+# the whole-list formulas the blocked passes replaced, kept as references
+
+
+def _whole_perturbed(f, x0, n, noise, seed):
+    kicks = np.random.default_rng(seed).uniform(-noise, noise, n).tolist()
+    return np.array(f.perturbed_states(x0, kicks))
+
+
+def _whole_tracing(states, x, f, score, floor):
+    return np.flatnonzero(score(np.array(f.states(x, states.size)), states) <= floor)
+
+
+def _whole_csv(states):
+    rows = "".join(f"{i},{v!r}\r\n" for i, v in enumerate(states.tolist()))
+    return ("index,value\r\n" + rows).encode()
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGE_LENGTHS)
+@pytest.mark.parametrize("spec", ["tent:sqrt2", "example43", "g:1/256"])
+def test_blocked_perturbed_orbit_matches_one_whole_draw(spec, n):
+    f = map_from_spec(spec)
+    got = perturbed_orbit(f, 0.3, n, 0.3, seed=n).states
+    assert got.tobytes() == _whole_perturbed(f, 0.3, n, 0.3, n).tobytes()
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGE_LENGTHS)
+def test_blocked_tracing_sets_match_one_whole_orbit(n):
+    # the true orbit of x0 tracks the noisy sequence for a while, then
+    # leaves it, so violations start inside the first block
+    f, m = tent(math.sqrt(2)), metric_from_name("standard")
+    power = IteratedMap(f, 2)
+    seq = perturbed_orbit(f, 0.3, n - 1, 1e-9, seed=n)
+    fuzzy = orbits.fuzzy_score(f, m, 1.0)
+    for x in (0.3, 0.31):
+        got = ns_set(seq, x, f, m, 0.01, 1.0)
+        assert got.universe == n
+        assert np.array_equal(got.indices, _whole_tracing(seq.states, x, f, fuzzy, 0.99))
+        for g in (f, power):
+            got = orbits.classical_ns_set(seq, x, g, 0.001)
+            want = _whole_tracing(seq.states, x, g, orbits.classical_score, -0.001)
+            assert got.indices.dtype == np.int64 and np.array_equal(got.indices, want)
+
+
+# steps of 2**-17 and the first state of the leaky piece, (_B + 9) 2**-17
+_STEP, _TOP = Fraction(1, 2**17), _B + 9
+
+
+def _step_then_leak():
+    """A map of [0, 1] whose float orbit of k 2**-17 steps up by 2**-17
+    exactly, reaches its leaky piece at (_B + 9) 2**-17 and next leaves the
+    domain, below 0 by float rounding alone."""
+    top = _TOP * _STEP
+    knots = [Fraction(0), top - _STEP, top - _STEP + _STEP * Fraction(2, 201), top, Fraction(1)]
+    values = [_STEP, top, Fraction(1, 3), Fraction(0), Fraction(1, 2)]
+    pieces = []
+    for x0, x1, y0, y1 in zip(knots, knots[1:], values, values[1:]):
+        slope = (y1 - y0) / (x1 - x0)
+        pieces.append(Piece(x0, x1, slope, y0 - slope * x0))
+    return IntervalMap(pieces, name="leaky")
+
+
+def _outcome(call):
+    """The bits a call returns, or the message of the ValueError it raises."""
+    try:
+        return np.asarray(call()).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("leak_at", [_B - 1, _B, _B + 1])
+def test_an_orbit_leaving_the_domain_in_a_later_block_raises_as_before(leak_at):
+    f, m = _step_then_leak(), metric_from_name("standard")
+    x = float((_TOP + 1 - leak_at) * _STEP)  # state leak_at is the first outside
+    assert f.states(x, leak_at + 1)[-1] < 0.0
+    for n in (leak_at, leak_at + 1, leak_at + 2, 2 * _B + 1):
+        seq = OrbitSequence(np.full(n, 0.5))
+        got = _outcome(lambda: ns_set(seq, x, f, m, 0.01, 1.0).indices)
+        want = _outcome(lambda: _whole_tracing(seq.states, x, f, orbits.fuzzy_score(f, m, 1.0),
+                                               0.99))
+        assert got == want
+        # the last state of the orbit is not checked, as in IntervalMap.states
+        assert isinstance(got, bytes) == (n <= leak_at + 1)
+    assert "outside domain of leaky" in got
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGE_LENGTHS)
+def test_blocked_csv_matches_the_whole_file(tmp_path, n):
+    states = perturbed_orbit(tent(math.sqrt(2)), 0.3, n - 1, 0.01, seed=n).states
+    path = tmp_path / "orbit.csv"
+    OrbitSequence(states).to_csv(path)
+    assert path.read_bytes() == _whole_csv(states)
+    back = OrbitSequence.from_csv(path).states
+    assert back.tobytes() == states.tobytes() == np.array(_row_loop(path)).tobytes()
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+_LONG = 10**6  # states: the whole-list passes traced 39-111 MB here
+
+
+def test_tracing_memory_stays_blocked(tent2, standard_metric):
+    seq = tent2.orbit(0.3, _LONG - 1)
+    peak, bad = _traced_peak(lambda: ns_set(seq, 0.3, tent2, standard_metric, 0.01, 1.0))
+    assert bad.is_empty and bad.universe == _LONG
+    assert peak < 3 * 2**20  # 38.6 MB whole
+
+
+def test_generation_memory_stays_blocked():
+    # the result alone takes 7.6 MB
+    f = tent(math.sqrt(2))
+    peak, seq = _traced_peak(lambda: perturbed_orbit(f, 0.3, _LONG - 1, 0.01))
+    assert len(seq) == _LONG
+    assert peak < 12 * 2**20  # 70.0 MB whole
+
+
+def test_csv_memory_stays_blocked(tmp_path):
+    states = np.random.default_rng(0).uniform(0.0, 1.0, _LONG)
+    path = tmp_path / "long.csv"
+    peak, _ = _traced_peak(lambda: OrbitSequence(states).to_csv(path))
+    assert peak < 5 * 2**20  # 110.9 MB whole
+    peak, back = _traced_peak(lambda: OrbitSequence.from_csv(path))
+    assert back.states.tobytes() == states.tobytes()
+    assert peak < 18 * 2**20  # 39.5 MB whole
+
+
 def test_perturbed_orbit_validity(tent2, standard_metric):
     seq = perturbed_orbit(tent2, 0.3, 300, noise=0.005, seed=4)
     assert seq.provenance == "perturbed"
@@ -540,6 +673,24 @@ def test_chain_parameters_checked(tent2, standard_metric, kwargs):
             check(0.2, 0.8, tent2, standard_metric, **args)
 
 
+def test_chain_radius_below_float_resolution_raises(standard_metric):
+    # f(0.3) is one float step from 0.3, yet at delta 1e-17 the reach radius
+    # was negative and the search answered "none"
+    f = tent(math.sqrt(2))
+    y = f.eval(0.3)
+    least = 4 * Fraction(2.0**-52) + 2 * standard_metric.float_slack(f, 1.0)
+    bound = float(least)
+    if bound > least:
+        bound = math.nextafter(bound, -math.inf)
+    for check in (chain_search, chain_mixing_check):
+        for delta in (1e-17, bound):
+            with pytest.raises(ValueError, match=rf"^delta {delta!r} is too small to decide in "
+                                                 rf"floats: it must exceed {bound!r}, 4 ulp\(1\)"):
+                check(0.3, y, f, standard_metric, delta, 1.0)
+        check(0.3, y, f, standard_metric, math.nextafter(bound, math.inf), 1.0)
+    assert len(chain_search(0.3, y, f, standard_metric, 1e-14, 1.0)) == 2
+
+
 @pytest.mark.parametrize("validate", [
     lambda seq, f, m: validate_f_pseudo_orbit(seq, f, m, 0.1, 1.0),
     lambda seq, f, m: npo_set(seq, f, m, 0.1, 1.0),
@@ -657,7 +808,7 @@ def test_csv_roundtrip_is_bit_exact_across_blocks(tmp_path, pattern, n):
     assert bulk is not None, "the bulk reader refused to_csv's own layout"
     assert np.array(bulk).tobytes() == states.tobytes()
     assert OrbitSequence.from_csv(path).states.tobytes() == states.tobytes()
-    assert _row_loop(path) == bulk
+    assert _row_loop(path) == bulk.tolist()
 
 
 _DEFECT_ROW = 5000  # past the first block of the file below
@@ -720,3 +871,21 @@ def test_overlong_field_is_an_orbit_file_error(tmp_path, newline):
 def test_empty_sequence_rejected():
     with pytest.raises(ValueError):
         OrbitSequence(np.array([]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, _B + 7, 3 * _B - 1])
+def test_a_nonfinite_state_in_any_block_is_rejected(bad, at):
+    states = np.full(3 * _B, 0.5)
+    states[at] = bad
+    with pytest.raises(ValueError, match="^orbit states must be finite$"):
+        OrbitSequence(states)
+
+
+@pytest.mark.parametrize("indices", [[3, 3], [0, 5, 5, 9], [4, 2], [0, 1, 7, 6, 8],
+                                     [*range(_B), _B - 1]],
+                         ids=["duplicate", "inner-duplicate", "unsorted", "inner-unsorted",
+                              "long-duplicate-at-end"])
+def test_index_sets_must_strictly_increase(indices):
+    with pytest.raises(ValueError, match="^indices must be strictly increasing$"):
+        IndexSet(np.array(indices), universe=2 * _B)
