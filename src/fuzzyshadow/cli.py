@@ -436,6 +436,8 @@ def _cmd_chain(args) -> int:
 
 def _cmd_mix(args) -> int:
     f, metric = _map_and_metric(args)
+    _require_resolved(f, metric, args.t0, "--u-radius", [args.u_radius])
+    _require_resolved(f, metric, args.t0, "--v-radius", [args.v_radius])
     u = fm.Ball(args.u_center, args.u_radius, args.t0)
     v = fm.Ball(args.v_center, args.v_radius, args.t0)
     report = shadowing.topological_mixing_probe(f, u, v, metric, n_max=args.n_max,

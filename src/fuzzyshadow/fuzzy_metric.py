@@ -135,9 +135,12 @@ class Interval:
 class FuzzyMetric:
     """Base evaluator over states in a real interval.
 
-    Subclasses implement ``_kernel`` on raw arrays; ``ball_interval``, the
-    exact union of the open balls {z : M(u, z, t) > 1 - radius} over the u of
-    a nonempty Interval; ``float_slack(f, t)``, a bound, in units of the
+    Subclasses implement ``_kernel`` on raw arrays; ``ball_rule(radius,
+    t)``, the exact rationals (q, r) such that the open ball
+    {z : M(u, z, t) > 1 - radius} of every u of the space is the interval
+    (u q - r, u / q + r), or None when every such ball is {u}, the one
+    place a ball is defined, which ``ball_interval`` and the chains' reach
+    step read; ``float_slack(f, t)``, a bound, in units of the
     radius, on how far float errors in evaluating a piecewise-linear map f or
     in rounding a state move a ball's edge; and ``continuity_delta(f, eps,
     t)``, an exact radius delta such that f maps every pair nearer than
@@ -180,6 +183,15 @@ class FuzzyMetric:
     def _kernel(self, x, y, t):  # pragma: no cover - overridden
         raise NotImplementedError
 
+    def ball_interval(self, iv: Interval, radius: float, t: float) -> Interval:
+        """The exact union of the open balls of the given radius at horizon t
+        around the points of the nonempty Interval iv (see ball_rule)."""
+        rule = self.ball_rule(radius, t)
+        if rule is None:
+            return iv
+        q, r = rule
+        return Interval(iv.lo * q - r, iv.hi / q + r, False, False)
+
     # -- domain helpers -----------------------------------------------------
 
     def contains(self, x: float) -> bool:
@@ -215,11 +227,10 @@ class StandardFuzzyMetric(FuzzyMetric):
     def _kernel(self, x, y, t):
         return t / (t + np.abs(x - y))
 
-    def ball_interval(self, iv: Interval, radius: float, t: float) -> Interval:
+    def ball_rule(self, radius: float, t: float) -> tuple[Fraction, Fraction]:
         # t/(t + d) > 1 - radius  iff  d < t*radius/(1 - radius), the bridge threshold
         radius = Fraction(radius)
-        r = Fraction(t) * radius / (1 - radius)
-        return Interval(iv.lo - r, iv.hi + r, False, False)
+        return Fraction(1), Fraction(t) * radius / (1 - radius)
 
     def float_slack(self, f, t: float) -> Fraction:
         # a state error e moves t/(t + d) by less than e/t; evaluating f, or
@@ -259,13 +270,11 @@ class _RatioBase(FuzzyMetric):
             ratio = ratio * np.minimum(t, 1.0)
         return np.where(x == y, 1.0, ratio)
 
-    def ball_interval(self, iv: Interval, radius: float, t: float) -> Interval:
+    def ball_rule(self, radius: float, t: float) -> tuple[Fraction, Fraction] | None:
         # a distinct z is near u > 0 iff min/max > q, i.e. u*q < z < u/q; with
         # q >= 1 no distinct point is near, so every ball is a singleton
         q = (1 - Fraction(radius)) / (min(Fraction(t), 1) if self.damped else 1)
-        if q >= 1:
-            return iv
-        return Interval(iv.lo * q, iv.hi / q, False, False)
+        return None if q >= 1 else (q, Fraction(0))
 
     def float_slack(self, f, t: float) -> Fraction:
         # a state's relative error e moves min/max by a factor within 1 +- 2e;

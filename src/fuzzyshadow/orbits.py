@@ -29,11 +29,14 @@ Conventions, fixed package-wide:
 * chains live on the continuum, not on a grid: under every metric here a
   ball is an interval, and a continuous piecewise-linear map sends an
   interval to an interval, so the ends of all chains of length n from x form
-  one interval R_n.  It is computed with exact rational arithmetic on balls
-  shrunk by a float-error slack and rounded inward to float ends, so that
+  one interval R_n.  It is stepped exactly in Python integers, on balls
+  shrunk by a float-error slack, and rounded inward to float ends, so that
   every state of R_n ends a float chain that validate_f_pseudo_orbit
-  accepts.  Chains read the exact pieces of the map, so a power map is
-  refused.
+  accepts: a float is an integer over 2**1074 and the map's pieces are
+  integers over one denominator, so a step is a few integer products, two
+  correctly rounded quotients and two comparisons.  The walk-back from the
+  end of a chain reads the same pieces in Fractions.  Chains read the exact
+  pieces of the map, so a power map is refused.
 """
 
 from __future__ import annotations
@@ -482,9 +485,6 @@ def perturbed_orbit(f, x0: float, n: int, noise: float, seed: int = 0) -> OrbitS
 # -- chains over float-safe reach intervals ---------------------------------------
 
 
-_EMPTY = Interval(Fraction(1), Fraction(0))
-
-
 def _round_in(iv: Interval) -> Interval:
     """The closed interval from the least to the greatest float of iv (empty
     when iv holds none)."""
@@ -522,54 +522,119 @@ def _chain_radii(x: float, y: float, f, m, delta: float, t0: float,
     return walk - slack, walk
 
 
+def _numerator(v: float) -> int:
+    """The integer v * 2**1074, exact for every finite float."""
+    n, d = v.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
+def _reach_step(f, m, radius: Fraction, t0: float):
+    """The step (a, b) -> (a', b') of _reach_sets on float pairs: [a', b']
+    holds the floats of B(f([a, b])) & X, and a' > b' when there are none.
+    [a, b] must be a nonempty closed interval of the domain X of f.
+
+    The step is exact in Python integers.  f.integer_image gives the least
+    and greatest value of f over [a, b] as integers lo and hi over the
+    denominator D of f.integer_table.  With (q, r) = m.ball_rule, the ball's
+    open ends lo q - r and hi / q + r are integers N over D times one
+    denominator a side, and N / den, which Python rounds correctly, is
+    stepped one float inward when one cross-multiplied comparison puts it
+    on or outside the end.  An end beyond the least or greatest float of X
+    is that float instead.  Under singleton balls the step is the float
+    orbit's, cut by X."""
+    dom = _round_in(f.domain)
+    least, greatest = float(dom.lo), float(dom.hi)
+    rule = m.ball_rule(radius, t0)
+    if rule is None:
+        def step(a, b):
+            v = f.eval(a)
+            return max(v, least), min(v, greatest)
+        return step
+
+    (qn, qd), (rn, rd) = (c.as_integer_ratio() for c in rule)
+    unit = f.integer_table.unit
+    scale = unit << 1074  # D
+    # with lo and hi over D, lo q - r = (lo qn rd - rn qd D) / (D qd rd) and
+    # hi / q + r = (hi qd rd + rn qn D) / (D qn rd): a side's end is
+    # (end * mul + add) / den with den = den_unit * 2**1074, and its bound
+    # is the least or greatest float of X over den
+    lo_mul, lo_add, lo_unit = qn * rd, -rn * qd * scale, unit * qd * rd
+    hi_mul, hi_add, hi_unit = qd * rd, rn * qn * scale, unit * qn * rd
+    lo_den, hi_den = lo_unit << 1074, hi_unit << 1074
+    lo_bound, hi_bound = _numerator(least) * lo_unit, _numerator(greatest) * hi_unit
+    image, nextafter, inf = f.integer_image, math.nextafter, math.inf
+
+    def step(a, b):
+        lo, hi = image(_numerator(a), _numerator(b))
+        n = lo * lo_mul + lo_add
+        if n < lo_bound:
+            a = least
+        else:
+            a = n / lo_den
+            if _numerator(a) * lo_unit <= n:
+                a = nextafter(a, inf)
+            a += 0.0  # -0.0, above an end in [-2**-1074, 0), reads 0 as exact ends do
+        n = hi * hi_mul + hi_add
+        if n > hi_bound:
+            b = greatest
+        else:
+            b = n / hi_den
+            if _numerator(b) * hi_unit >= n:
+                b = nextafter(b, -inf)
+        return a, b
+
+    return step
+
+
 def _reach_sets(x: float, f, m, radius: Fraction, t0: float, n_max: int):
-    """Yield R_1, ..., R_{n_max}: R_1 = {x}, and R_{k+1} holds the floats of
-    B(f(R_k)) & X, where B is the union of the open balls of the given
-    radius at horizon t0 and X the domain of f.  Under singleton balls the
+    """Yield R_1, ..., R_{n_max} as float pairs (lo, hi), empty when
+    lo > hi: R_1 = {x}, and R_{k+1} holds the floats of B(f(R_k)) & X,
+    where B is the union of the open balls of the given radius at horizon
+    t0 and X the domain of f (see _reach_step).  Under singleton balls the
     only chain is the float orbit."""
-    reach, prev = Interval.point(x), None
+    step = _reach_step(f, m, radius, t0)
+    reach, prev = (float(x) + 0.0,) * 2, None
     for _ in range(n_max):
         yield reach
-        if reach != prev:  # a stationary set repeats forever
+        # a stationary set, the empty one too, repeats forever
+        if reach != prev and reach[0] <= reach[1]:
             prev = reach
-            if reach.is_empty:
-                reach = _EMPTY
-                continue
-            image = f.image(reach)
-            ball = m.ball_interval(image, radius, t0)
-            if ball == image:  # singleton balls: step the float orbit
-                ball = Interval.point(f.eval(float(reach.lo)))
-            reach = _round_in(ball & f.domain)
+            reach = step(*reach)
 
 
 def chain_search(x: float, y: float, f, m, delta: float, t0: float,
                  resolution: float = 1e-3, n_max: int = 64) -> OrbitSequence | None:
     """Shortest chain x = x_1, ..., x_n = y of floats with
     M(f(x_k), x_{k+1}, t0) > 1 - delta in float arithmetic and n <= n_max
-    (the least n with y in R_n, see _reach_sets and _chain_radii), or None when there is none.
+    (the least n with y in R_n, see _reach_sets and _chain_radii), or None
+    when no R_n holds y.  The R_n are inner sets, on balls shrunk by the
+    float slack, so None means that no chain is certified, not that none
+    exists: near the least delta accepted, the slack takes up the whole
+    ball.
 
-    Walked back from y, x_k is the float midpoint of the floats of the widest
-    piece of R_k & f^-1(B(x_{k+1})), the leftmost on ties, or the one state
-    of a one-point R_k.  The chain is re-verified with
+    Walked back from y in Fractions, x_k is the float midpoint of the floats
+    of the widest piece of R_k & f^-1(B(x_{k+1})), the leftmost on ties, or
+    the one state of a one-point R_k.  The chain is re-verified with
     validate_f_pseudo_orbit, and one that fails raises VerificationError.
     ``resolution`` is unused.  It stays seventh, with its 1e-3 default, only
     because perfbench/ passes grids there positionally and its chain-node hook
     builds m.grid(resolution) from the bound arguments.
     """
     radius, walk = _chain_radii(x, y, f, m, delta, t0, n_max)
-    target, path = Fraction(y), []
-    for reach in _reach_sets(x, f, m, radius, t0, n_max):
-        path.append(reach)
-        if target in reach:
+    path = []
+    for a, b in _reach_sets(x, f, m, radius, t0, n_max):
+        path.append((a, b))
+        if a <= y <= b:
             break
     else:
         return None
     states = [float(y)]
-    for reach in reversed(path[:-1]):
-        if reach.lo == reach.hi:
-            states.append(float(reach.lo))
+    for a, b in reversed(path[:-1]):
+        if a == b:
+            states.append(a)
             continue
         ball = m.ball_interval(Interval.point(states[-1]), walk, t0)
+        reach = Interval(Fraction(a), Fraction(b))
         parts = [_round_in(part) for part in f.preimage(ball, reach)]
         part = max((p for p in parts if not p.is_empty), key=lambda p: p.hi - p.lo,
                    default=None)
@@ -595,7 +660,6 @@ def chain_mixing_check(x: float, y: float, f, m, delta: float, t0: float,
     and its chain-node hook builds m.grid(resolution) from the bound arguments.
     """
     radius, _ = _chain_radii(x, y, f, m, delta, t0, n_max)
-    target = Fraction(y)
-    present = [n for n, reach in enumerate(_reach_sets(x, f, m, radius, t0, n_max), 1)
-               if target in reach]
+    present = [n for n, (a, b) in enumerate(_reach_sets(x, f, m, radius, t0, n_max), 1)
+               if a <= y <= b]
     return MixingReport(tuple(present), n_max, _cofinite_onset(set(present), n_max))

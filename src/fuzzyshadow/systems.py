@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,21 @@ class Piece:
 
     def value(self, x: Fraction) -> Fraction:
         return self.slope * x + self.intercept
+
+
+class IntegerTable(NamedTuple):
+    """A map's pieces as integers over one denominator D = unit * 2**1074,
+    a multiple of each slope's denominator times 2**1074 and of the
+    denominators of the intercepts, the knots and the values at the knots.
+    Every float v is an integer V over 2**1074, so on piece k
+    f(v) = (slopes[k] * V + intercepts[k]) / D exactly, for any rational
+    map."""
+
+    unit: int
+    knots: tuple[int, ...]
+    slopes: tuple[int, ...]
+    intercepts: tuple[int, ...]
+    knot_values: tuple[int, ...]
 
 
 class IntervalMap:
@@ -126,6 +142,24 @@ class IntervalMap:
         """Each piece with each of its ends x and f(x) there."""
         return ((p, x, p.value(x)) for p in self.pieces for x in (p.lo, p.hi))
 
+    @cached_property
+    def integer_table(self) -> IntegerTable:
+        """The pieces, knots and knot values as integers over one
+        denominator, which integer_image reads; built on first use."""
+        scale = math.lcm(*(p.slope.denominator << 1074 for p in self.pieces),
+                         *(p.intercept.denominator for p in self.pieces),
+                         *(v.denominator for v in (*self.knots, *self._knot_values)))
+        unit = scale >> 1074
+
+        def over(values, d):
+            return tuple(v.numerator * (d // v.denominator) for v in values)
+
+        # a slope is applied to V, an integer over 2**1074, so it is kept over unit
+        return IntegerTable(unit, over(self.knots, scale),
+                            over((p.slope for p in self.pieces), unit),
+                            over((p.intercept for p in self.pieces), scale),
+                            over(self._knot_values, scale))
+
     # -- domain ----------------------------------------------------------------
 
     def contains(self, x: float) -> bool:
@@ -203,6 +237,20 @@ class IntervalMap:
         lo, hi = min(a, b, *inner), max(a, b, *inner)
         return Interval(lo, hi, (a_seen and a == lo) or (b_seen and b == lo) or lo in inner,
                         (a_seen and a == hi) or (b_seen and b == hi) or hi in inner)
+
+    def integer_image(self, a: int, b: int) -> tuple[int, int]:
+        """Least and greatest value of f over the closed interval of the
+        domain from a * 2**-1074 to b * 2**-1074, times the denominator D of
+        integer_table: image's rule in integers.  The pieces that hold the
+        ends are found by bisecting the knots, ties going right for a and
+        left for b, and the values between are the inner knots'."""
+        unit, knots, slopes, intercepts, values = self.integer_table
+        last = len(self.pieces)
+        i = bisect_right(knots, a * unit, 1, last) - 1
+        j = bisect_left(knots, b * unit, 1, last) - 1
+        fa, fb = slopes[i] * a + intercepts[i], slopes[j] * b + intercepts[j]
+        inner = values[i + 1:j + 1]
+        return min(fa, fb, *inner), max(fa, fb, *inner)
 
     def preimage(self, target: Interval, within: Interval) -> list[Interval]:
         """The points of within that f maps into target, as one nonempty

@@ -601,6 +601,43 @@ def test_a_chain_below_float_resolution_exits_2(tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+_MIX = ["mix", "--map", "tent:2", "--metric", "standard", "--u-center", "0.2",
+        "--v-center", "0.8", "--n-max", "8"]
+
+
+def _tent2_slack_bound(t0):
+    """The greatest float at or below the standard metric's float slack on
+    tent:2 at t0."""
+    slack = StandardFuzzyMetric().float_slack(tent(2.0), t0)
+    bound = float(slack)
+    return math.nextafter(bound, -math.inf) if bound > slack else bound
+
+
+@pytest.mark.parametrize("u_radius, v_radius, t0, named", [
+    ("1e-17", "0.1", 1.0, "--u-radius 1e-17"),  # was "no grid point inside the source ball"
+    ("0.1", "0.1", 1e-300, "--u-radius 0.1"),  # was exit 0, with a slack of 2.2e285
+    ("0.1", "1e-17", 1.0, "--v-radius 1e-17"),
+])
+def test_mix_radii_below_float_resolution_exit_2(tmp_path, capsys, u_radius, v_radius, t0,
+                                                 named):
+    out = tmp_path / "out"
+    rc = main(_MIX + ["--u-radius", u_radius, "--v-radius", v_radius, "--t0", repr(t0),
+                      "--out", str(out)])
+    assert rc == 2
+    bound = repr(_tent2_slack_bound(t0))
+    assert capsys.readouterr().err == (
+        f"error: {named} is too small to decide in floats: it must exceed {bound}, "
+        f"the float slack of standard on tent:2 at t0 {t0!r}\n")
+    assert not out.exists()
+
+
+def test_mix_radius_just_above_float_resolution_runs(tmp_path, capsys):
+    above = repr(math.nextafter(_tent2_slack_bound(1.0), math.inf))
+    rc = main(_MIX + ["--u-radius", above, "--v-radius", "0.1", "--out", str(tmp_path)])
+    assert rc in (0, 1) and capsys.readouterr().err == ""
+    assert read_report(tmp_path, "mix.json")["u"]["radius"] == float(above)
+
+
 @pytest.mark.parametrize("argv", [
     ["shadow", "--eps", "ABOVE", "--orbit", "ORBIT"],
     ["density", "--delta", "ABOVE", "--orbit", "ORBIT"],

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyshadow import orbits
@@ -593,7 +593,8 @@ def test_ratio_chain_reach_ends_stay_floats(three_piece, ratio_phi_metric):
     # exact ends under a ratio metric grow ~55 bits a step and never settle;
     # float ends keep each step small and settle on a float within ~90 steps
     radius, _ = orbits._chain_radii(0.2, 0.8, three_piece, ratio_phi_metric, 0.1, 1.0, 2048)
-    sets = list(orbits._reach_sets(0.2, three_piece, ratio_phi_metric, radius, 1.0, 2048))
+    sets = [Interval(Fraction(a), Fraction(b))
+            for a, b in orbits._reach_sets(0.2, three_piece, ratio_phi_metric, radius, 1.0, 2048)]
     assert len(sets) == 2048
     assert all(Fraction(float(end)) == end for reach in sets for end in (reach.lo, reach.hi))
     assert sets[200:] == [sets[-1]] * (2048 - 200)
@@ -607,9 +608,9 @@ class _CountingImages(IntervalMap):
 
     images = 0
 
-    def image(self, iv):
+    def integer_image(self, a, b):
         self.images += 1
-        return super().image(iv)
+        return super().integer_image(a, b)
 
 
 @pytest.mark.parametrize("spec, metric, steps", [("tent:2", "standard", 4),
@@ -623,6 +624,104 @@ def test_a_stationary_reach_set_is_not_imaged_again(spec, metric, steps, n_max):
     f.images = 0  # construction images the domain once
     chain_mixing_check(0.2, 0.8, f, metric_from_name(metric), 0.1, 1.0, n_max=n_max)
     assert f.images == steps
+
+
+def _pl_map(knots, values, lo_open=False):
+    """The continuous map through the points (knots[i], values[i])."""
+    pieces = []
+    for x0, x1, y0, y1 in zip(knots, knots[1:], values, values[1:]):
+        slope = (y1 - y0) / (x1 - x0)
+        pieces.append(Piece(x0, x1, slope, y0 - slope * x0))
+    return IntervalMap(pieces, lo_open=lo_open)
+
+
+@st.composite
+def _rational_maps(draw):
+    """The paper's maps, and continuous maps of [0, 1] or (0, 1] with knots
+    and values on 1/1000, values at the domain's ends often."""
+    if draw(st.booleans()):
+        return map_from_spec(draw(st.sampled_from(
+            ["tent:2", "tent:sqrt2", "tent:1.6", "example43", "g:1/256", "g:0.001"])))
+    lo_open = draw(st.booleans())
+    cuts = sorted(draw(st.sets(st.integers(1, 999), max_size=4)))
+    value = st.one_of(st.sampled_from([int(lo_open), 1000]), st.integers(int(lo_open), 1000))
+    values = draw(st.lists(value, min_size=len(cuts) + 2, max_size=len(cuts) + 2))
+    return _pl_map([Fraction(k, 1000) for k in (0, *cuts, 1000)],
+                   [Fraction(v, 1000) for v in values], lo_open)
+
+
+def _fraction_reach_step(a, b, f, m, radius, t0) -> Interval:
+    """The reach step in Fractions: the floats of B(f([a, b])) & X."""
+    reach = Interval(Fraction(a), Fraction(b))
+    image = f.image(reach)
+    ball = m.ball_interval(image, radius, t0)
+    if ball == image:  # singleton balls: step the float orbit
+        ball = Interval.point(f.eval(float(reach.lo)))
+    return orbits._round_in(ball & f.domain)
+
+
+# in floats f(0.8680000000000001) = 1.0000000000000002, outside the domain
+_PEAK = _pl_map([Fraction(0), Fraction(868, 1000), Fraction(1)],
+                [Fraction(822, 1000), Fraction(1), Fraction(822, 1000)], lo_open=True)
+# in floats f(5e-324) = 0.0, outside the domain
+_QUARTER = _pl_map([Fraction(0), Fraction(1)], [Fraction(0), Fraction(1, 4)], lo_open=True)
+# f(1/2) = 1/4 - 2**-1074: the ball of radius 1/4 about it starts at
+# -2**-1074, whose least float above is -0.0
+_HALF_DOWN = _pl_map([Fraction(-1), Fraction(1)],
+                     [Fraction(-1, 2) - Fraction(5e-324), Fraction(1, 2) - Fraction(5e-324)])
+
+
+@example(f=_PEAK, name="ratio-phi", ends=[0.8680000000000001] * 2, delta=0.05, floor_ulps=None,
+         radius=None, t0=0.5)  # a singleton-ball float step that leaves the domain
+@example(f=_QUARTER, name="ratio-phi", ends=[5e-324] * 2, delta=0.05, floor_ulps=None,
+         radius=None, t0=0.5)  # the set empties
+@example(f=example43_map(), name="ratio", ends=[5e-324] * 2, delta=0.1, floor_ulps=None,
+         radius=None, t0=1.0)
+@example(f=tent(2.0), name="standard", ends=[0.2, 0.3], delta=0.9999999999, floor_ulps=None,
+         radius=None, t0=1e300)  # the ball's offset t0 rho / (1 - rho) exceeds every float
+@example(f=tent(2.0), name="standard", ends=[0.25, 0.25], delta=0.5, floor_ulps=None,
+         radius=Fraction(1, 3), t0=1.0)  # the ball (0, 1): both ends on the domain's
+@example(f=_HALF_DOWN, name="standard", ends=[0.5, 0.5], delta=0.5, floor_ulps=None,
+         radius=Fraction(1, 5), t0=1.0)  # a lower end of -0.0
+@given(f=_rational_maps(), name=st.sampled_from(["standard", "ratio-phi", "ratio"]),
+       ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+       delta=st.floats(0.0, 0.999, exclude_min=True), floor_ulps=st.none() | st.integers(1, 3),
+       radius=st.none() | st.sampled_from([Fraction(1, 5), Fraction(1, 3), Fraction(1, 2)]),
+       t0=st.floats(1e-3, 1.0) | st.floats(1.0, 1e300))
+def test_integer_reach_step_matches_the_fraction_step(f, name, ends, delta, floor_ulps, radius,
+                                                      t0):
+    # set for set and bit for bit, over six steps or until the set empties;
+    # the radius is a chain's reach radius at delta, or at floor_ulps floats
+    # above the least delta chains accept, or given, when ball ends are
+    # often floats
+    m = StandardFuzzyMetric(lo=-1.0) if name == "standard" else metric_from_name(name)
+    a, b = sorted(ends)
+    assume(f.contains(a) and f.contains(b) and (name == "standard" or f.lo_open))
+    if floor_ulps is not None:
+        least = 4 * Fraction(2.0**-52) + 2 * m.float_slack(f, t0)
+        delta = float(least)
+        for _ in range(floor_ulps if delta > least else floor_ulps + 1):
+            delta = math.nextafter(delta, math.inf)
+    if radius is None:
+        try:
+            radius, _ = orbits._chain_radii(a, b, f, m, delta, t0, 1)
+        except ValueError:  # delta at or below the floor, or delta >= 1
+            assume(False)
+    step = orbits._reach_step(f, m, radius, t0)
+    for _ in range(6):
+        expected = _fraction_reach_step(a, b, f, m, radius, t0)
+        got = step(a, b)
+        if expected.is_empty:
+            assert got[0] > got[1]
+            return
+        assert [v.hex() for v in got] == [float(e).hex() for e in (expected.lo, expected.hi)]
+        a, b = got
+
+
+def test_a_chain_from_minus_zero_starts_at_zero(tent2, standard_metric):
+    # the exact reach sets read -0.0 as 0, so the chain's first state is 0.0
+    chain = chain_search(-0.0, 0.8, tent2, standard_metric, 0.1, 1.0)
+    assert math.copysign(1.0, chain[0]) == 1.0 and chain[len(chain) - 1] == 0.8
 
 
 @example(spec="g:1/256", name="standard", x=0.001, delta=0.5, t0=0.001, ulps=0)
