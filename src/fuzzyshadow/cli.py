@@ -409,12 +409,13 @@ def _cmd_chain(args) -> int:
     for flag, x in (("--from", args.src), ("--to", args.dst)):
         if not f.contains(x):
             raise ValueError(f"{flag} {x!r} outside domain of {f.name}")
-    chain = orbits.chain_search(args.src, args.dst, f, metric, delta=args.delta,
-                                t0=args.t0, n_max=args.n_max)
-    mixing = None
-    if args.lengths:
-        mixing = orbits.chain_mixing_check(args.src, args.dst, f, metric,
-                                           delta=args.delta, t0=args.t0, n_max=args.n_max)
+    if args.lengths:  # one pass over the reach sets serves both
+        chain, mixing = orbits.chain_with_lengths(args.src, args.dst, f, metric, delta=args.delta,
+                                                  t0=args.t0, n_max=args.n_max)
+    else:
+        chain = orbits.chain_search(args.src, args.dst, f, metric, delta=args.delta,
+                                    t0=args.t0, n_max=args.n_max)
+        mixing = None
     payload = {
         "command": "chain",
         "map": args.map_spec,

@@ -30,6 +30,7 @@ TOLERANCE = 1e-12
 
 # spacing of the floats in [1, 2)
 _ULP = Fraction(2.0**-52)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 #: Geometric horizons 2**-20 .. 2**40, which no search here uses: kept for
 #: the benchmark's horizon check and the tests' grid-reference horizon.
@@ -228,15 +229,19 @@ class StandardFuzzyMetric(FuzzyMetric):
         return t / (t + np.abs(x - y))
 
     def ball_rule(self, radius: float, t: float) -> tuple[Fraction, Fraction]:
-        # t/(t + d) > 1 - radius  iff  d < t*radius/(1 - radius), the bridge threshold
-        radius = Fraction(radius)
-        return Fraction(1), Fraction(t) * radius / (1 - radius)
+        # t/(t + d) > 1 - radius  iff  d < t*radius/(1 - radius), the bridge
+        # threshold; one Fraction built from integer ratios, as in float_slack
+        (n, d), (tn, td) = radius.as_integer_ratio(), t.as_integer_ratio()
+        return _ONE, Fraction(tn * n, td * (d - n))
 
     def float_slack(self, f, t: float) -> Fraction:
         # a state error e moves t/(t + d) by less than e/t; evaluating f, or
         # rounding its argument to a float, errs by under
-        # 2 ulp(1) * max(|slope * x| + |intercept| + |x|)
-        return 2 * _ULP * f.eval_scale / Fraction(t)
+        # 2 ulp(1) * max(|slope * x| + |intercept| + |x|); the quotient
+        # 2**-51 scale / t is one Fraction of integer ratios, a few times
+        # cheaper than Fraction arithmetic
+        (n, d), (tn, td) = f.eval_scale.as_integer_ratio(), t.as_integer_ratio()
+        return Fraction(n * td, d * tn << 51)
 
     def continuity_delta(self, f, eps: Fraction, t: float) -> Fraction:
         # |f(x) - f(y)| <= L|x - y| with L the largest |slope|, and a pair is
@@ -272,16 +277,24 @@ class _RatioBase(FuzzyMetric):
 
     def ball_rule(self, radius: float, t: float) -> tuple[Fraction, Fraction] | None:
         # a distinct z is near u > 0 iff min/max > q, i.e. u*q < z < u/q; with
-        # q >= 1 no distinct point is near, so every ball is a singleton
-        q = (1 - Fraction(radius)) / (min(Fraction(t), 1) if self.damped else 1)
-        return None if q >= 1 else (q, Fraction(0))
+        # q >= 1 no distinct point is near, so every ball is a singleton.
+        # q = (1 - radius) / min(t, 1), or 1 - radius undamped, is one
+        # Fraction of integer ratios
+        n, d = radius.as_integer_ratio()
+        if self.damped and t < 1:
+            tn, td = t.as_integer_ratio()
+            q = Fraction((d - n) * td, d * tn)
+        else:
+            q = Fraction(d - n, d)
+        return None if q >= 1 else (q, _ZERO)
 
     def float_slack(self, f, t: float) -> Fraction:
         # a state's relative error e moves min/max by a factor within 1 +- 2e;
         # evaluating f at a normal float, or rounding its argument to one,
         # errs relatively by under ulp(1) * (cond + 1), with
-        # cond = max (|slope| x + |intercept|) / f(x)
-        return 4 * _ULP * (f.relative_eval_scale + 1)
+        # cond = max (|slope| x + |intercept|) / f(x): 2**-50 (cond + 1)
+        n, d = f.relative_eval_scale.as_integer_ratio()
+        return Fraction(n + d, d << 50)
 
     def continuity_delta(self, f, eps: Fraction, t: float) -> Fraction:
         # distinct points are near at radius r iff phi*min/max > 1 - r; with

@@ -35,21 +35,22 @@ Conventions, fixed package-wide:
   accepts: a float is an integer over 2**1074 and the map's pieces are
   integers over one denominator, so a step is a few integer products, two
   correctly rounded quotients and two comparisons.  The walk-back from the
-  end of a chain reads the same pieces in Fractions.  Chains read the exact
-  pieces of the map, so a power map is refused.
+  end of a chain pulls balls back through the same pieces in integers.
+  Chains read the exact pieces of the map, so a power map is refused.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .fuzzy_metric import (Interval, _require_finite_positive, require_in_domain,
-                           require_map_in_space, require_pieces, require_resolved)
+from .fuzzy_metric import (_require_finite_positive, require_in_domain, require_map_in_space,
+                           require_pieces, require_resolved)
 from .reports import VerificationError
 
 DENSITY_THRESHOLD = 0.01
@@ -485,19 +486,6 @@ def perturbed_orbit(f, x0: float, n: int, noise: float, seed: int = 0) -> OrbitS
 # -- chains over float-safe reach intervals ---------------------------------------
 
 
-def _round_in(iv: Interval) -> Interval:
-    """The closed interval from the least to the greatest float of iv (empty
-    when iv holds none)."""
-    a, b = float(iv.lo), float(iv.hi)
-    # each float end converted once, so the tests compare fractions
-    lo, hi = Fraction(a), Fraction(b)
-    if lo < iv.lo or (lo == iv.lo and not iv.lo_closed):
-        lo = Fraction(math.nextafter(a, math.inf))
-    if hi > iv.hi or (hi == iv.hi and not iv.hi_closed):
-        hi = Fraction(math.nextafter(b, -math.inf))
-    return Interval(lo, hi)
-
-
 def _chain_radii(x: float, y: float, f, m, delta: float, t0: float,
                  n_max: int) -> tuple[Fraction, Fraction]:
     """The radii of the reach balls and of the walk-back balls of chains.
@@ -508,24 +496,61 @@ def _chain_radii(x: float, y: float, f, m, delta: float, t0: float,
     walk-back radius, and a float step inside a walk-back ball passes
     validate_f_pseudo_orbit.  x and y must lie in the domain of f, and the
     domain in the space of m.  A delta at or below 4 ulp(1) plus twice the
-    slack leaves no reach radius, and raises ValueError."""
+    slack leaves no reach radius, and raises ValueError.  The radii are
+    worked out in integers over one denominator."""
     if not (0.0 < delta < 1.0 and 0.0 < t0 < math.inf and 1 <= n_max <= MAX_STEPS):
         raise ValueError("chains need delta in (0, 1), a finite horizon t0 > 0 and "
                          f"n_max in [1, {MAX_STEPS}], got {delta!r}, {t0!r} and {n_max!r}")
     require_pieces(f)
     require_map_in_space(f, m)
-    require_in_domain(f, np.array([x, y], dtype=float))
+    x, y = float(x), float(y)
+    # the least state, then the greatest, as require_in_domain names them:
+    # numpy's min and max of a pair are NaN when either is, and y on a tie
+    for v in (math.nan,) if x != x or y != y else (min(y, x), max(y, x)):
+        if not f.contains(v):
+            raise ValueError(f"state {v!r} outside domain of {f.name}")
     slack = m.float_slack(f, t0)
-    require_resolved("delta", delta, 4 * Fraction(2.0**-52) + 2 * slack,
-                     f"4 ulp(1) plus twice the float slack of {m.name} on {f.name} at t0 {t0!r}")
-    walk = Fraction(delta) - 4 * Fraction(2.0**-52) - slack
-    return walk - slack, walk
+    # walk = delta - 2**-50 - slack and radius = walk - slack, over the
+    # denominator dd sd 2**50
+    (dn, dd), (sn, sd) = delta.as_integer_ratio(), slack.as_integer_ratio()
+    den, offset = dd * sd << 50, sn * dd << 50
+    walk = (dn * sd << 50) - dd * sd - offset
+    radius = walk - offset
+    if radius <= 0:  # delta <= 4 ulp(1) + 2 slack: require_resolved names the floor
+        require_resolved("delta", delta, 4 * Fraction(2.0**-52) + 2 * slack,
+                         f"4 ulp(1) plus twice the float slack of {m.name} on {f.name} "
+                         f"at t0 {t0!r}")
+    return Fraction(radius, den), Fraction(walk, den)
 
 
 def _numerator(v: float) -> int:
     """The integer v * 2**1074, exact for every finite float."""
     n, d = v.as_integer_ratio()
     return n << (1075 - d.bit_length())
+
+
+def _float_inside(n: int, unit: int, up: bool, closed: bool = False) -> float:
+    """The float on or inside the bound n / (unit * 2**1074), unit > 0: the
+    least float above it when up, else the greatest below, and the bound
+    itself when it is a float and closed.  The quotient, which Python rounds
+    correctly, is stepped one float inward when one cross-multiplied
+    comparison puts it outside the bound, or on an open one.  The bound must
+    lie within the floats."""
+    v = n / (unit << 1074)
+    k = _numerator(v) * unit
+    if (k < n if up else k > n) or (k == n and not closed):
+        v = math.nextafter(v, math.inf if up else -math.inf)
+    return v
+
+
+def _ball_ends(m, radius: Fraction, t0: float) -> tuple[int, int, int, int] | None:
+    """(qn, qd, rn, rd) of m.ball_rule(radius, t0) = (qn / qd, rn / rd), or
+    None under singleton balls."""
+    rule = m.ball_rule(radius, t0)
+    if rule is None:
+        return None
+    (qn, qd), (rn, rd) = (c.as_integer_ratio() for c in rule)
+    return qn, qd, rn, rd
 
 
 def _reach_step(f, m, radius: Fraction, t0: float):
@@ -537,50 +562,35 @@ def _reach_step(f, m, radius: Fraction, t0: float):
     and greatest value of f over [a, b] as integers lo and hi over the
     denominator D of f.integer_table.  With (q, r) = m.ball_rule, the ball's
     open ends lo q - r and hi / q + r are integers N over D times one
-    denominator a side, and N / den, which Python rounds correctly, is
-    stepped one float inward when one cross-multiplied comparison puts it
-    on or outside the end.  An end beyond the least or greatest float of X
-    is that float instead.  Under singleton balls the step is the float
-    orbit's, cut by X."""
-    dom = _round_in(f.domain)
-    least, greatest = float(dom.lo), float(dom.hi)
-    rule = m.ball_rule(radius, t0)
-    if rule is None:
+    denominator a side, which _float_inside rounds inward.  An end beyond
+    the least or greatest float of X is that float instead.  Under singleton
+    balls the step is the float orbit's, cut by X."""
+    least, greatest = f.piece_floats[0][0], f.piece_floats[-1][1]
+    ends = _ball_ends(m, radius, t0)
+    if ends is None:
         def step(a, b):
             v = f.eval(a)
             return max(v, least), min(v, greatest)
         return step
 
-    (qn, qd), (rn, rd) = (c.as_integer_ratio() for c in rule)
+    qn, qd, rn, rd = ends
     unit = f.integer_table.unit
-    scale = unit << 1074  # D
-    # with lo and hi over D, lo q - r = (lo qn rd - rn qd D) / (D qd rd) and
-    # hi / q + r = (hi qd rd + rn qn D) / (D qn rd): a side's end is
-    # (end * mul + add) / den with den = den_unit * 2**1074, and its bound
-    # is the least or greatest float of X over den
-    lo_mul, lo_add, lo_unit = qn * rd, -rn * qd * scale, unit * qd * rd
-    hi_mul, hi_add, hi_unit = qd * rd, rn * qn * scale, unit * qn * rd
-    lo_den, hi_den = lo_unit << 1074, hi_unit << 1074
+    # with lo and hi over D = unit * 2**1074, lo q - r = (lo qn rd - rn qd D)
+    # / (D qd rd) and hi / q + r = (hi qd rd + rn qn D) / (D qn rd): a side's
+    # end is (end * mul + add) / (den_unit * 2**1074), and its bound is the
+    # least or greatest float of X over that
+    lo_mul, lo_add, lo_unit = qn * rd, -(rn * qd * unit << 1074), unit * qd * rd
+    hi_mul, hi_add, hi_unit = qd * rd, rn * qn * unit << 1074, unit * qn * rd
     lo_bound, hi_bound = _numerator(least) * lo_unit, _numerator(greatest) * hi_unit
-    image, nextafter, inf = f.integer_image, math.nextafter, math.inf
+    image = f.integer_image
 
     def step(a, b):
         lo, hi = image(_numerator(a), _numerator(b))
         n = lo * lo_mul + lo_add
-        if n < lo_bound:
-            a = least
-        else:
-            a = n / lo_den
-            if _numerator(a) * lo_unit <= n:
-                a = nextafter(a, inf)
-            a += 0.0  # -0.0, above an end in [-2**-1074, 0), reads 0 as exact ends do
+        # -0.0, above an end in [-2**-1074, 0), reads 0 as exact ends do
+        a = least if n < lo_bound else _float_inside(n, lo_unit, True) + 0.0
         n = hi * hi_mul + hi_add
-        if n > hi_bound:
-            b = greatest
-        else:
-            b = n / hi_den
-            if _numerator(b) * hi_unit >= n:
-                b = nextafter(b, -inf)
+        b = greatest if n > hi_bound else _float_inside(n, hi_unit, False)
         return a, b
 
     return step
@@ -602,6 +612,95 @@ def _reach_sets(x: float, f, m, radius: Fraction, t0: float, n_max: int):
             reach = step(*reach)
 
 
+def _walk_step(f, m, walk: Fraction, t0: float):
+    """The step (a, b, s) -> x of the walk-back from s: x is the float
+    midpoint of the floats of the widest piece of [a, b] & f^-1(B(s)), the
+    leftmost on ties, or None when no piece holds a float.  B(s) is the open
+    ball of radius walk at horizon t0 about s, or {s} under singleton balls;
+    [a, b] is a closed interval of floats of the domain of f.
+
+    The step is exact in Python integers.  With S = s * 2**1074 and
+    (q, r) = (qn / qd, rn / rd) = m.ball_rule, the ball's ends are
+    L / (ld 2**1074) and H / (hd 2**1074) with L = S qn rd - rn qd 2**1074,
+    ld = qd rd, H = S qd rd + rn qn 2**1074 and hd = qn rd.  On a piece
+    f(v) = (slope V + c) / D of f.integer_table, f(v) > L / (ld 2**1074)
+    iff slope ld V > L unit - c ld, and likewise at H, so each end of the
+    preimage is one quotient over slope ld or slope hd, swapped on a
+    decreasing piece.  An end that [lo, hi] already meets, or that no float
+    of it meets, is decided by comparing products, before any division, so
+    that a bound beyond every float is never divided out.  The rest rounds
+    through _float_inside, within the piece's floats (f.piece_floats)."""
+    ends = _ball_ends(m, walk, t0)
+    closed = ends is None
+    qn, qd, rn, rd = (1, 1, 0, 1) if closed else ends
+    unit, knots, slopes, intercepts, _ = f.integer_table
+    pieces = tuple(zip(slopes, intercepts, f.piece_floats))
+    last = len(pieces)
+    ld, hd = qd * rd, qn * rd
+    # L unit = S lo_mul - lo_sub and H unit = S hi_mul + hi_add
+    lo_mul, lo_sub = qn * rd * unit, rn * qd * unit << 1074
+    hi_mul, hi_add = qd * rd * unit, rn * qn * unit << 1074
+    gap = 0 if closed else 1  # an end holds v when its integer margin is >= gap
+
+    def step(a, b, s):
+        big_s = _numerator(s)
+        lu, hu = big_s * lo_mul - lo_sub, big_s * hi_mul + hi_add
+        a_num, b_num = _numerator(a), _numerator(b)
+        best, width = None, -1
+        for k in range(bisect_left(knots, a_num * unit, 1, last) - 1,
+                       bisect_right(knots, b_num * unit, 1, last)):
+            slope, c, (lo, hi) = pieces[k]
+            lo, hi = max(a, lo), min(b, hi)
+            if lo > hi:
+                continue
+            lo_num, hi_num = _numerator(lo), _numerator(hi)
+            if slope == 0:
+                if c * ld - lu < gap or hu - c * hd < gap:
+                    continue
+            else:
+                # v's least and greatest bounds as (n, d): n / d over 2**1074
+                if slope > 0:
+                    (n, d), (n2, d2) = (lu - c * ld, slope * ld), (hu - c * hd, slope * hd)
+                else:
+                    (n, d), (n2, d2) = (c * hd - hu, -slope * hd), (c * ld - lu, -slope * ld)
+                if lo_num * d - n < gap:
+                    if hi_num * d - n < gap:
+                        continue
+                    lo = _float_inside(n, d, True, closed)
+                    lo_num = _numerator(lo)
+                if n2 - hi_num * d2 < gap:
+                    if n2 - lo_num * d2 < gap:
+                        continue
+                    hi_num = _numerator(_float_inside(n2, d2, False, closed))
+            if hi_num - lo_num > width:
+                best, width = lo_num + hi_num, hi_num - lo_num
+        # the midpoint, which Python rounds correctly
+        return None if best is None else best / (1 << 1075)
+
+    return step
+
+
+def _walk_back(path: list, y: float, f, m, walk: Fraction, delta: float,
+               t0: float) -> OrbitSequence:
+    """The chain through the reach sets of path, then y, where y lies in the
+    set after path's last: walked back from y by _walk_step (a one-point
+    set gives its one state), then re-verified with validate_f_pseudo_orbit.
+    A chain that fails raises VerificationError."""
+    step = _walk_step(f, m, walk, t0) if path else None
+    states = [float(y)]
+    for a, b in reversed(path):
+        v = a if a == b else step(a, b, states[-1])
+        if v is None:
+            raise VerificationError(f"chain state {states[-1]!r} has no float predecessor")
+        states.append(v)
+    chain = OrbitSequence(np.array(states[::-1]), provenance="constructed")
+    if len(chain) > 1:
+        bad = validate_f_pseudo_orbit(chain, f, m, delta, t0)
+        if not bad.is_empty:
+            raise VerificationError(f"chain re-verification failed at index {bad.indices[0]}")
+    return chain
+
+
 def chain_search(x: float, y: float, f, m, delta: float, t0: float,
                  resolution: float = 1e-3, n_max: int = 64) -> OrbitSequence | None:
     """Shortest chain x = x_1, ..., x_n = y of floats with
@@ -612,41 +711,35 @@ def chain_search(x: float, y: float, f, m, delta: float, t0: float,
     exists: near the least delta accepted, the slack takes up the whole
     ball.
 
-    Walked back from y in Fractions, x_k is the float midpoint of the floats
-    of the widest piece of R_k & f^-1(B(x_{k+1})), the leftmost on ties, or
-    the one state of a one-point R_k.  The chain is re-verified with
-    validate_f_pseudo_orbit, and one that fails raises VerificationError.
-    ``resolution`` is unused.  It stays seventh, with its 1e-3 default, only
-    because perfbench/ passes grids there positionally and its chain-node hook
-    builds m.grid(resolution) from the bound arguments.
+    Walked back from y in Python integers (_walk_step), x_k is the float
+    midpoint of the floats of the widest piece of R_k & f^-1(B(x_{k+1})),
+    the leftmost on ties, or the one state of a one-point R_k.  The chain is
+    re-verified with validate_f_pseudo_orbit, and one that fails raises
+    VerificationError.  ``resolution`` is unused.  It stays seventh, with
+    its 1e-3 default, only because perfbench/ passes grids there
+    positionally and its chain-node hook builds m.grid(resolution) from the
+    bound arguments.
     """
     radius, walk = _chain_radii(x, y, f, m, delta, t0, n_max)
     path = []
-    for a, b in _reach_sets(x, f, m, radius, t0, n_max):
-        path.append((a, b))
-        if a <= y <= b:
-            break
-    else:
-        return None
-    states = [float(y)]
-    for a, b in reversed(path[:-1]):
-        if a == b:
-            states.append(a)
-            continue
-        ball = m.ball_interval(Interval.point(states[-1]), walk, t0)
-        reach = Interval(Fraction(a), Fraction(b))
-        parts = [_round_in(part) for part in f.preimage(ball, reach)]
-        part = max((p for p in parts if not p.is_empty), key=lambda p: p.hi - p.lo,
-                   default=None)
-        if part is None:
-            raise VerificationError(f"chain state {states[-1]!r} has no float predecessor")
-        states.append(float((part.lo + part.hi) / 2))
-    chain = OrbitSequence(np.array(states[::-1]), provenance="constructed")
-    if len(chain) > 1:
-        bad = validate_f_pseudo_orbit(chain, f, m, delta, t0)
-        if not bad.is_empty:
-            raise VerificationError(f"chain re-verification failed at index {bad.indices[0]}")
-    return chain
+    for reach in _reach_sets(x, f, m, radius, t0, n_max):
+        if reach[0] <= y <= reach[1]:
+            return _walk_back(path, y, f, m, walk, delta, t0)
+        path.append(reach)
+    return None
+
+
+def _lengths(x: float, y: float, f, m, radius: Fraction, t0: float, n_max: int):
+    """One pass over R_1, ..., R_{n_max}: the sets before the first that
+    holds y (all of them when none does), and the MixingReport of the
+    lengths n with y in R_n."""
+    path, present = [], []
+    for n, reach in enumerate(_reach_sets(x, f, m, radius, t0, n_max), 1):
+        if reach[0] <= y <= reach[1]:
+            present.append(n)
+        elif not present:
+            path.append(reach)
+    return path, MixingReport(tuple(present), n_max, _cofinite_onset(set(present), n_max))
 
 
 def chain_mixing_check(x: float, y: float, f, m, delta: float, t0: float,
@@ -660,6 +753,14 @@ def chain_mixing_check(x: float, y: float, f, m, delta: float, t0: float,
     and its chain-node hook builds m.grid(resolution) from the bound arguments.
     """
     radius, _ = _chain_radii(x, y, f, m, delta, t0, n_max)
-    present = [n for n, (a, b) in enumerate(_reach_sets(x, f, m, radius, t0, n_max), 1)
-               if a <= y <= b]
-    return MixingReport(tuple(present), n_max, _cofinite_onset(set(present), n_max))
+    return _lengths(x, y, f, m, radius, t0, n_max)[1]
+
+
+def chain_with_lengths(x: float, y: float, f, m, delta: float, t0: float,
+                       n_max: int = 64) -> tuple[OrbitSequence | None, MixingReport]:
+    """chain_search and chain_mixing_check of the same arguments from one
+    pass over the reach sets: what ``chain --lengths`` reports."""
+    radius, walk = _chain_radii(x, y, f, m, delta, t0, n_max)
+    path, report = _lengths(x, y, f, m, radius, t0, n_max)
+    chain = _walk_back(path, y, f, m, walk, delta, t0) if report.present else None
+    return chain, report

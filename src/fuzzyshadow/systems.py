@@ -160,6 +160,24 @@ class IntervalMap:
                             over((p.intercept for p in self.pieces), scale),
                             over(self._knot_values, scale))
 
+    @cached_property
+    def piece_floats(self) -> tuple[tuple[float, float], ...]:
+        """The least and the greatest float of each piece's closure, the
+        first piece's above an open lower end of the domain, so that the
+        domain's own are piece_floats[0][0] and piece_floats[-1][1]; a piece
+        that holds no float has least > greatest.  Built on first use."""
+        def least(k, strict=False):
+            v = float(k)
+            # + 0.0: a knot in (-2**-1075, 0) rounds to -0.0, whose value is 0
+            return (math.nextafter(v, math.inf) if v < k or (strict and v == k) else v) + 0.0
+
+        def greatest(k):
+            v = float(k)
+            return math.nextafter(v, -math.inf) if v > k else v
+
+        lows = (least(self.knots[0], self.lo_open), *map(least, self.knots[1:-1]))
+        return tuple(zip(lows, map(greatest, self.knots[1:])))
+
     # -- domain ----------------------------------------------------------------
 
     def contains(self, x: float) -> bool:

@@ -137,6 +137,30 @@ def test_chain_at_a_float_tie(tmp_path):
     assert report["length"] == 3 and report["length_spectrum"]["present"][0] == 3
 
 
+def _two_calls(*args, **kwargs):
+    return orbits.chain_search(*args, **kwargs), orbits.chain_mixing_check(*args, **kwargs)
+
+
+@pytest.mark.parametrize("map_spec, metric, src, dst", [
+    ("tent:2", "standard", "0.2", "0.8"), ("example43", "ratio-phi", "0.26", "0.74"),
+    ("example43", "ratio-phi", "0.9", "0.1")])
+def test_chain_lengths_from_one_pass_match_two_calls(tmp_path, capsys, monkeypatch, map_spec,
+                                                     metric, src, dst):
+    # one pass over the reach sets writes the bytes and prints the line that
+    # chain_search and chain_mixing_check, one after the other, gave
+    argv = ["chain", "--map", map_spec, "--metric", metric, "--from", src, "--to", dst,
+            "--delta", "0.1", "--lengths", "--out"]
+    runs = []
+    for name in ("one-pass", "two-calls"):
+        if name == "two-calls":
+            monkeypatch.setattr(orbits, "chain_with_lengths", _two_calls)
+        rc = main([*argv, str(tmp_path / name)])
+        line = capsys.readouterr().out.replace(str(tmp_path / name), "<out>")
+        runs.append((rc, (tmp_path / name / "chain.json").read_bytes(), line))
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][1])["length_spectrum"] is not None
+
+
 def test_failed_reverification_exits_3(tmp_path, capsys, monkeypatch):
     def failing(*args, **kwargs):
         raise orbits.VerificationError("chain re-verification failed at index 0")

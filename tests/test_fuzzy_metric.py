@@ -335,6 +335,27 @@ def test_map_constants_are_exact_piece_end_maxima_kept_once(f):
         assert getattr(f, name) is got  # computed on first use, then kept
 
 
+_ULP = Fraction(2.0**-52)
+
+
+@given(f=st.sampled_from([tent(2.0), tent(math.sqrt(2)), tent(1.6), example43_map(),
+                          perturbation_g(1 / 256)]),
+       radius=st.floats(1e-12, 0.999) | st.fractions(Fraction(1, 10**15), Fraction(999, 1000)),
+       t=st.floats(1e-3, 2.0) | st.floats(2.0, 1e300) | st.sampled_from([1.0, 0.5]))
+def test_ball_rules_and_slacks_equal_their_fraction_forms(f, radius, t):
+    # built from integer ratios, each is the exact rational of the closed
+    # form in Fraction arithmetic
+    standard = fm.StandardFuzzyMetric()
+    r = Fraction(radius)
+    assert standard.ball_rule(radius, t) == (1, Fraction(t) * r / (1 - r))
+    assert standard.float_slack(f, t) == 2 * _ULP * f.eval_scale / Fraction(t)
+    for m in (fm.RatioPhiFuzzyMetric(), fm.RatioFuzzyMetric()):
+        q = (1 - r) / (min(Fraction(t), 1) if m.damped else 1)
+        assert m.ball_rule(radius, t) == (None if q >= 1 else (q, 0))
+        if f.lo_open:
+            assert m.float_slack(f, t) == 4 * _ULP * (f.relative_eval_scale + 1)
+
+
 def test_certify_concrete_maps(ratio_phi_metric, ratio_metric, three_piece):
     cert = fm.certify_fuzzy_continuity(ratio_phi_metric, three_piece, eps=0.2, t=1.0)
     assert cert.holds and cert.delta > 0

@@ -16,6 +16,7 @@ from fuzzyshadow.fuzzy_metric import (
     StandardFuzzyMetric,
     bridge_threshold,
     metric_from_name,
+    require_in_domain,
 )
 from fuzzyshadow.orbits import (
     IndexSet,
@@ -650,6 +651,19 @@ def _rational_maps(draw):
                    [Fraction(v, 1000) for v in values], lo_open)
 
 
+def _round_in(iv: Interval) -> Interval:
+    """The closed interval from the least to the greatest float of iv (empty
+    when iv holds none)."""
+    a, b = float(iv.lo), float(iv.hi)
+    # each float end converted once, so the tests compare fractions
+    lo, hi = Fraction(a), Fraction(b)
+    if lo < iv.lo or (lo == iv.lo and not iv.lo_closed):
+        lo = Fraction(math.nextafter(a, math.inf))
+    if hi > iv.hi or (hi == iv.hi and not iv.hi_closed):
+        hi = Fraction(math.nextafter(b, -math.inf))
+    return Interval(lo, hi)
+
+
 def _fraction_reach_step(a, b, f, m, radius, t0) -> Interval:
     """The reach step in Fractions: the floats of B(f([a, b])) & X."""
     reach = Interval(Fraction(a), Fraction(b))
@@ -657,7 +671,7 @@ def _fraction_reach_step(a, b, f, m, radius, t0) -> Interval:
     ball = m.ball_interval(image, radius, t0)
     if ball == image:  # singleton balls: step the float orbit
         ball = Interval.point(f.eval(float(reach.lo)))
-    return orbits._round_in(ball & f.domain)
+    return _round_in(ball & f.domain)
 
 
 # in floats f(0.8680000000000001) = 1.0000000000000002, outside the domain
@@ -716,6 +730,160 @@ def test_integer_reach_step_matches_the_fraction_step(f, name, ends, delta, floo
             return
         assert [v.hex() for v in got] == [float(e).hex() for e in (expected.lo, expected.hi)]
         a, b = got
+
+
+def _fraction_walk_step(a, b, s, f, m, walk, t0):
+    """The walk-back step in Fractions: the float midpoint of the floats of
+    the widest part of [a, b] & f^-1(B(s)), the leftmost on ties, or None
+    when no part holds a float."""
+    ball = m.ball_interval(Interval.point(s), walk, t0)
+    parts = [_round_in(part) for part in f.preimage(ball, Interval(Fraction(a), Fraction(b)))]
+    part = max((p for p in parts if not p.is_empty), key=lambda p: p.hi - p.lo, default=None)
+    return None if part is None else float((part.lo + part.hi) / 2)
+
+
+def _fraction_chain(x, y, f, m, delta, t0, n_max):
+    """chain_search's states with the walk-back done in Fractions, or None."""
+    radius, walk = orbits._chain_radii(x, y, f, m, delta, t0, n_max)
+    path = []
+    for a, b in orbits._reach_sets(x, f, m, radius, t0, n_max):
+        if a <= y <= b:
+            break
+        path.append((a, b))
+    else:
+        return None
+    states = [float(y)]
+    for a, b in reversed(path):
+        states.append(a if a == b else _fraction_walk_step(a, b, states[-1], f, m, walk, t0))
+    return states[::-1]
+
+
+# 1/4 on [0, 3/5], then up to 1: at s = 1/2 the ball (1/4, 3/4) of radius
+# 1/5 at t0 = 1 has the flat value on its lower end, and the flat piece
+# would be the widest part
+_FLAT_ON_END = _pl_map([Fraction(0), Fraction(3, 5), Fraction(1)],
+                       [Fraction(1, 4), Fraction(1, 4), Fraction(1)])
+# 1/2 on (0, 1/2], then up to 1: under singleton balls {1/2} pulls back to
+# the whole flat piece
+_FLAT_ON_POINT = _pl_map([Fraction(0), Fraction(1, 2), Fraction(1)],
+                         [Fraction(1, 2), Fraction(1, 2), Fraction(1)], lo_open=True)
+# up by slope 4 on [1/2, 3/4] and down on [3/4, 1]: the parts over the ball
+# (1/4, 3/4) are (9/16, 11/16) and (13/16, 15/16), float intervals of one
+# binade and equal width
+_TWIN_PARTS = _pl_map([Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)],
+                      [Fraction(0), Fraction(0), Fraction(1), Fraction(0)])
+# slope 2**-1100: a ball's preimage ends lie beyond every float (slope
+# 2**-1000 puts them near 1e300, still floats)
+_NEARLY_FLAT = IntervalMap([Piece(Fraction(0), Fraction(1), Fraction(1, 2**1100),
+                                  Fraction(1, 2))])
+
+
+@example(f=_FLAT_ON_END, name="standard", ends=[0.0, 1.0], succ=0.5, image=False, delta=0.5,
+         floor_ulps=None, walk=Fraction(1, 5), t0=1.0)  # a flat value on a ball end
+@example(f=_FLAT_ON_POINT, name="ratio-phi", ends=[0.25, 0.75], succ=0.5, image=False,
+         delta=0.05, floor_ulps=None, walk=None, t0=0.5)  # a flat value on {s}
+@example(f=example43_map(), name="ratio-phi", ends=[0.25, 0.75], succ=0.5, image=False,
+         delta=0.05, floor_ulps=None, walk=None, t0=0.5)  # {1/2} pulls back to one knot
+@example(f=_TWIN_PARTS, name="standard", ends=[0.5, 1.0], succ=0.5, image=False, delta=0.5,
+         floor_ulps=None, walk=Fraction(1, 5), t0=1.0)  # a tie: the leftmost part wins
+@example(f=_TWIN_PARTS, name="standard", ends=[0.5, 0.9375], succ=0.5, image=False, delta=0.5,
+         floor_ulps=None, walk=Fraction(1, 5), t0=1.0)  # b on an open end of the preimage
+@example(f=_QUARTER, name="ratio", ends=[5e-324, 0.001], succ=5e-324, image=False, delta=0.1,
+         floor_ulps=None, walk=None, t0=1.0)
+@example(f=_NEARLY_FLAT, name="standard", ends=[0.0, 1.0], succ=0.5, image=False, delta=0.5,
+         floor_ulps=None, walk=Fraction(1, 5), t0=1.0)  # both ends beyond every float
+@example(f=_NEARLY_FLAT, name="standard", ends=[0.0, 1.0], succ=0.9, image=False, delta=0.5,
+         floor_ulps=None, walk=Fraction(1, 5), t0=1.0)  # the lower end above every float
+@example(f=_NEARLY_FLAT, name="standard", ends=[0.0, 1.0], succ=0.1, image=False, delta=0.5,
+         floor_ulps=None, walk=Fraction(1, 5), t0=1.0)  # the upper end below every float
+@example(f=tent(2.0), name="standard", ends=[0.2, 0.3], succ=0.5, image=False,
+         delta=0.9999999999, floor_ulps=None, walk=None, t0=1e300)
+@given(f=_rational_maps(), name=st.sampled_from(["standard", "ratio-phi", "ratio"]),
+       ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2), succ=st.floats(0.0, 1.0),
+       image=st.booleans(), delta=st.floats(0.0, 0.9999999999, exclude_min=True),
+       floor_ulps=st.none() | st.integers(1, 3),
+       walk=st.none() | st.sampled_from([Fraction(1, 5), Fraction(1, 3), Fraction(1, 2)]),
+       t0=st.floats(1e-3, 1.0) | st.floats(1.0, 1e300))
+def test_integer_walk_back_step_matches_the_fraction_step(f, name, ends, succ, image, delta,
+                                                          floor_ulps, walk, t0):
+    # bit for bit, None for None; the successor is a random float, or the
+    # image of a point of the pair, and the radius a chain's walk-back
+    # radius at delta, or at floor_ulps floats above the least delta chains
+    # accept, or given, when ball ends are often floats
+    m = StandardFuzzyMetric(lo=-1.0) if name == "standard" else metric_from_name(name)
+    a, b = sorted(ends)
+    assume(f.contains(a) and f.contains(b) and (name == "standard" or f.lo_open))
+    if image:
+        succ = f.eval(min(max(a + succ * (b - a), a), b))
+    if floor_ulps is not None:
+        least = 4 * Fraction(2.0**-52) + 2 * m.float_slack(f, t0)
+        delta = float(least)
+        for _ in range(floor_ulps if delta > least else floor_ulps + 1):
+            delta = math.nextafter(delta, math.inf)
+    if walk is None:
+        try:
+            _, walk = orbits._chain_radii(a, b, f, m, delta, t0, 1)
+        except ValueError:  # delta at or below the floor, or delta >= 1
+            assume(False)
+    got = orbits._walk_step(f, m, walk, t0)(a, b, succ)
+    expected = _fraction_walk_step(a, b, succ, f, m, walk, t0)
+    assert (got if got is None else got.hex()) == (expected if expected is None
+                                                   else expected.hex())
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_rational_maps(), name=st.sampled_from(["standard", "ratio-phi", "ratio"]),
+       ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+       delta=st.floats(1e-6, 0.9), t0=st.floats(1e-3, 10.0))
+def test_chain_search_matches_a_fraction_walk_back(f, name, ends, delta, t0):
+    m = StandardFuzzyMetric(lo=-1.0) if name == "standard" else metric_from_name(name)
+    x, y = ends
+    assume(f.contains(x) and f.contains(y) and (name == "standard" or f.lo_open))
+    try:
+        expected = _fraction_chain(x, y, f, m, delta, t0, 64)
+    except ValueError:  # delta at or below the floor
+        assume(False)
+    chain = chain_search(x, y, f, m, delta, t0)
+    assert (None if chain is None else [v.hex() for v in chain.states.tolist()]) == (
+        None if expected is None else [v.hex() for v in expected])
+
+
+def test_the_walk_back_makes_no_fraction_and_no_preimage(monkeypatch):
+    # the walk-back steps run in integers: IntervalMap.preimage is never
+    # called by a chain search, and a step builds no Fraction
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called in the walk-back")
+
+    f, m = example43_map(), RatioPhiFuzzyMetric()
+    expected = chain_search(0.26, 0.74, f, m, 0.1, 1.0)
+    assert len(expected) > 2
+    with monkeypatch.context() as patch:
+        patch.setattr(IntervalMap, "preimage", forbidden)
+        assert chain_search(0.26, 0.74, f, m, 0.1, 1.0).states.tolist() == expected.states.tolist()
+    radius, walk = orbits._chain_radii(0.26, 0.74, f, m, 0.1, 1.0, 64)
+    path = list(orbits._reach_sets(0.26, f, m, radius, 1.0, len(expected)))[:-1]
+    step = orbits._walk_step(f, m, walk, 1.0)
+    states = [0.74]
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", forbidden)
+        for a, b in reversed(path):
+            states.append(step(a, b, states[-1]))
+    assert states[::-1] == expected.states.tolist()
+
+
+@pytest.mark.parametrize("x, y", [(math.nan, 1.5), (1.5, math.nan), (math.nan, 0.5),
+                                  (0.5, math.nan), (2.0, 1.5), (1.5, 2.0), (-0.5, 2.0),
+                                  (0.0, 0.5), (0.5, 0.0), (np.float64(1.25), 0.5)])
+def test_chain_domain_errors_match_the_array_check(x, y):
+    # the least state, then the greatest, named as require_in_domain names
+    # them on the pair as an array; NaN is both
+    f = example43_map()
+    with pytest.raises(ValueError) as expected:
+        require_in_domain(f, np.array([x, y], dtype=float))
+    for check in (chain_search, chain_mixing_check):
+        with pytest.raises(ValueError) as got:
+            check(x, y, f, RatioPhiFuzzyMetric(), 0.1, 1.0)
+        assert str(got.value) == str(expected.value)
 
 
 def test_a_chain_from_minus_zero_starts_at_zero(tent2, standard_metric):

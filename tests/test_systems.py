@@ -498,3 +498,34 @@ def test_preimage_matches_the_all_pieces_reference(data):
     within = data.draw(_nonempty_intervals(f) | _intervals())
     parts, reference = f.preimage(target, within), _reference_preimage(f, target, within)
     assert parts == reference and [str(p) for p in parts] == [str(p) for p in reference]
+
+
+def _least_float(k, strict):
+    """The least float at or above k (above it when strict), stepped one
+    float at a time from float(k)."""
+    v = float(k)
+    while Fraction(v) < k or (strict and Fraction(v) == k):
+        v = math.nextafter(v, math.inf)
+    while Fraction(math.nextafter(v, -math.inf)) > k or (
+            not strict and Fraction(math.nextafter(v, -math.inf)) == k):
+        v = math.nextafter(v, -math.inf)
+    return v + 0.0
+
+
+@pytest.mark.parametrize("knots, lo_open", [
+    ((Fraction(0), Fraction(1, 2), Fraction(1)), False),
+    ((Fraction(0), Fraction(1, 3), Fraction(3, 4), Fraction(1)), True),
+    ((Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)), True),
+    ((Fraction(-1, 2**1100), Fraction(1, 10**400), Fraction(1, 2)), False),
+    ((Fraction(0), Fraction(1, 10**400), Fraction(1)), True),
+], ids=["dyadic", "thirds-open", "thirds-domain", "tiny-ends", "tiny-piece"])
+def test_piece_floats_are_each_piece_rounded_inward(knots, lo_open):
+    # identity pieces on the knots: each piece's least and greatest float,
+    # the first one's above an open lower end, with no -0.0
+    f = IntervalMap([Piece(a, b, Fraction(1), Fraction(0)) for a, b in zip(knots, knots[1:])],
+                    lo_open=lo_open)
+    want = [(_least_float(a, lo_open and i == 0),
+             -_least_float(-b, False) + 0.0) for i, (a, b) in enumerate(zip(knots, knots[1:]))]
+    assert [(lo.hex(), hi.hex()) for lo, hi in f.piece_floats] == [
+        (lo.hex(), hi.hex()) for lo, hi in want]
+    assert f.piece_floats is f.piece_floats  # built once
