@@ -214,7 +214,7 @@ def _case_example_4_3c(seed: int) -> tuple[bool, dict, dict]:
     f = systems.example43_map()
     metric = fm.RatioPhiFuzzyMetric()
     modulus = fm.check_ratio_modulus(f, factor=0.1, resolution=1e-3)
-    cert = fm.certify_fuzzy_continuity(metric, f, eps=_EPS_FIFTH, t=1.0, resolution=1e-2)
+    cert = fm.certify_fuzzy_continuity(metric, f, eps=_EPS_FIFTH, t=1.0)
     seq = shadowing.build_nonshadowable_orbit(_CROSSING_DELTA)
     valid = orbits.validate_f_pseudo_orbit(seq, f, metric, _CROSSING_DELTA, 1.0).is_empty
     searches = {}
@@ -238,7 +238,7 @@ def _case_example_4_3c(seed: int) -> tuple[bool, dict, dict]:
 def _case_example_4_3d(seed: int) -> tuple[bool, dict, dict]:
     f = systems.example43_map()
     metric = fm.RatioFuzzyMetric()
-    cert = fm.certify_fuzzy_continuity(metric, f, eps=_EPS_FIFTH, t=1.0, resolution=1e-2)
+    cert = fm.certify_fuzzy_continuity(metric, f, eps=_EPS_FIFTH, t=1.0)
     seq = shadowing.build_nonshadowable_orbit(_CROSSING_DELTA)
     valid = orbits.validate_f_pseudo_orbit(seq, f, metric, _CROSSING_DELTA, 1.0).is_empty
     verdict = shadowing.shadow_search(seq, f, metric, eps=_EPS_FIFTH, t0=1.0,

@@ -18,6 +18,7 @@ triangle under minimum, at one exact rational triple, and all else holds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -63,11 +64,10 @@ def interval_grid(lo: float, hi: float, lo_open: bool, resolution: float) -> np.
 def require_resolved(name: str, radius: float, least: Fraction, what: str) -> None:
     """Raise ValueError unless radius exceeds least, the narrowest radius a
     float predicate decides (``what`` says whose); the message names the
-    greatest float at or below least, which every accepted radius exceeds."""
+    greatest float at or below least by _float_inside, at most the largest
+    float, which every accepted radius exceeds."""
     if radius <= least:
-        bound = float(least)
-        if bound > least:
-            bound = math.nextafter(bound, -math.inf)
+        bound = _float_inside(least.numerator << 1074, least.denominator, False, True)
         raise ValueError(f"{name} {radius!r} is too small to decide in floats: it must "
                          f"exceed {bound!r}, {what}")
 
@@ -84,6 +84,31 @@ def require_in_domain(f, states: np.ndarray) -> np.ndarray:
         if not f.contains(v):
             raise ValueError(f"state {float(v)!r} outside domain of {f.name}")
     return states
+
+
+def _numerator(v: float) -> int:
+    """The integer v * 2**1074, exact for every finite float."""
+    n, d = v.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
+def _float_inside(n: int, unit: int, up: bool, closed: bool = False) -> float:
+    """The float on or inside the bound n / (unit * 2**1074), unit > 0: the
+    least float above it when up, else the greatest below, and the bound
+    itself when it is a float and closed; every exact bound here becomes a
+    float by this rule.  The correctly rounded quotient is stepped one float
+    inward when one cross-multiplied comparison puts it outside the bound,
+    or on an open one.  Past the largest float the answer is that float
+    inward and an infinity outward.  It is never -0.0."""
+    try:
+        v = n / (unit << 1074)
+    except OverflowError:  # the quotient is past the largest float
+        v = math.inf if up == (n > 0) else sys.float_info.max
+        return v if n > 0 else -v
+    k = _numerator(v) * unit
+    if (k < n if up else k > n) or (k == n and not closed):
+        v = math.nextafter(v, math.inf if up else -math.inf)
+    return v + 0.0
 
 
 @dataclass(frozen=True)
@@ -114,6 +139,12 @@ class Interval:
             x = Fraction(x)
         return ((self.lo < x or (self.lo_closed and self.lo == x))
                 and (x < self.hi or (self.hi_closed and x == self.hi)))
+
+    def floats(self) -> tuple[float, float]:
+        """Its least and greatest float, by _float_inside; least > greatest when it has none."""
+        lo, hi = self.lo, self.hi
+        return (_float_inside(lo.numerator << 1074, lo.denominator, True, self.lo_closed),
+                _float_inside(hi.numerator << 1074, hi.denominator, False, self.hi_closed))
 
     def __and__(self, other: "Interval") -> "Interval":
         # the greater lower end and the lesser upper end, closed where every
@@ -158,9 +189,9 @@ class FuzzyMetric:
         if not lo < hi:
             raise ValueError("interval requires lo < hi")
         self.tnorm = tnorm
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.lo_open = bool(lo_open)
+        self.lo, self.hi, self.lo_open = float(lo), float(hi), bool(lo_open)
+        self.least = _float_inside(_numerator(self.lo), 1, True, not self.lo_open)
+        self.greatest = _float_inside(_numerator(self.hi), 1, False, True)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -196,9 +227,7 @@ class FuzzyMetric:
     # -- domain helpers -----------------------------------------------------
 
     def contains(self, x: float) -> bool:
-        if self.lo_open:
-            return self.lo < x <= self.hi
-        return self.lo <= x <= self.hi
+        return self.least <= x <= self.greatest
 
     def _require_state(self, x: float) -> None:
         if not self.contains(x):
@@ -250,11 +279,10 @@ class StandardFuzzyMetric(FuzzyMetric):
 
     def horizon_bound(self, eps: Fraction) -> Fraction | None:
         # rounding is monotone, so no two floats of the space are farther
-        # apart in floats than d = fl(hi - least), and t/(t + d) > 1 - eps iff
-        # t > d(1 - eps)/eps; the kernel forms t + d = d/eps, which must stay
-        # a float with room to spare (half the largest)
-        least = math.nextafter(self.lo, math.inf) if self.lo_open else self.lo
-        d = self.hi - least
+        # apart in floats than d = fl(greatest - least), and t/(t + d) >
+        # 1 - eps iff t > d(1 - eps)/eps; the kernel forms t + d = d/eps,
+        # which must stay a float with room to spare (half the largest)
+        d = self.greatest - self.least
         if not d / float(eps) < 2.0**1023:
             return None
         return Fraction(d) * (1 - eps) / eps
@@ -339,12 +367,11 @@ def metric_from_name(name: str, tnorm: TNorm | None = None) -> FuzzyMetric:
 
 
 def require_map_in_space(f, m: FuzzyMetric) -> None:
-    """Check that the domain of f lies inside the space of m, so that no state
-    the map reaches falls outside the metric (0 under a ratio metric, say)."""
-    # an open lower end of the domain is never reached, so it may sit on the
-    # metric's lower end whether that end is open or closed
-    low_inside = m.lo <= f.domain_lo if f.lo_open else m.contains(f.domain_lo)
-    if not (low_inside and m.contains(f.domain_hi)):
+    """Check that the floats of the domain of f lie inside the space of m, so
+    that no state the map reaches falls outside the metric (0 under a ratio
+    metric, say); both are intervals, so their least and greatest floats
+    decide."""
+    if not (m.least <= f.least and f.greatest <= m.greatest):
         raise ValueError(f"domain of {f.name} is not inside the {m.name} "
                          f"space {m.describe_space()}")
 
@@ -494,8 +521,7 @@ def uniform_horizon(m: FuzzyMetric, eps: float, resolution: float = 1e-2) -> flo
     bound = m.horizon_bound(e) if e > 0 else None
     if not bound:  # None, or 0 on a space of one float
         return None
-    t = float(bound)
-    return t if t >= bound else math.nextafter(t, math.inf)
+    return _float_inside(bound.numerator << 1074, bound.denominator, True, True)
 
 
 # -- continuity certification --------------------------------------------------

@@ -30,12 +30,12 @@ Conventions, fixed package-wide:
   ball is an interval, and a continuous piecewise-linear map sends an
   interval to an interval, so the ends of all chains of length n from x form
   one interval R_n.  It is stepped exactly in Python integers, on balls
-  shrunk by a float-error slack, and rounded inward to float ends, so that
-  every state of R_n ends a float chain that validate_f_pseudo_orbit
-  accepts: a float is an integer over 2**1074 and the map's pieces are
-  integers over one denominator, so a step is a few integer products, two
-  correctly rounded quotients and two comparisons.  The walk-back from the
-  end of a chain pulls balls back through the same pieces in integers.
+  shrunk by a float-error slack, and rounded inward to float ends by
+  fuzzy_metric._float_inside, so that every state of R_n ends a float chain
+  that validate_f_pseudo_orbit accepts: a float is an integer over 2**1074
+  and the pieces are integers over one denominator, so a step is a few
+  integer products, two correctly rounded quotients and two comparisons.
+  The walk-back pulls balls back through the same pieces in integers.
   Chains read the exact pieces of the map, so a power map is refused.
 """
 
@@ -49,8 +49,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fuzzy_metric import (_require_finite_positive, require_in_domain, require_map_in_space,
-                           require_pieces, require_resolved)
+from .fuzzy_metric import (_float_inside, _numerator, _require_finite_positive, require_in_domain,
+                           require_map_in_space, require_pieces, require_resolved)
 from .reports import VerificationError
 
 DENSITY_THRESHOLD = 0.01
@@ -145,12 +145,13 @@ def _read_bulk(fh) -> np.ndarray | None:
     line into the same two fields, and when it is no longer than csv's field
     size limit, so that no field exceeds it; a carried line longer than the
     limit fails at once.  Its fields then go through the int and float the
-    row loop applies, so both readers accept the same values.
+    row loop applies, so both readers accept the same values.  They fill
+    one array, grown in place by a quarter and trimmed at the end.
     """
     if fh.readline() != "index,value\r\n":
         return None
     limit = csv.field_size_limit()
-    blocks, tail, start = [], "", 0
+    out, tail, start = np.empty(0), "", 0
     while chunk := fh.read(_CSV_BLOCK):
         text = tail + chunk
         cut = text.rfind("\n") + 1
@@ -162,11 +163,15 @@ def _read_bulk(fh) -> np.ndarray | None:
         fields = text.replace("\r\n", ",").split(",")
         if list(map(int, fields[0:-1:2])) != list(range(start, start + lines)):
             return None
-        blocks.append(np.fromiter(map(float, fields[1::2]), float, lines))
+        if start + lines > out.size:
+            # no view of out is alive, so numpy need not check references
+            out.resize(max(out.size + (out.size >> 2), start + lines), refcheck=False)
+        out[start:start + lines] = np.fromiter(map(float, fields[1::2]), float, lines)
         start += lines
     if tail or not start:  # a last line without its "\r\n", or no rows
         return None
-    return np.concatenate(blocks)
+    out.resize(start, refcheck=False)
+    return out
 
 
 def _read_rows(fh) -> list[float]:
@@ -523,26 +528,6 @@ def _chain_radii(x: float, y: float, f, m, delta: float, t0: float,
     return Fraction(radius, den), Fraction(walk, den)
 
 
-def _numerator(v: float) -> int:
-    """The integer v * 2**1074, exact for every finite float."""
-    n, d = v.as_integer_ratio()
-    return n << (1075 - d.bit_length())
-
-
-def _float_inside(n: int, unit: int, up: bool, closed: bool = False) -> float:
-    """The float on or inside the bound n / (unit * 2**1074), unit > 0: the
-    least float above it when up, else the greatest below, and the bound
-    itself when it is a float and closed.  The quotient, which Python rounds
-    correctly, is stepped one float inward when one cross-multiplied
-    comparison puts it outside the bound, or on an open one.  The bound must
-    lie within the floats."""
-    v = n / (unit << 1074)
-    k = _numerator(v) * unit
-    if (k < n if up else k > n) or (k == n and not closed):
-        v = math.nextafter(v, math.inf if up else -math.inf)
-    return v
-
-
 def _ball_ends(m, radius: Fraction, t0: float) -> tuple[int, int, int, int] | None:
     """(qn, qd, rn, rd) of m.ball_rule(radius, t0) = (qn / qd, rn / rd), or
     None under singleton balls."""
@@ -563,9 +548,9 @@ def _reach_step(f, m, radius: Fraction, t0: float):
     denominator D of f.integer_table.  With (q, r) = m.ball_rule, the ball's
     open ends lo q - r and hi / q + r are integers N over D times one
     denominator a side, which _float_inside rounds inward.  An end beyond
-    the least or greatest float of X is that float instead.  Under singleton
-    balls the step is the float orbit's, cut by X."""
-    least, greatest = f.piece_floats[0][0], f.piece_floats[-1][1]
+    f.least or f.greatest, the least or greatest float of X, is that float
+    instead.  Under singleton balls the step is the float orbit's, cut by X."""
+    least, greatest = f.least, f.greatest
     ends = _ball_ends(m, radius, t0)
     if ends is None:
         def step(a, b):
@@ -587,8 +572,7 @@ def _reach_step(f, m, radius: Fraction, t0: float):
     def step(a, b):
         lo, hi = image(_numerator(a), _numerator(b))
         n = lo * lo_mul + lo_add
-        # -0.0, above an end in [-2**-1074, 0), reads 0 as exact ends do
-        a = least if n < lo_bound else _float_inside(n, lo_unit, True) + 0.0
+        a = least if n < lo_bound else _float_inside(n, lo_unit, True)
         n = hi * hi_mul + hi_add
         b = greatest if n > hi_bound else _float_inside(n, hi_unit, False)
         return a, b

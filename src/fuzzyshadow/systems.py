@@ -1,9 +1,9 @@
 """Piecewise-linear interval self-maps with exact rational coefficients.
 
-Coefficients and breakpoints are stored as fractions, so continuity at
-interior breakpoints and the self-map property are checked exactly at
-construction time; evaluation then runs in double precision, and images and
-preimages of intervals are exact.
+Coefficients and breakpoints are fractions, so continuity and the self-map
+property are checked exactly at construction; evaluation runs in floats, on
+the states between the domain's least and greatest float (Interval.floats),
+and images and preimages of intervals are exact.
 
 A float orbit stops stepping at a float fixed point: once a step of
 IntervalMap.states gives back the bits of its input (sign included, since
@@ -82,10 +82,9 @@ class IntervalMap:
         self._flat = tuple(p.slope == 0 for p in self.pieces)
         self._validate_pieces()
         self._validate_self_map()
-        self.domain_lo = float(self.knots[0])
-        self.domain_hi = float(self.knots[-1])
-        # the least float of the domain: contains(v) is least <= v <= domain_hi
-        self._least = math.nextafter(self.domain_lo, math.inf) if self.lo_open else self.domain_lo
+        # ends to nearest (plots, the clamp floor); least/greatest float decide membership
+        self.domain_lo, self.domain_hi = float(self.knots[0]), float(self.knots[-1])
+        self.least, self.greatest = self.domain.floats()
         # float mirrors for evaluation: numpy arrays for eval_array, Python
         # lists for the scalar eval, which pays no numpy per-call overhead
         self._breaks = np.array([float(p.hi) for p in self.pieces[:-1]])
@@ -162,31 +161,20 @@ class IntervalMap:
 
     @cached_property
     def piece_floats(self) -> tuple[tuple[float, float], ...]:
-        """The least and the greatest float of each piece's closure, the
-        first piece's above an open lower end of the domain, so that the
-        domain's own are piece_floats[0][0] and piece_floats[-1][1]; a piece
-        that holds no float has least > greatest.  Built on first use."""
-        def least(k, strict=False):
-            v = float(k)
-            # + 0.0: a knot in (-2**-1075, 0) rounds to -0.0, whose value is 0
-            return (math.nextafter(v, math.inf) if v < k or (strict and v == k) else v) + 0.0
-
-        def greatest(k):
-            v = float(k)
-            return math.nextafter(v, -math.inf) if v > k else v
-
-        lows = (least(self.knots[0], self.lo_open), *map(least, self.knots[1:-1]))
-        return tuple(zip(lows, map(greatest, self.knots[1:])))
+        """Interval.floats of each piece's closure, the first piece's above an
+        open lower end of the domain, so that piece_floats[0][0] is least and
+        piece_floats[-1][1] greatest; a piece that holds no float has least >
+        greatest.  Built on first use."""
+        return tuple(Interval(p.lo, p.hi, k > 0 or not self.lo_open).floats()
+                     for k, p in enumerate(self.pieces))
 
     # -- domain ----------------------------------------------------------------
 
     def contains(self, x: float) -> bool:
-        if self.lo_open:
-            return self.domain_lo < x <= self.domain_hi
-        return self.domain_lo <= x <= self.domain_hi
+        return self.least <= x <= self.greatest
 
     def grid(self, resolution: float) -> np.ndarray:
-        return interval_grid(self.domain_lo, self.domain_hi, self.lo_open, resolution)
+        return interval_grid(self.least, self.greatest, self.lo_open, resolution)
 
     # -- evaluation --------------------------------------------------------------
 
@@ -311,7 +299,7 @@ class IntervalMap:
         if n < 0:
             raise ValueError("n must be nonnegative")
         v = float(x)
-        least, hi = self._least, self.domain_hi
+        least, hi = self.least, self.greatest
         if not least <= v <= hi:
             raise ValueError(f"{v!r} outside domain of {self.name}")
         out = [v] if n else []
@@ -335,10 +323,11 @@ class IntervalMap:
         (above an open lower end, to 1e-12 of its length); f steps and the
         domain is checked as in states."""
         v = float(x)
-        least, lo, hi = self._least, self.domain_lo, self.domain_hi
+        least, hi = self.least, self.greatest
         if not least <= v <= hi:
             raise ValueError(f"{v!r} outside domain of {self.name}")
-        floor = lo + (hi - lo) * 1e-12 if self.lo_open else lo
+        # from an open end rounded to nearest, which on (1, 1.0001] is the end
+        floor = self.domain_lo + (hi - self.domain_lo) * 1e-12 if self.lo_open else least
         out = [v]
         append, bisect, breaks, coeffs = out.append, bisect_left, self._break_list, self._coeffs
         for kick in kicks:
@@ -474,6 +463,7 @@ class IteratedMap:
         self.k = k
         self.lo_open = base.lo_open
         self.domain_lo, self.domain_hi = base.domain_lo, base.domain_hi
+        self.least, self.greatest = base.least, base.greatest
         self.name = f"{base.name}^{k}"
 
     def contains(self, x: float) -> bool:

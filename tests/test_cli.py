@@ -655,6 +655,31 @@ def test_mix_radii_below_float_resolution_exit_2(tmp_path, capsys, u_radius, v_r
     assert not out.exists()
 
 
+_SUBNORMAL_HORIZON_CASES = [
+    ["shadow", "--eps", "0.1", "--orbit", "ORBIT"],
+    ["density", "--delta", "0.1", "--orbit", "ORBIT"],
+    ["sweep", "--eps-list", "0.1", "--delta-list", "0.1", "--orbit", "ORBIT"],
+    ["mix", "--u-center", "0.2", "--u-radius", "0.1", "--v-center", "0.8", "--v-radius", "0.1"],
+    ["chain", "--from", "0.2", "--to", "0.8", "--delta", "0.1"],
+]
+
+
+@pytest.mark.parametrize("t0", ["5e-324", "1e-323"])
+@pytest.mark.parametrize("argv", _SUBNORMAL_HORIZON_CASES, ids=lambda argv: argv[0])
+def test_subnormal_horizons_exit_2_naming_the_largest_float(tmp_path, capsys, orbit_file,
+                                                             argv, t0):
+    # the float slack passes the largest float, which overflowed with a traceback
+    argv = [orbit_file if a == "ORBIT" else a for a in argv]
+    horizon = ["--t0-list" if argv[0] == "sweep" else "--t0", t0]
+    out = tmp_path / "out"
+    rc = main(argv + horizon + ["--map", "tent:2", "--metric", "standard", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "is too small to decide in floats: it must exceed 1.7976931348623157e+308" in err
+    assert not out.exists()
+
+
 def test_mix_radius_just_above_float_resolution_runs(tmp_path, capsys):
     above = repr(math.nextafter(_tent2_slack_bound(1.0), math.inf))
     rc = main(_MIX + ["--u-radius", above, "--v-radius", "0.1", "--out", str(tmp_path)])

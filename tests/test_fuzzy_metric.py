@@ -1,11 +1,12 @@
 import math
+import struct
 import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fuzzyshadow import fuzzy_metric as fm
@@ -465,3 +466,107 @@ def test_sample_states_stay_in_space(ratio_metric):
     rng = np.random.default_rng(0)
     xs = ratio_metric.sample_states(rng, 10_000)
     assert np.all(xs > 0.0) and np.all(xs <= 1.0)
+
+
+# -- the one rule by which an exact bound becomes a float ------------------------
+
+# the floats in increasing order, -inf and inf included, are the signed bit
+# patterns 0 ... 0x7FF0000000000000 (inf) mirrored about 0.0
+_INF_BITS = 0x7FF0000000000000
+
+
+def _nth_float(i):
+    v = struct.unpack("<d", struct.pack("<q", abs(i)))[0]
+    return -v if i < 0 else v
+
+
+def _least_float_above(bound, strict):
+    """The least float, infinities included, at or above the rational bound,
+    strictly above it when strict, found by bisecting the float order."""
+    def inside(v):
+        if math.isinf(v):
+            return v > 0
+        return Fraction(v) > bound if strict else Fraction(v) >= bound
+
+    lo, hi = -_INF_BITS, _INF_BITS  # inside(hi), and every float above
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if inside(_nth_float(mid)):
+            hi = mid
+        else:
+            lo = mid + 1
+    return _nth_float(lo)
+
+
+def _greatest_float_below(bound, strict):
+    return -_least_float_above(-bound, strict) + 0.0
+
+
+@st.composite
+def _bounds(draw):
+    """A rational bound from subnormal to beyond the largest float, with
+    either sign, as an unreduced numerator and unit of the rule."""
+    mantissa = draw(st.integers(-2**64, 2**64))
+    scale = Fraction(2) ** draw(st.integers(-1200, 1100))
+    bound = mantissa * scale / draw(st.integers(1, 2**40))
+    common = draw(st.integers(1, 1000))
+    return bound.numerator * common << 1074, bound.denominator * common
+
+
+_HUGE = Fraction(2**1024)  # above the largest float, 2**1024 - 2**971
+
+
+@example(case=(Fraction(5e-324).numerator << 1074, Fraction(5e-324).denominator),
+         up=True, closed=True)
+@example(case=(Fraction(5e-324).numerator << 1074, Fraction(5e-324).denominator),
+         up=False, closed=False)
+@example(case=(-1, 3 << 1), up=True, closed=False)  # -2**-1075/3 reads 0.0, not -0.0
+@example(case=(_HUGE.numerator << 1074, 1), up=False, closed=True)
+@example(case=(_HUGE.numerator << 1074, 1), up=True, closed=True)
+@example(case=(-_HUGE.numerator << 1074, 1), up=True, closed=False)
+@given(case=_bounds(), up=st.booleans(), closed=st.booleans())
+def test_float_inside_is_the_least_or_greatest_float_past_the_bound(case, up, closed):
+    n, unit = case
+    bound = Fraction(n, unit << 1074)
+    want = (_least_float_above if up else _greatest_float_below)(bound, not closed)
+    got = fm._float_inside(n, unit, up, closed)
+    assert got.hex() == want.hex()
+
+
+@given(lo=_bounds(), hi=_bounds(), lo_closed=st.booleans(), hi_closed=st.booleans())
+def test_interval_floats_are_its_least_and_greatest_float(lo, hi, lo_closed, hi_closed):
+    a, b = Fraction(lo[0], lo[1] << 1074), Fraction(hi[0], hi[1] << 1074)
+    iv = fm.Interval(a, b, lo_closed, hi_closed)
+    assert iv.floats() == (_least_float_above(a, not lo_closed),
+                           _greatest_float_below(b, not hi_closed))
+
+
+@pytest.mark.parametrize("m", [fm.StandardFuzzyMetric(), fm.StandardFuzzyMetric(lo_open=True),
+                               fm.StandardFuzzyMetric(lo=-0.5, hi=2.0), fm.RatioFuzzyMetric()],
+                         ids=["closed", "open", "wide", "ratio"])
+def test_metric_least_and_greatest_floats_decide_membership(m):
+    iv = fm.Interval(Fraction(m.lo), Fraction(m.hi), not m.lo_open)
+    assert (m.least, m.greatest) == iv.floats()
+    assert m.contains(m.least) and m.contains(m.greatest)
+    assert not m.contains(math.nextafter(m.least, -math.inf))
+    assert not m.contains(math.nextafter(m.greatest, math.inf))
+
+
+def test_a_map_open_one_float_below_a_closed_space_end_lies_inside():
+    # every float state of f is at least 0.25, the space's closed end, so
+    # the pair is accepted though the map's open end lies below it
+    below = Fraction(math.nextafter(0.25, 0.0))
+    f = IntervalMap([Piece(below, Fraction(1), Fraction(0), Fraction(1, 2))], lo_open=True)
+    m = fm.StandardFuzzyMetric(lo=0.25)
+    assert f.least == m.least == 0.25
+    fm.require_map_in_space(f, m)
+    closed = IntervalMap([Piece(below, Fraction(1), Fraction(0), Fraction(1, 2))])
+    with pytest.raises(ValueError, match="is not inside the standard space"):
+        fm.require_map_in_space(closed, m)
+
+
+def test_require_resolved_names_the_largest_float_past_it():
+    with pytest.raises(ValueError, match=r"it must exceed 1\.7976931348623157e\+308, why"):
+        fm.require_resolved("eps", 0.1, _HUGE, "why")
+    with pytest.raises(ValueError, match=r"it must exceed 0\.3333333333333333, why"):
+        fm.require_resolved("eps", 0.1, Fraction(1, 3), "why")

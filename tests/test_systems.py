@@ -529,3 +529,24 @@ def test_piece_floats_are_each_piece_rounded_inward(knots, lo_open):
     assert [(lo.hex(), hi.hex()) for lo, hi in f.piece_floats] == [
         (lo.hex(), hi.hex()) for lo, hi in want]
     assert f.piece_floats is f.piece_floats  # built once
+
+
+# 1 - x on [1/3, 2/3]: the nearest floats of its ends, 0.3333333333333333 and
+# 0.6666666666666666, both lie below 1/3 and 2/3, so the first is outside
+_THIRDS = IntervalMap([Piece(Fraction(1, 3), Fraction(2, 3), Fraction(-1), Fraction(1))],
+                      name="thirds")
+
+
+def test_a_domain_holds_exactly_the_floats_between_its_least_and_greatest():
+    f = _THIRDS
+    assert (f.least, f.greatest) == (0.33333333333333337, 0.6666666666666666)
+    assert (f.least, f.greatest) == (f.piece_floats[0][0], f.piece_floats[-1][1])
+    assert not f.contains(0.3333333333333333) and f.contains(0.33333333333333337)
+    assert f.contains(0.6666666666666666) and not f.contains(0.6666666666666667)
+    for call in (f.eval, lambda x: f.states(x, 3), lambda x: f.perturbed_states(x, [0.0])):
+        with pytest.raises(ValueError, match=r"0\.3333333333333333 outside domain of thirds"):
+            call(0.3333333333333333)
+    cube = IteratedMap(f, 3)
+    assert (cube.least, cube.greatest) == (f.least, f.greatest)
+    assert not cube.contains(0.3333333333333333)
+    assert all(map(f.contains, f.grid(1e-3)))
