@@ -172,10 +172,10 @@ class FuzzyMetric:
     {z : M(u, z, t) > 1 - radius} of every u of the space is the interval
     (u q - r, u / q + r), or None when every such ball is {u}, the one
     place a ball is defined, which ``ball_interval`` and the chains' reach
-    step read; ``float_slack(f, t)``, a bound, in units of the
-    radius, on how far float errors in evaluating a piecewise-linear map f or
-    in rounding a state move a ball's edge; and ``continuity_delta(f, eps,
-    t)``, an exact radius delta such that f maps every pair nearer than
+    step read; ``float_slack(f, t)``, a bound, in units of the radius, on
+    how far float errors in evaluating a map f (k strides of its base for a
+    power map) or in rounding a state move a ball's edge; ``continuity_delta(f,
+    eps, t)``, an exact radius delta such that f maps every pair nearer than
     1 - delta at horizon t to one nearer than 1 - eps at t, for eps in
     (0, 1); and ``horizon_bound(eps)``, the least horizon above which every
     pair of floats of the space, at its float distance, is nearer than
@@ -265,8 +265,8 @@ class StandardFuzzyMetric(FuzzyMetric):
 
     def float_slack(self, f, t: float) -> Fraction:
         # a state error e moves t/(t + d) by less than e/t; evaluating f, or
-        # rounding its argument to a float, errs by under
-        # 2 ulp(1) * max(|slope * x| + |intercept| + |x|); the quotient
+        # rounding its argument to a float, errs by under 2 ulp(1) eval_scale,
+        # max(|slope * x| + |intercept| + |x|) (compounded for a power map);
         # 2**-51 scale / t is one Fraction of integer ratios, a few times
         # cheaper than Fraction arithmetic
         (n, d), (tn, td) = f.eval_scale.as_integer_ratio(), t.as_integer_ratio()
@@ -318,9 +318,9 @@ class _RatioBase(FuzzyMetric):
 
     def float_slack(self, f, t: float) -> Fraction:
         # a state's relative error e moves min/max by a factor within 1 +- 2e;
-        # evaluating f at a normal float, or rounding its argument to one,
-        # errs relatively by under ulp(1) * (cond + 1), with
-        # cond = max (|slope| x + |intercept|) / f(x): 2**-50 (cond + 1)
+        # evaluating f at a normal float, or rounding its argument to one, errs
+        # relatively by under ulp(1) (cond + 1), cond = relative_eval_scale (max
+        # (|slope| x + |intercept|) / f(x), compounded for a power map): 2**-50 (cond + 1)
         n, d = f.relative_eval_scale.as_integer_ratio()
         return Fraction(n + d, d << 50)
 
@@ -374,14 +374,6 @@ def require_map_in_space(f, m: FuzzyMetric) -> None:
     if not (m.least <= f.least and f.greatest <= m.greatest):
         raise ValueError(f"domain of {f.name} is not inside the {m.name} "
                          f"space {m.describe_space()}")
-
-
-def require_pieces(f) -> None:
-    """Check that f is given by its pieces, whose exact tables chains and
-    continuity certificates read; a power map (systems.IteratedMap) has none."""
-    if not hasattr(f, "pieces"):
-        raise ValueError(f"{f.name} is not given by its pieces (a power map, say); chains "
-                         "and continuity certificates need a piecewise-linear map")
 
 
 def bridge_threshold(delta: float, t0: float) -> float:
@@ -567,7 +559,6 @@ def certify_fuzzy_continuity(m: FuzzyMetric, f, eps: float, t: float,
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     _require_finite_positive("horizon", t)
-    require_pieces(f)
     require_map_in_space(f, m)
     inner = Fraction(eps) - 4 * _ULP - 2 * m.float_slack(f, t)
     delta = min(eps, float(m.continuity_delta(f, inner, t) - 4 * _ULP)) if inner > 0 else 0.0

@@ -36,7 +36,6 @@ Conventions, fixed package-wide:
   and the pieces are integers over one denominator, so a step is a few
   integer products, two correctly rounded quotients and two comparisons.
   The walk-back pulls balls back through the same pieces in integers.
-  Chains read the exact pieces of the map, so a power map is refused.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fuzzy_metric import (_float_inside, _numerator, _require_finite_positive, require_in_domain,
-                           require_map_in_space, require_pieces, require_resolved)
+                           require_map_in_space, require_resolved)
 from .reports import VerificationError
 
 DENSITY_THRESHOLD = 0.01
@@ -506,7 +505,6 @@ def _chain_radii(x: float, y: float, f, m, delta: float, t0: float,
     if not (0.0 < delta < 1.0 and 0.0 < t0 < math.inf and 1 <= n_max <= MAX_STEPS):
         raise ValueError("chains need delta in (0, 1), a finite horizon t0 > 0 and "
                          f"n_max in [1, {MAX_STEPS}], got {delta!r}, {t0!r} and {n_max!r}")
-    require_pieces(f)
     require_map_in_space(f, m)
     x, y = float(x), float(y)
     # the least state, then the greatest, as require_in_domain names them:

@@ -320,14 +320,13 @@ class IntervalMap:
 
     def perturbed_states(self, x: float, kicks) -> list[float]:
         """x, then per kick the state f(previous) + kick clamped to the domain
-        (above an open lower end, to 1e-12 of its length); f steps and the
-        domain is checked as in states."""
+        (above an open lower end, to 1e-12 of its floats' span above the
+        least float); f steps and the domain is checked as in states."""
         v = float(x)
         least, hi = self.least, self.greatest
         if not least <= v <= hi:
             raise ValueError(f"{v!r} outside domain of {self.name}")
-        # from an open end rounded to nearest, which on (1, 1.0001] is the end
-        floor = self.domain_lo + (hi - self.domain_lo) * 1e-12 if self.lo_open else least
+        floor = least + (hi - least) * 1e-12 if self.lo_open else least
         out = [v]
         append, bisect, breaks, coeffs = out.append, bisect_left, self._break_list, self._coeffs
         for kick in kicks:
@@ -452,9 +451,31 @@ def _verify_perturbation(f: IntervalMap, g: IntervalMap, alpha: Fraction) -> Non
             raise ConstructionError("perturbation must sit above the diagonal off its fixed points")
 
 
+def compose(g: IntervalMap, pieces) -> list[Piece]:
+    """The pieces of g o h, for the pieces of a map h into g's domain: h's,
+    cut where h crosses a knot of g, with collinear neighbours merged."""
+    out = []
+    for p in pieces:
+        a, b = sorted((p.value(p.lo), p.value(p.hi)))
+        cuts = sorted((y - p.intercept) / p.slope for y in g.knots if a < y < b)
+        for lo, hi in zip((p.lo, *cuts), (*cuts, p.hi)):
+            q = g.pieces[g._piece_index(p.value((lo + hi) / 2), bisect_left)]
+            slope, intercept = q.slope * p.slope, q.slope * p.intercept + q.intercept
+            if out and (out[-1].slope, out[-1].intercept) == (slope, intercept):
+                lo = out.pop().lo
+            out.append(Piece(lo, hi, slope, intercept))
+    return out
+
+
 class IteratedMap:
-    """k-fold composition of a map, exposing the same evaluation surface;
-    its scalar orbits stride the base map's, whose errors name the base."""
+    """k-fold composition f^k of a map f.  Its floats (eval, eval_array,
+    states, iterate) and their error scales are f's, strided k times; its
+    exact surface (_EXACT) is the composition's, built on first use, whose
+    own floats would round otherwise: so no piece_index or perturbed_states."""
+
+    MAX_PIECES = 2**12  # most pieces the composition may have: tent:2^k has 2**k
+    _EXACT = ("pieces", "knots", "value", "image", "integer_table", "integer_image",
+              "piece_floats", "lipschitz", "log_lipschitz")
 
     def __init__(self, base: IntervalMap, k: int):
         if k < 1:
@@ -465,6 +486,36 @@ class IteratedMap:
         self.domain_lo, self.domain_hi = base.domain_lo, base.domain_hi
         self.least, self.greatest = base.least, base.greatest
         self.name = f"{base.name}^{k}"
+
+    def __getattr__(self, name: str):
+        if name in IteratedMap._EXACT:  # only names the instance and class lack come here
+            return getattr(self._power, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    @cached_property
+    def _power(self) -> IntervalMap:
+        pieces = self.base.pieces
+        for i in range(2, self.k + 1):
+            if len(pieces := compose(self.base, pieces)) > self.MAX_PIECES:
+                raise ValueError(f"{self.base.name}^{i} has {len(pieces)} pieces, more than "
+                                 f"the {self.MAX_PIECES} a power map may have")
+        return IntervalMap(pieces, self.lo_open, self.name)
+
+    @cached_property
+    def eval_scale(self) -> Fraction:
+        """f's eval_scale times 1 + L + ... + L^(k-1), L = f.lipschitz."""
+        # a stride, or rounding its argument, errs by under E = 2**-51 f.eval_scale (see
+        # float_slack); striding a float x_j for the exact y_j adds under L |x_j - y_j|, so k
+        # strides err by under E (1 + L + ... + L^(k-1)), and rounding the argument by L^(k-1) E
+        return self.base.eval_scale * sum(self.base.lipschitz**j for j in range(self.k))
+
+    @cached_property
+    def relative_eval_scale(self) -> Fraction:
+        """(c + 1)(1 + K + ... + K^(k-1)) - 1, c f's relative_eval_scale, K its log_lipschitz."""
+        # likewise for relative errors e = ulp(1) (c + 1) (see float_slack), log f being K-Lipschitz
+        # in log x, to first order; the ulp(1)/2 by which e exceeds a stride's error covers the rest
+        c, big_k = self.base.relative_eval_scale, self.base.log_lipschitz
+        return (c + 1) * sum(big_k**j for j in range(self.k)) - 1
 
     def contains(self, x: float) -> bool:
         return self.base.contains(x)

@@ -87,7 +87,9 @@ def _reference_states(f, x, n, k=1):
 
 
 def _reference_perturbed(f, x, n, noise, seed):
-    lo, hi = f.domain_lo, f.domain_hi
+    # the clamp floor above an open end is 1e-12 of the way up from the
+    # least float, not from the end rounded to nearest
+    lo, hi = f.least, f.greatest
     floor = lo + (hi - lo) * 1e-12 if f.lo_open else lo
     out = _reference_states(f, x, 1)
     for kick in np.random.default_rng(seed).uniform(-noise, noise, n).tolist():
@@ -240,7 +242,8 @@ def test_power_maps_of_settling_orbits_match_the_reference():
         assert g.iterate(x, 30) == _reference_states(f, x, 91)[-1]
 
 
-# (1, 1.0001] is so narrow that its clamp floor rounds to the open end
+# (1, 1.0001] is so narrow that a clamp floor measured from the open end
+# rounded to nearest, 1.0, would be that end
 _NARROW = _pl_map([Fraction(1), Fraction(10001, 10000)], [Fraction(1), Fraction(10001, 10000)],
                   lo_open=True, name="narrow")
 

@@ -388,13 +388,24 @@ def test_modulus_checks_reject_states_outside_the_space(check, message):
             check()
 
 
-@pytest.mark.parametrize("metric", [fm.StandardFuzzyMetric(), fm.RatioFuzzyMetric()],
-                         ids=["standard", "ratio"])
-def test_certify_rejects_a_power_map(metric):
-    # both read a constant of the pieces (eval_scale, relative_eval_scale)
-    # that a power map lacks, and raised AttributeError
-    with pytest.raises(ValueError, match=r"example43\^2 is not given by its pieces"):
-        fm.certify_fuzzy_continuity(metric, IteratedMap(example43_map(), 2), 0.2, 1.0)
+@pytest.mark.parametrize("metric, f", [
+    (fm.StandardFuzzyMetric(), IteratedMap(tent(2.0), 2)),
+    (fm.StandardFuzzyMetric(), IteratedMap(tent(math.sqrt(2)), 3)),
+    (fm.StandardFuzzyMetric(lo_open=True), IteratedMap(example43_map(), 3)),
+    (fm.RatioPhiFuzzyMetric(), IteratedMap(example43_map(), 3)),
+    (fm.RatioFuzzyMetric(), IteratedMap(example43_map(), 2)),
+], ids=lambda v: getattr(v, "name", None))
+@pytest.mark.parametrize("eps, t", [(0.2, 1.0), (0.05, 0.3)])
+def test_certify_a_power_map_admits_no_offending_grid_pair(metric, f, eps, t):
+    # the composition's Lipschitz constants give delta, and its strided
+    # floats are checked on every pair of a 1e-3 grid
+    cert = fm.certify_fuzzy_continuity(metric, f, eps, t)
+    assert cert.holds and cert.t_prime == t
+    pts = metric.grid(1e-3)
+    imgs = f.eval_array(pts)
+    offending = metric.eval_array(imgs[:, None], imgs[None, :], t) <= 1.0 - eps
+    admitted = metric.eval_array(pts[:, None], pts[None, :], t) > 1.0 - cert.delta
+    assert not (offending & admitted).any()
 
 
 _NOT_FINITE_POSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0]
@@ -442,6 +453,20 @@ def test_ratio_modulus_three_piece(three_piece):
     assert report.passed
     assert report.pairs == 1_000_000
     assert report.worst_margin > 0
+
+
+def test_ratio_modulus_of_a_power_map_is_the_dense_minimum():
+    # a power map has no piece_index, so every row is scanned, and the
+    # report is that of the full N x N scan to the bit
+    f = IteratedMap(example43_map(), 2)
+    report = fm.check_ratio_modulus(f, 0.1, 1e-3)
+    pts = f.grid(1e-3)
+    img = f.eval_array(pts)
+    margin = (np.minimum.outer(img, img) / np.maximum.outer(img, img)
+              - 0.1 * (np.minimum.outer(pts, pts) / np.maximum.outer(pts, pts)))
+    i, j = np.unravel_index(int(np.argmin(margin)), margin.shape)
+    assert report.worst_margin.hex() == float(margin[i, j]).hex()
+    assert report.worst_pair == {"x": float(pts[i]), "y": float(pts[j])}
 
 
 def test_metric_domination_perturbation(ratio_metric, three_piece):

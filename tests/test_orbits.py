@@ -25,6 +25,7 @@ from fuzzyshadow.orbits import (
     build_transitivity_orbit,
     chain_mixing_check,
     chain_search,
+    chain_with_lengths,
     classical_validate,
     density,
     interleave_for_power,
@@ -671,7 +672,7 @@ def _fraction_reach_step(a, b, f, m, radius, t0) -> Interval:
     ball = m.ball_interval(image, radius, t0)
     if ball == image:  # singleton balls: step the float orbit
         ball = Interval.point(f.eval(float(reach.lo)))
-    return _round_in(ball & f.domain)
+    return _round_in(ball & Interval(f.knots[0], f.knots[-1], not f.lo_open))
 
 
 # in floats f(0.8680000000000001) = 1.0000000000000002, outside the domain
@@ -919,15 +920,45 @@ def test_walk_back_balls_hold_only_float_valid_steps(spec, name, x, delta, t0, u
             assert validate_f_pseudo_orbit(seq, f, m, delta, t0).is_empty
 
 
-def test_chain_search_rejects_a_power_map(standard_metric):
-    with pytest.raises(ValueError, match=r"tent:2\^2 is not given by its pieces"):
-        chain_search(0.2, 0.8, IteratedMap(tent(2.0), 2), standard_metric, 0.1, 1.0)
+_POWERS = {g.name: g for g in (IteratedMap(tent(2.0), 2), IteratedMap(tent(math.sqrt(2)), 3),
+                                IteratedMap(example43_map(), 3))}
 
 
-def test_chain_mixing_check_rejects_a_power_map(ratio_phi_metric):
-    with pytest.raises(ValueError, match=r"example43\^3 is not given by its pieces"):
-        chain_mixing_check(0.2, 0.8, IteratedMap(example43_map(), 3), ratio_phi_metric,
-                           0.1, 1.0)
+@example(name="tent:2^2", metric="standard", ends=[0.2, 0.8], delta=0.1, t0=1.0)
+@example(name="example43^3", metric="ratio-phi", ends=[0.2, 0.8], delta=0.1, t0=1.0)
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_POWERS)),
+       metric=st.sampled_from(["standard", "ratio-phi", "ratio"]),
+       ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+       delta=st.floats(1e-6, 0.9), t0=st.floats(1e-3, 10.0))
+def test_power_map_chains_pass_their_rechecks(name, metric, ends, delta, t0):
+    # a power map's chains read its composition's exact pieces and are
+    # re-checked with its strided floats, as the benchmark re-checks chains
+    f = _POWERS[name]
+    m = StandardFuzzyMetric() if metric == "standard" else metric_from_name(metric)
+    x, y = ends
+    assume(f.contains(x) and f.contains(y) and (metric == "standard" or f.lo_open))
+    try:
+        chain = chain_search(x, y, f, m, delta, t0)
+    except ValueError:  # delta at or below the floor
+        assume(False)
+    found, report = chain_with_lengths(x, y, f, m, delta, t0)
+    assert chain_mixing_check(x, y, f, m, delta, t0) == report
+    assert (chain is None) == (found is None) == (not report.present)
+    if chain is not None:
+        assert chain.states.tolist() == found.states.tolist()
+        assert (chain[0], chain[len(chain) - 1], report.present[0]) == (x, y, len(chain))
+        assert len(chain) == 1 or validate_f_pseudo_orbit(chain, f, m, delta, t0).is_empty
+    radius, _ = orbits._chain_radii(x, y, f, m, delta, t0, 1)
+    reach = orbits._reach_sets(x, f, m, radius, t0, 8)
+    a, b = next(reach)
+    for got in reach:
+        expected = _fraction_reach_step(a, b, f, m, radius, t0)
+        if expected.is_empty:
+            assert got[0] > got[1]
+            break
+        assert [v.hex() for v in got] == [float(e).hex() for e in (expected.lo, expected.hi)]
+        a, b = got
 
 
 @pytest.mark.parametrize("kwargs", [{"delta": 0.0}, {"delta": 1.0}, {"t0": 0.0},

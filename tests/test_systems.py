@@ -300,6 +300,100 @@ def test_power_map_matches_composition(tent2):
     assert f2.iterate(0.25, 1) == tent2.iterate(0.25, 2)
 
 
+@st.composite
+def _power_maps(draw):
+    """tent:2, tent:sqrt2 or example43 to a power k <= 8, or a continuous map
+    of [0, 1] or (0, 1] with knots and values on 1/1000 to a power k <= 4."""
+    if draw(st.booleans()):
+        f = map_from_spec(draw(st.sampled_from(["tent:2", "tent:sqrt2", "example43"])))
+        return IteratedMap(f, draw(st.integers(1, 8)))
+    lo_open = draw(st.booleans())
+    cuts = sorted(draw(st.sets(st.integers(1, 999), max_size=5)))
+    value = st.one_of(st.sampled_from([int(lo_open), 1000]), st.integers(int(lo_open), 1000))
+    values = draw(st.lists(value, min_size=len(cuts) + 2, max_size=len(cuts) + 2))
+    f = _pl_map([Fraction(k, 1000) for k in (0, *cuts, 1000)],
+                [Fraction(v, 1000) for v in values], lo_open)
+    return IteratedMap(f, draw(st.integers(1, 4)))
+
+
+def _k_fold(step, x, k):
+    for _ in range(k):
+        x = step(x)
+    return x
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_power_map_value_and_image_are_the_k_fold_ones(data):
+    g = data.draw(_power_maps())
+    f, k = g.base, g.k
+    lo, hi = g.knots[0], g.knots[-1]
+    assert (g.knots[0], g.knots[-1], g.lo_open) == (f.knots[0], f.knots[-1], f.lo_open)
+    rationals = st.integers(0, 10**6).map(lambda n: lo + (hi - lo) * Fraction(n, 10**6))
+    for x in [*g.knots, *data.draw(st.lists(rationals, min_size=20, max_size=20))]:
+        assert g.value(x) == _k_fold(f.value, x, k)
+    a, b = sorted(data.draw(st.lists(rationals, min_size=2, max_size=2)))
+    iv = Interval(a, b, a > lo or not g.lo_open, data.draw(st.booleans()))
+    assert g.image(iv) == _k_fold(f.image, iv, k)
+
+
+@pytest.mark.parametrize("spec, counts", [
+    ("tent:2", [2, 4, 8, 16, 32, 64, 128, 256]),
+    ("tent:sqrt2", [2, 4, 8, 14, 24, 38, 60, 90]),
+    ("example43", [3, 4, 5, 6, 7, 8, 9, 10]),
+])
+def test_power_map_piece_counts(spec, counts):
+    # collinear neighbours are merged: example43^k has k + 2 pieces
+    f = map_from_spec(spec)
+    assert [len(IteratedMap(f, k).pieces) for k in range(1, 9)] == counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_power_map_floats_stay_within_their_error_scales(data):
+    # k strides of the base map against the exact composition: absolutely
+    # within 2**-51 eval_scale, and on (0, 1] relatively within
+    # 2**-52 (relative_eval_scale + 1), the errors float_slack reads
+    g = data.draw(_power_maps())
+    inner = [v for v in map(float, g.knots) if g.contains(v)]
+    x = data.draw(st.sampled_from(inner) | st.floats(g.least, g.greatest))
+    try:
+        y = Fraction(g.eval(x))
+    except ValueError:  # a stride left the domain in floats
+        return
+    exact = g.value(Fraction(x))
+    assert abs(y - exact) < Fraction(2.0**-51) * g.eval_scale
+    if g.lo_open:
+        assert abs(y - exact) < Fraction(2.0**-52) * (g.relative_eval_scale + 1) * exact
+
+
+def test_power_map_error_scales_compound_the_base_ones(three_piece):
+    cube = IteratedMap(three_piece, 3)
+    L, K = three_piece.lipschitz, three_piece.log_lipschitz
+    assert cube.eval_scale == three_piece.eval_scale * (1 + L + L**2)
+    assert cube.relative_eval_scale + 1 == (three_piece.relative_eval_scale + 1) * (1 + K + K**2)
+    # the Lipschitz constants are the composition's own: slopes 3/4, 3/2, 1/2
+    assert (cube.lipschitz, IteratedMap(three_piece, 1).eval_scale) == (
+        Fraction(27, 8), three_piece.eval_scale)
+
+
+def test_power_map_composes_on_first_exact_use_only(tent2):
+    g = IteratedMap(tent2, 50)  # 2**50 pieces: never built by float use
+    assert g.eval(0.1) == tent2.iterate(0.1, 50)
+    g.eval_array(np.linspace(0.0, 1.0, 9))
+    g.states(0.3, 4)
+    assert "_power" not in vars(g)
+    assert not hasattr(g, "piece_index") and not hasattr(g, "perturbed_states")
+
+
+def test_power_map_piece_count_is_capped(tent2, monkeypatch):
+    monkeypatch.setattr(IteratedMap, "MAX_PIECES", 16)
+    assert len(IteratedMap(tent2, 4).pieces) == 16
+    with pytest.raises(ValueError, match=r"^tent:2\^5 has 32 pieces, more than the 16 a power "
+                                         r"map may have$"):
+        IteratedMap(tent2, 7).integer_table
+
+
 def test_map_from_spec():
     assert map_from_spec("example43").name == "example43"
     assert map_from_spec("tent:2").eval(0.5) == 1.0
