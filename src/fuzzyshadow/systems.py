@@ -469,13 +469,13 @@ def compose(g: IntervalMap, pieces) -> list[Piece]:
 
 class IteratedMap:
     """k-fold composition f^k of a map f.  Its floats (eval, eval_array,
-    states, iterate) and their error scales are f's, strided k times; its
-    exact surface (_EXACT) is the composition's, built on first use, whose
-    own floats would round otherwise: so no piece_index or perturbed_states."""
+    states, iterate) and their error scales are f's, strided k times; the
+    exact tables chains and certificates read (_EXACT) are the composition's
+    (_power), built on first use, whose own floats would round otherwise: so
+    no piece_index or perturbed_states."""
 
     MAX_PIECES = 2**12  # most pieces the composition may have: tent:2^k has 2**k
-    _EXACT = ("pieces", "knots", "value", "image", "integer_table", "integer_image",
-              "piece_floats", "lipschitz", "log_lipschitz")
+    _EXACT = ("integer_table", "integer_image", "piece_floats", "lipschitz", "log_lipschitz")
 
     def __init__(self, base: IntervalMap, k: int):
         if k < 1:

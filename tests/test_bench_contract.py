@@ -259,6 +259,13 @@ def test_perturbed_orbits_match_the_eval_reference(case, noise, seed):
         lambda: _reference_perturbed(f, x, n, noise, seed))
 
 
+def test_perturbed_orbit_clamps_above_an_excluded_open_end():
+    # the floor is 1e-12 of the floats' span above the least float, 1 + 2**-52;
+    # measured from the open end rounded to nearest it would be 1.0, outside
+    got = orbits.perturbed_orbit(_NARROW, 1.00005, 5, 0.5, 0).states.tolist()
+    assert got == [1.00005, 1.0001, 1 + 2**-52, 1 + 2**-52, 1 + 2**-52, 1.0001]
+
+
 @pytest.mark.parametrize("name", _CHAIN_OPS)
 def test_chain_functions_keep_resolution_seventh(name):
     # the benchmark passes chain grids positionally, and its chain-node hook

@@ -667,12 +667,13 @@ def _round_in(iv: Interval) -> Interval:
 
 def _fraction_reach_step(a, b, f, m, radius, t0) -> Interval:
     """The reach step in Fractions: the floats of B(f([a, b])) & X."""
+    exact = getattr(f, "_power", f)  # a power map's composition
     reach = Interval(Fraction(a), Fraction(b))
-    image = f.image(reach)
+    image = exact.image(reach)
     ball = m.ball_interval(image, radius, t0)
     if ball == image:  # singleton balls: step the float orbit
         ball = Interval.point(f.eval(float(reach.lo)))
-    return _round_in(ball & Interval(f.knots[0], f.knots[-1], not f.lo_open))
+    return _round_in(ball & exact.domain)
 
 
 # in floats f(0.8680000000000001) = 1.0000000000000002, outside the domain

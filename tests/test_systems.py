@@ -325,8 +325,8 @@ def _k_fold(step, x, k):
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_power_map_value_and_image_are_the_k_fold_ones(data):
-    g = data.draw(_power_maps())
-    f, k = g.base, g.k
+    power = data.draw(_power_maps())
+    f, k, g = power.base, power.k, power._power
     lo, hi = g.knots[0], g.knots[-1]
     assert (g.knots[0], g.knots[-1], g.lo_open) == (f.knots[0], f.knots[-1], f.lo_open)
     rationals = st.integers(0, 10**6).map(lambda n: lo + (hi - lo) * Fraction(n, 10**6))
@@ -345,7 +345,7 @@ def test_power_map_value_and_image_are_the_k_fold_ones(data):
 def test_power_map_piece_counts(spec, counts):
     # collinear neighbours are merged: example43^k has k + 2 pieces
     f = map_from_spec(spec)
-    assert [len(IteratedMap(f, k).pieces) for k in range(1, 9)] == counts
+    assert [len(IteratedMap(f, k)._power.pieces) for k in range(1, 9)] == counts
 
 
 @settings(max_examples=100, deadline=None)
@@ -355,13 +355,13 @@ def test_power_map_floats_stay_within_their_error_scales(data):
     # within 2**-51 eval_scale, and on (0, 1] relatively within
     # 2**-52 (relative_eval_scale + 1), the errors float_slack reads
     g = data.draw(_power_maps())
-    inner = [v for v in map(float, g.knots) if g.contains(v)]
+    inner = [v for v in map(float, g._power.knots) if g.contains(v)]
     x = data.draw(st.sampled_from(inner) | st.floats(g.least, g.greatest))
     try:
         y = Fraction(g.eval(x))
     except ValueError:  # a stride left the domain in floats
         return
-    exact = g.value(Fraction(x))
+    exact = g._power.value(Fraction(x))
     assert abs(y - exact) < Fraction(2.0**-51) * g.eval_scale
     if g.lo_open:
         assert abs(y - exact) < Fraction(2.0**-52) * (g.relative_eval_scale + 1) * exact
@@ -388,7 +388,7 @@ def test_power_map_composes_on_first_exact_use_only(tent2):
 
 def test_power_map_piece_count_is_capped(tent2, monkeypatch):
     monkeypatch.setattr(IteratedMap, "MAX_PIECES", 16)
-    assert len(IteratedMap(tent2, 4).pieces) == 16
+    assert len(IteratedMap(tent2, 4)._power.pieces) == 16
     with pytest.raises(ValueError, match=r"^tent:2\^5 has 32 pieces, more than the 16 a power "
                                          r"map may have$"):
         IteratedMap(tent2, 7).integer_table

@@ -2,21 +2,21 @@
 compare two source trees run by run.
 
     python tools/bench_record.py --out BENCH_31.json
-    python tools/bench_record.py --pair ../parent --pairs 6
+    python tools/bench_record.py --pair ../parent
 
-For each workload, ``python perfbench/run.py --workload <w> --seed 0
---seconds S --trace 0`` runs in a subprocess, and its run record
-``.perfbench/runs/<w>-seed0-trace0.json`` is read back.  The output file
-holds, per workload, the five end-to-end metrics, ``passes`` (the benchmark
-keeps a record per pass, so more passes in the same time read as more
-``peak_rss_mb``), ``failed``, ``verdict_digest`` and the median latency of
-each operation, and once the record's ``machine``, the HEAD commit and the
-line count of ``src/``.
+For each workload BENCHMARK.json lists, ``python perfbench/run.py --workload
+<w> --seed 0 --trace 0`` runs in a subprocess for the benchmark's own run
+length, and its run record ``.perfbench/runs/<w>-seed0-trace0.json`` is read
+back.  The output file holds, per workload, the five end-to-end metrics,
+``passes`` (the benchmark keeps a record per pass, so more passes in the same
+time read as more ``peak_rss_mb``), ``failed``, ``verdict_digest`` and the
+median latency of each operation, and once the record's ``seconds`` and
+``machine``, the HEAD commit and the line count of ``src/``.
 
 ``--pair OTHER`` runs ``python <tree>/perfbench/run.py`` in OTHER and in
-this tree by turns, the first tree of a pair alternating, and prints per
-workload and metric both medians, OTHER's interquartile range and the pairs
-this tree won (a lower value wins; a tie wins neither).
+this tree by turns, PAIRS times, the first tree of a pair alternating, and
+prints per workload and metric both medians, OTHER's interquartile range and
+the pairs this tree won (a lower value wins; a tie wins neither).
 """
 
 from __future__ import annotations
@@ -29,14 +29,17 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("paper-suite", "tracing-sweep", "chain-reach", "orbit-stream")
-METRICS = ("setup_s", "wall_s", "op_p50_s", "op_p90_s", "peak_rss_mb")
+_SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in _SPEC["workloads"])
+METRICS = tuple(m["name"] for m in _SPEC["end_to_end"])
+# a gain is claimed only when it wins at least 9 of 10 alternating pairs
+PAIRS = 10
 
 
-def run_workload(tree: Path, workload: str, seconds: float, quick: bool) -> dict:
+def run_workload(tree: Path, workload: str, quick: bool) -> dict:
     """One benchmark run of workload in tree: its run record."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", "0", "--seconds", str(seconds), "--trace", "0"]
+           "--seed", "0", "--trace", "0"]
     proc = subprocess.run(cmd + ["--quick"] * quick, cwd=tree, capture_output=True,
                           text=True, timeout=600)
     if proc.returncode != 0:
@@ -59,6 +62,7 @@ def summary(record: dict) -> dict:
 
 
 def src_lines(tree: Path) -> int:
+    # the count perfbench/run.py --baseline prints, but only after its timings
     return sum(len(p.read_text().splitlines()) for p in (tree / "src").rglob("*.py"))
 
 
@@ -68,14 +72,15 @@ def head_commit(tree: Path) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def record(seconds: float, quick: bool, out: Path) -> None:
-    runs = {w: run_workload(ROOT, w, seconds, quick) for w in WORKLOADS}
+def record(quick: bool, out: Path) -> None:
+    runs = {w: run_workload(ROOT, w, quick) for w in WORKLOADS}
+    first = next(iter(runs.values()))
     bench = {
         "commit": head_commit(ROOT),
         "src_lines": src_lines(ROOT),
-        "seconds": seconds,
+        "seconds": first["seconds"],
         "quick": quick,
-        "machine": next(iter(runs.values()))["machine"],
+        "machine": first["machine"],
         "workloads": {w: summary(r) for w, r in runs.items()},
     }
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
@@ -88,14 +93,14 @@ def quartiles(values) -> tuple[float, float]:
     return q1, q3
 
 
-def pair(other: Path, seconds: float, pairs: int) -> None:
+def pair(other: Path) -> None:
     """Alternating runs of other and this tree, printed as a table, each
     run's figures as a JSON line above it."""
     values = {w: {m: ([], []) for m in METRICS} for w in WORKLOADS}
-    for i in range(pairs):
+    for i in range(PAIRS):
         for w in WORKLOADS:
             order = (other, ROOT) if i % 2 == 0 else (ROOT, other)
-            got = {tree: run_workload(tree, w, seconds, False) for tree in order}
+            got = {tree: run_workload(tree, w, False) for tree in order}
             print(json.dumps({"pair": i, "workload": w, "other": summary(got[other]),
                               "this": summary(got[ROOT])}), flush=True)
             for tree, side in ((other, 0), (ROOT, 1)):
@@ -116,18 +121,16 @@ def pair(other: Path, seconds: float, pairs: int) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--quick", action="store_true",
                         help="reduced sizes and one pass per workload, for the tests")
     parser.add_argument("--out", type=Path, help="the BENCH file to write, say BENCH_<pr>.json")
     parser.add_argument("--pair", type=Path, metavar="OTHER",
                         help="compare with the source tree OTHER instead of recording")
-    parser.add_argument("--pairs", type=int, default=6)
     args = parser.parse_args(argv)
     if args.pair is not None:
-        pair(args.pair.resolve(), args.seconds, args.pairs)
+        pair(args.pair.resolve())
     elif args.out is not None:
-        record(args.seconds, args.quick, args.out)
+        record(args.quick, args.out)
     else:
         parser.error("give --out or --pair")
     return 0
