@@ -77,6 +77,11 @@ def _require_finite_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _require_unit(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+
+
 def require_in_domain(f, states: np.ndarray) -> np.ndarray:
     """Return states unchanged after checking that they lie in the domain of
     f; the domain is an interval, so the least and the greatest state decide."""
@@ -121,24 +126,12 @@ class Interval:
     lo_closed: bool = True
     hi_closed: bool = True
 
-    @classmethod
-    def point(cls, x) -> "Interval":
-        v = Fraction(x)
-        return cls(v, v)
-
     @property
     def is_empty(self) -> bool:
         return self.lo > self.hi or (self.lo == self.hi and not (self.lo_closed and self.hi_closed))
 
     def __str__(self) -> str:
         return f"{'(['[self.lo_closed]}{self.lo}, {self.hi}{')]'[self.hi_closed]}"
-
-    def __contains__(self, x) -> bool:
-        # one exact conversion, not one per comparison
-        if type(x) is not Fraction:
-            x = Fraction(x)
-        return ((self.lo < x or (self.lo_closed and self.lo == x))
-                and (x < self.hi or (self.hi_closed and x == self.hi)))
 
     def floats(self) -> tuple[float, float]:
         """Its least and greatest float, by _float_inside; least > greatest when it has none."""
@@ -171,8 +164,8 @@ class FuzzyMetric:
     t)``, the exact rationals (q, r) such that the open ball
     {z : M(u, z, t) > 1 - radius} of every u of the space is the interval
     (u q - r, u / q + r), or None when every such ball is {u}, the one
-    place a ball is defined, which ``ball_interval`` and the chains' reach
-    step read; ``float_slack(f, t)``, a bound, in units of the radius, on
+    place a ball is defined, which both chain steps read (through
+    ``orbits._integer_ball``); ``float_slack(f, t)``, a bound, in units of the radius, on
     how far float errors in evaluating a map f (k strides of its base for a
     power map) or in rounding a state move a ball's edge; ``continuity_delta(f,
     eps, t)``, an exact radius delta such that f maps every pair nearer than
@@ -214,15 +207,6 @@ class FuzzyMetric:
 
     def _kernel(self, x, y, t):  # pragma: no cover - overridden
         raise NotImplementedError
-
-    def ball_interval(self, iv: Interval, radius: float, t: float) -> Interval:
-        """The exact union of the open balls of the given radius at horizon t
-        around the points of the nonempty Interval iv (see ball_rule)."""
-        rule = self.ball_rule(radius, t)
-        if rule is None:
-            return iv
-        q, r = rule
-        return Interval(iv.lo * q - r, iv.hi / q + r, False, False)
 
     # -- domain helpers -----------------------------------------------------
 
@@ -382,8 +366,7 @@ def bridge_threshold(delta: float, t0: float) -> float:
     t0/(t0+d) > 1-delta  iff  d < t0*delta/(1-delta), so fuzzy validators at
     (delta, t0) and classical validators at this threshold agree exactly.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _require_unit("delta", delta)
     return t0 * delta / (1.0 - delta)
 
 
@@ -399,8 +382,7 @@ class Ball:
     t: float
 
     def __post_init__(self):
-        if not 0.0 < self.radius < 1.0:
-            raise ValueError("ball radius must lie in (0, 1)")
+        _require_unit("ball radius", self.radius)
         _require_finite_positive("ball horizon", self.t)
 
 
@@ -507,8 +489,7 @@ def uniform_horizon(m: FuzzyMetric, eps: float, resolution: float = 1e-2) -> flo
     ``resolution`` is unused.  It stays third, with its 1e-2 default, only
     because perfbench/ passes grids there, by position and by name.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    _require_unit("eps", eps)
     e = Fraction(eps) - 4 * _ULP
     bound = m.horizon_bound(e) if e > 0 else None
     if not bound:  # None, or 0 on a space of one float
@@ -556,8 +537,7 @@ def certify_fuzzy_continuity(m: FuzzyMetric, f, eps: float, t: float,
     ``resolution`` is unused.  It stays fifth, with its 1e-2 default, only
     because perfbench/ passes grids there positionally.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    _require_unit("eps", eps)
     _require_finite_positive("horizon", t)
     require_map_in_space(f, m)
     inner = Fraction(eps) - 4 * _ULP - 2 * m.float_slack(f, t)

@@ -48,8 +48,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fuzzy_metric import (_float_inside, _numerator, _require_finite_positive, require_in_domain,
-                           require_map_in_space, require_resolved)
+from .fuzzy_metric import (_float_inside, _numerator, _require_finite_positive, _require_unit,
+                           require_in_domain, require_map_in_space, require_resolved)
 from .reports import VerificationError
 
 DENSITY_THRESHOLD = 0.01
@@ -329,11 +329,6 @@ def _tracing_violations(seq: OrbitSequence, x: float, f, score, floor: float) ->
     return IndexSet(np.concatenate(found), universe=n)
 
 
-def _require_unit(name: str, value: float) -> None:
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
-
-
 def validate_f_pseudo_orbit(seq: OrbitSequence, f, m, delta: float, t0: float) -> IndexSet:
     """Indices i where the fuzzy transition bound fails, i.e.
     M(f(x_i), x_{i+1}, t0) <= 1 - delta.  Empty means the sequence is a valid
@@ -526,14 +521,22 @@ def _chain_radii(x: float, y: float, f, m, delta: float, t0: float,
     return Fraction(radius, den), Fraction(walk, den)
 
 
-def _ball_ends(m, radius: Fraction, t0: float) -> tuple[int, int, int, int] | None:
-    """(qn, qd, rn, rd) of m.ball_rule(radius, t0) = (qn / qd, rn / rd), or
-    None under singleton balls."""
+def _integer_ball(f, m, radius: Fraction, t0: float) -> tuple[int, ...] | None:
+    """The open ball of the given radius at horizon t0 about a value V / D,
+    D = unit * 2**1074 the denominator of f.integer_table, as (lo_mul,
+    lo_add, lo_den, hi_mul, hi_add, hi_den): its ends are
+    (V lo_mul + lo_add) / (D lo_den) and (V hi_mul + hi_add) / (D hi_den).
+    None under singleton balls.
+
+    With (q, r) = (qn / qd, rn / rd) = m.ball_rule, the ends V q / D - r and
+    V / (q D) + r are (V qn rd - rn qd D) / (D qd rd) and
+    (V qd rd + rn qn D) / (D qn rd)."""
     rule = m.ball_rule(radius, t0)
     if rule is None:
         return None
     (qn, qd), (rn, rd) = (c.as_integer_ratio() for c in rule)
-    return qn, qd, rn, rd
+    big_d = f.integer_table.unit << 1074
+    return qn * rd, -rn * qd * big_d, qd * rd, qd * rd, rn * qn * big_d, qn * rd
 
 
 def _reach_step(f, m, radius: Fraction, t0: float):
@@ -543,27 +546,24 @@ def _reach_step(f, m, radius: Fraction, t0: float):
 
     The step is exact in Python integers.  f.integer_image gives the least
     and greatest value of f over [a, b] as integers lo and hi over the
-    denominator D of f.integer_table.  With (q, r) = m.ball_rule, the ball's
-    open ends lo q - r and hi / q + r are integers N over D times one
-    denominator a side, which _float_inside rounds inward.  An end beyond
-    f.least or f.greatest, the least or greatest float of X, is that float
-    instead.  Under singleton balls the step is the float orbit's, cut by X."""
+    denominator D of f.integer_table.  The ball's open ends about lo and hi
+    (_integer_ball) are integers N over D times one denominator a side,
+    which _float_inside rounds inward.  An end beyond f.least or
+    f.greatest, the least or greatest float of X, is that float instead.
+    Under singleton balls the step is the float orbit's, cut by X."""
     least, greatest = f.least, f.greatest
-    ends = _ball_ends(m, radius, t0)
-    if ends is None:
+    ball = _integer_ball(f, m, radius, t0)
+    if ball is None:
         def step(a, b):
             v = f.eval(a)
             return max(v, least), min(v, greatest)
         return step
 
-    qn, qd, rn, rd = ends
+    lo_mul, lo_add, lo_den, hi_mul, hi_add, hi_den = ball
+    # a side's end is N / (D den) = N / (unit den 2**1074), and its bound is
+    # the least or greatest float of X over that
     unit = f.integer_table.unit
-    # with lo and hi over D = unit * 2**1074, lo q - r = (lo qn rd - rn qd D)
-    # / (D qd rd) and hi / q + r = (hi qd rd + rn qn D) / (D qn rd): a side's
-    # end is (end * mul + add) / (den_unit * 2**1074), and its bound is the
-    # least or greatest float of X over that
-    lo_mul, lo_add, lo_unit = qn * rd, -(rn * qd * unit << 1074), unit * qd * rd
-    hi_mul, hi_add, hi_unit = qd * rd, rn * qn * unit << 1074, unit * qn * rd
+    lo_unit, hi_unit = unit * lo_den, unit * hi_den
     lo_bound, hi_bound = _numerator(least) * lo_unit, _numerator(greatest) * hi_unit
     image = f.integer_image
 
@@ -601,32 +601,29 @@ def _walk_step(f, m, walk: Fraction, t0: float):
     ball of radius walk at horizon t0 about s, or {s} under singleton balls;
     [a, b] is a closed interval of floats of the domain of f.
 
-    The step is exact in Python integers.  With S = s * 2**1074 and
-    (q, r) = (qn / qd, rn / rd) = m.ball_rule, the ball's ends are
-    L / (ld 2**1074) and H / (hd 2**1074) with L = S qn rd - rn qd 2**1074,
-    ld = qd rd, H = S qd rd + rn qn 2**1074 and hd = qn rd.  On a piece
-    f(v) = (slope V + c) / D of f.integer_table, f(v) > L / (ld 2**1074)
-    iff slope ld V > L unit - c ld, and likewise at H, so each end of the
-    preimage is one quotient over slope ld or slope hd, swapped on a
-    decreasing piece.  An end that [lo, hi] already meets, or that no float
-    of it meets, is decided by comparing products, before any division, so
-    that a bound beyond every float is never divided out.  The rest rounds
+    The step is exact in Python integers.  s is S unit / D with
+    S = s * 2**1074, so by _integer_ball the ball's ends are L / (D ld) and
+    H / (D hd) with L = S unit lo_mul + lo_add and H = S unit hi_mul +
+    hi_add; a closed ball {s} is (1, 0, 1, 1, 0, 1).  On a piece
+    f(v) = (slope V + c) / D of f.integer_table, f(v) > L / (D ld) iff
+    slope ld V > L - c ld, and likewise at H, so each end of the preimage
+    is one quotient over slope ld or slope hd, swapped on a decreasing
+    piece.  An end that [lo, hi] already meets, or that no float of it
+    meets, is decided by comparing products, before any division, so that
+    a bound beyond every float is never divided out.  The rest rounds
     through _float_inside, within the piece's floats (f.piece_floats)."""
-    ends = _ball_ends(m, walk, t0)
-    closed = ends is None
-    qn, qd, rn, rd = (1, 1, 0, 1) if closed else ends
+    ball = _integer_ball(f, m, walk, t0)
+    closed = ball is None
+    lo_mul, lo_add, ld, hi_mul, hi_add, hd = (1, 0, 1, 1, 0, 1) if closed else ball
     unit, knots, slopes, intercepts, _ = f.integer_table
     pieces = tuple(zip(slopes, intercepts, f.piece_floats))
     last = len(pieces)
-    ld, hd = qd * rd, qn * rd
-    # L unit = S lo_mul - lo_sub and H unit = S hi_mul + hi_add
-    lo_mul, lo_sub = qn * rd * unit, rn * qd * unit << 1074
-    hi_mul, hi_add = qd * rd * unit, rn * qn * unit << 1074
+    lo_mul, hi_mul = lo_mul * unit, hi_mul * unit
     gap = 0 if closed else 1  # an end holds v when its integer margin is >= gap
 
     def step(a, b, s):
         big_s = _numerator(s)
-        lu, hu = big_s * lo_mul - lo_sub, big_s * hi_mul + hi_add
+        lu, hu = big_s * lo_mul + lo_add, big_s * hi_mul + hi_add
         a_num, b_num = _numerator(a), _numerator(b)
         best, width = None, -1
         for k in range(bisect_left(knots, a_num * unit, 1, last) - 1,

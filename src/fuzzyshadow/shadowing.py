@@ -31,8 +31,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fuzzy_metric import (Ball, FuzzyMetric, _require_finite_positive, ball_members,
-                           require_map_in_space)
+from .fuzzy_metric import (Ball, FuzzyMetric, _require_finite_positive, _require_unit,
+                           ball_members, require_map_in_space)
 from .orbits import (
     MAX_STEPS,
     DensityReport,
@@ -96,8 +96,7 @@ def shadow_search(seq: OrbitSequence, f, m: FuzzyMetric, eps: float, t0: float,
     first index with M(f^i(x), x_i, t0) <= 1 - eps.  Survivors are witnesses;
     the smallest-valued one is returned and re-verified.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    _require_unit("eps", eps)
     score = fuzzy_score(f, m, t0)
     cands = f.grid(resolution)
     witness, arg, value, near = _survivor_search(seq, f, cands, score, 1.0 - eps)
@@ -330,8 +329,7 @@ def ergodic_shadow_search(seq: OrbitSequence, f, m: FuzzyMetric, eps: float, t0:
     density threshold.  Raises ValueError unless eps lies in (0, 1) and t0 is
     finite and positive.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    _require_unit("eps", eps)
     score = fuzzy_score(f, m, t0)
     states = require_in_domain(f, seq.states)
     cands = np.unique(np.concatenate([f.grid(resolution), states[:1]]))

@@ -3,7 +3,7 @@
 Coefficients and breakpoints are fractions, so continuity and the self-map
 property are checked exactly at construction; evaluation runs in floats, on
 the states between the domain's least and greatest float (Interval.floats),
-and images and preimages of intervals are exact.
+and images of intervals are exact.
 
 A float orbit stops stepping at a float fixed point: once a step of
 IntervalMap.states gives back the bits of its input (sign included, since
@@ -257,29 +257,6 @@ class IntervalMap:
         fa, fb = slopes[i] * a + intercepts[i], slopes[j] * b + intercepts[j]
         inner = values[i + 1:j + 1]
         return min(fa, fb, *inner), max(fa, fb, *inner)
-
-    def preimage(self, target: Interval, within: Interval) -> list[Interval]:
-        """The points of within that f maps into target, as one nonempty
-        interval per piece, in domain order."""
-        # only pieces whose closures meet within: at a breakpoint, the piece
-        # left of within.lo and the one right of within.hi, whose point
-        # parts count
-        last = len(self.pieces)
-        first = bisect_left(self.knots, within.lo, 1, last) - 1
-        parts = []
-        for p in self.pieces[first:bisect_right(self.knots, within.hi, 1, last)]:
-            part = within & Interval(p.lo, p.hi)
-            if p.slope == 0:
-                if p.intercept not in target:
-                    continue
-            else:
-                a = (target.lo - p.intercept) / p.slope
-                b = (target.hi - p.intercept) / p.slope
-                part &= (Interval(a, b, target.lo_closed, target.hi_closed) if p.slope > 0
-                         else Interval(b, a, target.hi_closed, target.lo_closed))
-            if not part.is_empty:
-                parts.append(part)
-        return parts
 
     def states(self, x: float, n: int) -> list[float]:
         """The first n states x, f(x), ..., f^(n-1)(x) of the float orbit of

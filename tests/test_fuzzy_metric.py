@@ -15,6 +15,7 @@ from fuzzyshadow.reports import VerificationError
 from fuzzyshadow.systems import (IntervalMap, IteratedMap, Piece, example43_map,
                                  perturbation_g, tent)
 from fuzzyshadow.tnorm import TNorm
+from interval_reference import ball_union, point, reference_contains
 
 
 def test_eval_examples(standard_metric, ratio_phi_metric, ratio_metric):
@@ -296,17 +297,17 @@ def _exactly_near(m, u, z, radius, t) -> bool:
 
 @given(name=st.sampled_from(fm.METRIC_NAMES), u=st.floats(1e-3, 1.0),
        radius=st.floats(1e-3, 0.999), t=st.floats(0.01, 4.0))
-def test_ball_interval_matches_exact_predicate(name, u, radius, t):
+def test_ball_rule_matches_exact_predicate(name, u, radius, t):
     m = (fm.StandardFuzzyMetric(lo=-4.0, hi=5.0) if name == "standard"
          else fm.metric_from_name(name))
-    ball = m.ball_interval(fm.Interval.point(u), radius, t)
+    ball = ball_union(m, point(u), radius, t)
     zs = [u]
     for end in (ball.lo, ball.hi):
         e = float(end)
         zs += [np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)]
     for z in zs:
         if m.contains(z):
-            assert (z in ball) == _exactly_near(m, u, z, radius, t)
+            assert reference_contains(ball, z) == _exactly_near(m, u, z, radius, t)
 
 
 def test_certify_identity(standard_metric):

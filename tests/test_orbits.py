@@ -37,6 +37,7 @@ from fuzzyshadow.orbits import (
 )
 from fuzzyshadow.systems import (IntervalMap, IteratedMap, Piece, example43_map, map_from_spec,
                                  tent)
+from interval_reference import ball_union, point, reference_contains, reference_preimage
 
 
 def brute_force_skeleton(n):
@@ -670,10 +671,29 @@ def _fraction_reach_step(a, b, f, m, radius, t0) -> Interval:
     exact = getattr(f, "_power", f)  # a power map's composition
     reach = Interval(Fraction(a), Fraction(b))
     image = exact.image(reach)
-    ball = m.ball_interval(image, radius, t0)
+    ball = ball_union(m, image, radius, t0)
     if ball == image:  # singleton balls: step the float orbit
-        ball = Interval.point(f.eval(float(reach.lo)))
+        ball = point(f.eval(float(reach.lo)))
     return _round_in(ball & exact.domain)
+
+
+@given(f=_rational_maps(), name=st.sampled_from(["standard", "ratio-phi", "ratio"]),
+       big_v=st.integers(-2**1100, 2**1100),
+       radius=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+       | st.sampled_from([Fraction(1, 5), Fraction(1, 3), Fraction(1, 2)]),
+       t0=st.floats(1e-3, 1.0) | st.floats(1.0, 1e300))
+def test_integer_ball_ends_are_the_ball_rules(f, name, big_v, radius, t0):
+    # about V / D, D = unit 2**1074, the ends are V q / D - r and
+    # V / (q D) + r exactly, with (q, r) = ball_rule; None under singletons
+    m = metric_from_name(name)
+    ball, rule = orbits._integer_ball(f, m, radius, t0), m.ball_rule(radius, t0)
+    if rule is None:
+        assert ball is None
+        return
+    (q, r), big_d = rule, f.integer_table.unit << 1074
+    lo_mul, lo_add, lo_den, hi_mul, hi_add, hi_den = ball
+    assert Fraction(big_v * lo_mul + lo_add, big_d * lo_den) == big_v * q / big_d - r
+    assert Fraction(big_v * hi_mul + hi_add, big_d * hi_den) == big_v / (q * big_d) + r
 
 
 # in floats f(0.8680000000000001) = 1.0000000000000002, outside the domain
@@ -738,8 +758,9 @@ def _fraction_walk_step(a, b, s, f, m, walk, t0):
     """The walk-back step in Fractions: the float midpoint of the floats of
     the widest part of [a, b] & f^-1(B(s)), the leftmost on ties, or None
     when no part holds a float."""
-    ball = m.ball_interval(Interval.point(s), walk, t0)
-    parts = [_round_in(part) for part in f.preimage(ball, Interval(Fraction(a), Fraction(b)))]
+    ball = ball_union(m, point(s), walk, t0)
+    parts = [_round_in(part)
+             for part in reference_preimage(f, ball, Interval(Fraction(a), Fraction(b)))]
     part = max((p for p in parts if not p.is_empty), key=lambda p: p.hi - p.lo, default=None)
     return None if part is None else float((part.lo + part.hi) / 2)
 
@@ -850,18 +871,14 @@ def test_chain_search_matches_a_fraction_walk_back(f, name, ends, delta, t0):
         None if expected is None else [v.hex() for v in expected])
 
 
-def test_the_walk_back_makes_no_fraction_and_no_preimage(monkeypatch):
-    # the walk-back steps run in integers: IntervalMap.preimage is never
-    # called by a chain search, and a step builds no Fraction
+def test_the_walk_back_makes_no_fraction(monkeypatch):
+    # the walk-back steps run in integers: a step builds no Fraction
     def forbidden(*args, **kwargs):
         raise AssertionError("called in the walk-back")
 
     f, m = example43_map(), RatioPhiFuzzyMetric()
     expected = chain_search(0.26, 0.74, f, m, 0.1, 1.0)
     assert len(expected) > 2
-    with monkeypatch.context() as patch:
-        patch.setattr(IntervalMap, "preimage", forbidden)
-        assert chain_search(0.26, 0.74, f, m, 0.1, 1.0).states.tolist() == expected.states.tolist()
     radius, walk = orbits._chain_radii(0.26, 0.74, f, m, 0.1, 1.0, 64)
     path = list(orbits._reach_sets(0.26, f, m, radius, 1.0, len(expected)))[:-1]
     step = orbits._walk_step(f, m, walk, 1.0)
@@ -908,15 +925,15 @@ def test_walk_back_balls_hold_only_float_valid_steps(spec, name, x, delta, t0, u
     m = (StandardFuzzyMetric(lo_open=f.lo_open) if name == "standard"
          else metric_from_name(name))
     _, walk = orbits._chain_radii(x, x, f, m, delta, t0, 1)
-    image = f.image(Interval.point(x))
-    ball = m.ball_interval(image, walk, t0)
+    image = f.image(point(x))
+    ball = ball_union(m, image, walk, t0)
     if ball == image:
         return
     for end, inward in ((ball.lo, math.inf), (ball.hi, -math.inf)):
         z = float(end)
         for _ in range(ulps):
             z = math.nextafter(z, inward)
-        if z in ball and m.contains(z):
+        if reference_contains(ball, z) and m.contains(z):
             seq = OrbitSequence(np.array([x, z]))
             assert validate_f_pseudo_orbit(seq, f, m, delta, t0).is_empty
 

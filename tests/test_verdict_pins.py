@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from fuzzyshadow import fuzzy_metric as fm
 from fuzzyshadow import orbits, shadowing, systems
+from interval_reference import ball_union, point, reference_contains
 
 
 def _searches():
@@ -729,12 +730,12 @@ def test_continuity_certificate_holds_on_the_continuum(case, data):
     m, f, eps, t = case
     cert = fm.certify_fuzzy_continuity(m, f, eps, t)
     lo, hi = f.knots[0], f.knots[-1]
-    xs = [x for x in f.knots if x in f.domain] + [
+    xs = [x for x in f.knots if reference_contains(f.domain, x)] + [
         lo + (hi - lo) * Fraction(k, 10**6)
         for k in data.draw(st.lists(st.integers(1, 10**6), min_size=30, max_size=30))]
     for x in xs:
-        image = f.image(m.ball_interval(fm.Interval.point(x), cert.delta, t) & f.domain)
-        target = m.ball_interval(fm.Interval.point(f.value(x)), eps, t)
+        image = f.image(ball_union(m, point(x), cert.delta, t) & f.domain)
+        target = ball_union(m, point(f.value(x)), eps, t)
         assert image & target == image, (x, image, target)
 
 

@@ -16,13 +16,17 @@ median latency of each operation, and once the record's ``seconds`` and
 ``--pair OTHER`` runs ``python <tree>/perfbench/run.py`` in OTHER and in
 this tree by turns, PAIRS times, the first tree of a pair alternating, and
 prints per workload and metric both medians, OTHER's interquartile range and
-the pairs this tree won (a lower value wins; a tie wins neither).
+the pairs this tree won (a lower value wins; a tie wins neither).  Below that
+it names, per workload, the TOP_OPS operations whose median latency over the
+pairs changed most between the trees, relative to OTHER's, with both medians,
+so that a shift in a metric can be traced to the operations that moved.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -34,6 +38,7 @@ WORKLOADS = tuple(w["name"] for w in _SPEC["workloads"])
 METRICS = tuple(m["name"] for m in _SPEC["end_to_end"])
 # a gain is claimed only when it wins at least 9 of 10 alternating pairs
 PAIRS = 10
+TOP_OPS = 5
 
 
 def run_workload(tree: Path, workload: str, quick: bool) -> dict:
@@ -93,21 +98,35 @@ def quartiles(values) -> tuple[float, float]:
     return q1, q3
 
 
+def op_shifts(base: dict, new: dict) -> list[tuple[str, float, float, float]]:
+    """(label, base median, new median, relative change) of the TOP_OPS
+    operations whose median changed most relative to base's, the largest
+    change first; base and new map each label to its per-run medians."""
+    rows = []
+    for label in base.keys() & new.keys():
+        a, b = statistics.median(base[label]), statistics.median(new[label])
+        rows.append((label, a, b, b / a - 1 if a else math.inf if b else 0.0))
+    return sorted(rows, key=lambda row: (-abs(row[3]), row[0]))[:TOP_OPS]
+
+
 def pair(other: Path) -> None:
-    """Alternating runs of other and this tree, printed as a table, each
-    run's figures as a JSON line above it."""
+    """Alternating runs of other and this tree, printed as a table and the
+    operations that moved most, each run's figures as a JSON line above."""
     values = {w: {m: ([], []) for m in METRICS} for w in WORKLOADS}
+    ops = {w: ({}, {}) for w in WORKLOADS}
     for i in range(PAIRS):
         for w in WORKLOADS:
             order = (other, ROOT) if i % 2 == 0 else (ROOT, other)
-            got = {tree: run_workload(tree, w, False) for tree in order}
-            print(json.dumps({"pair": i, "workload": w, "other": summary(got[other]),
-                              "this": summary(got[ROOT])}), flush=True)
+            got = {tree: summary(run_workload(tree, w, False)) for tree in order}
+            print(json.dumps({"pair": i, "workload": w, "other": got[other],
+                              "this": got[ROOT]}), flush=True)
             for tree, side in ((other, 0), (ROOT, 1)):
                 if got[tree]["failed"]:
                     raise RuntimeError(f"{w} in {tree}: {got[tree]['failed']} failed operations")
                 for m in METRICS:
-                    values[w][m][side].append(got[tree]["metrics"][m]["value"])
+                    values[w][m][side].append(got[tree]["metrics"][m])
+                for label, t in got[tree]["op_median_s"].items():
+                    ops[w][side].setdefault(label, []).append(t)
     print(f"{'workload':14s} {'metric':12s} {'other':>12s} {'this':>12s} {'other IQR':>12s}"
           f" {'won':>6s}")
     for w in WORKLOADS:
@@ -117,6 +136,10 @@ def pair(other: Path) -> None:
             won = sum(b < a for a, b in zip(base, new))
             print(f"{w:14s} {m:12s} {statistics.median(base):12.6g} "
                   f"{statistics.median(new):12.6g} {q3 - q1:12.4g} {won:>3d}/{len(base)}")
+    for w in WORKLOADS:
+        print(f"\n{w}: the {TOP_OPS} operations whose median latency changed most (s)")
+        for label, a, b, change in op_shifts(*ops[w]):
+            print(f"  {label:60s} {a:12.6g} {b:12.6g} {change:+8.1%}")
 
 
 def main(argv=None) -> int:
