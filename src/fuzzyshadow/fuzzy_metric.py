@@ -164,16 +164,16 @@ class FuzzyMetric:
     t)``, the exact rationals (q, r) such that the open ball
     {z : M(u, z, t) > 1 - radius} of every u of the space is the interval
     (u q - r, u / q + r), or None when every such ball is {u}, the one
-    place a ball is defined, which both chain steps read (through
-    ``orbits._integer_ball``); ``float_slack(f, t)``, a bound, in units of the radius, on
-    how far float errors in evaluating a map f (k strides of its base for a
-    power map) or in rounding a state move a ball's edge; ``continuity_delta(f,
-    eps, t)``, an exact radius delta such that f maps every pair nearer than
-    1 - delta at horizon t to one nearer than 1 - eps at t, for eps in
-    (0, 1); and ``horizon_bound(eps)``, the least horizon above which every
-    pair of floats of the space, at its float distance, is nearer than
-    1 - eps, or None.  This class owns domain validation, grids, and seeded
-    state sampling (for the tests).
+    place a ball is defined, which both chain steps read through
+    ``orbits._integer_ball``; ``float_slack(f, t)``, a bound, in units of
+    the radius, on how far float errors in evaluating a map f (k strides of
+    its base for a power map) or in rounding a state move a ball's edge;
+    ``continuity_delta(f, eps, t)``, an exact radius delta such that f maps
+    every pair nearer than 1 - delta at horizon t to one nearer than
+    1 - eps at t, for eps in (0, 1); and ``horizon_bound(eps)``, the least
+    horizon above which every pair of floats of the space, at its float
+    distance, is nearer than 1 - eps, or None.  This class owns domain
+    validation, grids, and seeded state sampling (for the tests).
     """
 
     name = "base"

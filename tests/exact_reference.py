@@ -1,10 +1,22 @@
-"""Plain Fraction references for the interval algebra that the chains run in
-integers: a point, the meet, membership, the union of balls about an
-interval, and the preimage of an interval from every piece in turn."""
+"""Exact helpers shared by the tests: the piecewise-linear map through given
+points, and plain Fraction references for the interval algebra that the
+chains run in integers (a point, the meet, membership, the union of balls
+about an interval, and the preimage of an interval from every piece)."""
 
 from fractions import Fraction
 
 from fuzzyshadow.fuzzy_metric import Interval
+from fuzzyshadow.systems import IntervalMap, Piece
+
+
+def pl_map(knots, values, lo_open=False, name="map"):
+    """The continuous map through the points (knots[i], values[i])."""
+    knots, values = [Fraction(k) for k in knots], [Fraction(v) for v in values]
+    pieces = []
+    for x0, x1, y0, y1 in zip(knots, knots[1:], values, values[1:]):
+        slope = (y1 - y0) / (x1 - x0)
+        pieces.append(Piece(x0, x1, slope, y0 - slope * x0))
+    return IntervalMap(pieces, lo_open=lo_open, name=name)
 
 
 def point(x) -> Interval:

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from fuzzyshadow import fuzzy_metric, orbits
 from fuzzyshadow.fuzzy_metric import StandardFuzzyMetric
-from fuzzyshadow.systems import IntervalMap, IteratedMap, Piece, example43_map, tent
+from fuzzyshadow.systems import IteratedMap, example43_map, tent
+from exact_reference import pl_map
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
@@ -32,18 +33,9 @@ def test_traced_names_exist_on_their_owners():
     assert not missing, f"traced names missing: {missing}"
 
 
-def _pl_map(knots, values, lo_open=False, name="map"):
-    """The continuous map through the points (knots[i], values[i])."""
-    pieces = []
-    for x0, x1, y0, y1 in zip(knots, knots[1:], values, values[1:]):
-        slope = (y1 - y0) / (x1 - x0)
-        pieces.append(Piece(x0, x1, slope, y0 - slope * x0))
-    return IntervalMap(pieces, lo_open=lo_open, name=name)
-
-
 # in floats f(0.233) = -1.1e-16, outside the domain
-_LEAKY = _pl_map([Fraction(0), Fraction(233, 1000), Fraction(241, 250), Fraction(1)],
-                 [Fraction(2, 3), Fraction(0), Fraction(2, 3), Fraction(1, 3)], name="leaky")
+_LEAKY = pl_map([Fraction(0), Fraction(233, 1000), Fraction(241, 250), Fraction(1)],
+                [Fraction(2, 3), Fraction(0), Fraction(2, 3), Fraction(1, 3)], name="leaky")
 
 
 @st.composite
@@ -54,8 +46,8 @@ def _cut_maps(draw):
     # values at the domain's ends often, where float images can leave it
     value = st.one_of(st.sampled_from([int(lo_open), 1000]), st.integers(int(lo_open), 1000))
     values = draw(st.lists(value, min_size=len(cuts) + 2, max_size=len(cuts) + 2))
-    return _pl_map([Fraction(k, 1000) for k in (0, *cuts, 1000)],
-                   [Fraction(v, 1000) for v in values], lo_open)
+    return pl_map([Fraction(k, 1000) for k in (0, *cuts, 1000)],
+                  [Fraction(v, 1000) for v in values], lo_open)
 
 
 @st.composite
@@ -244,8 +236,8 @@ def test_power_maps_of_settling_orbits_match_the_reference():
 
 # (1, 1.0001] is so narrow that a clamp floor measured from the open end
 # rounded to nearest, 1.0, would be that end
-_NARROW = _pl_map([Fraction(1), Fraction(10001, 10000)], [Fraction(1), Fraction(10001, 10000)],
-                  lo_open=True, name="narrow")
+_NARROW = pl_map([Fraction(1), Fraction(10001, 10000)], [Fraction(1), Fraction(10001, 10000)],
+                 lo_open=True, name="narrow")
 
 
 @example(case=(example43_map(), 5e-324, 50), noise=0.5, seed=1)

@@ -15,7 +15,7 @@ from fuzzyshadow.reports import VerificationError
 from fuzzyshadow.systems import (IntervalMap, IteratedMap, Piece, example43_map,
                                  perturbation_g, tent)
 from fuzzyshadow.tnorm import TNorm
-from interval_reference import ball_union, point, reference_contains
+from exact_reference import ball_union, point, reference_contains
 
 
 def test_eval_examples(standard_metric, ratio_phi_metric, ratio_metric):

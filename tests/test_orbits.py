@@ -37,7 +37,7 @@ from fuzzyshadow.orbits import (
 )
 from fuzzyshadow.systems import (IntervalMap, IteratedMap, Piece, example43_map, map_from_spec,
                                  tent)
-from interval_reference import ball_union, point, reference_contains, reference_preimage
+from exact_reference import ball_union, pl_map, point, reference_contains, reference_preimage
 
 
 def brute_force_skeleton(n):
@@ -354,11 +354,7 @@ def _step_then_leak():
     top = _TOP * _STEP
     knots = [Fraction(0), top - _STEP, top - _STEP + _STEP * Fraction(2, 201), top, Fraction(1)]
     values = [_STEP, top, Fraction(1, 3), Fraction(0), Fraction(1, 2)]
-    pieces = []
-    for x0, x1, y0, y1 in zip(knots, knots[1:], values, values[1:]):
-        slope = (y1 - y0) / (x1 - x0)
-        pieces.append(Piece(x0, x1, slope, y0 - slope * x0))
-    return IntervalMap(pieces, name="leaky")
+    return pl_map(knots, values, name="leaky")
 
 
 def _outcome(call):
@@ -629,15 +625,6 @@ def test_a_stationary_reach_set_is_not_imaged_again(spec, metric, steps, n_max):
     assert f.images == steps
 
 
-def _pl_map(knots, values, lo_open=False):
-    """The continuous map through the points (knots[i], values[i])."""
-    pieces = []
-    for x0, x1, y0, y1 in zip(knots, knots[1:], values, values[1:]):
-        slope = (y1 - y0) / (x1 - x0)
-        pieces.append(Piece(x0, x1, slope, y0 - slope * x0))
-    return IntervalMap(pieces, lo_open=lo_open)
-
-
 @st.composite
 def _rational_maps(draw):
     """The paper's maps, and continuous maps of [0, 1] or (0, 1] with knots
@@ -649,8 +636,8 @@ def _rational_maps(draw):
     cuts = sorted(draw(st.sets(st.integers(1, 999), max_size=4)))
     value = st.one_of(st.sampled_from([int(lo_open), 1000]), st.integers(int(lo_open), 1000))
     values = draw(st.lists(value, min_size=len(cuts) + 2, max_size=len(cuts) + 2))
-    return _pl_map([Fraction(k, 1000) for k in (0, *cuts, 1000)],
-                   [Fraction(v, 1000) for v in values], lo_open)
+    return pl_map([Fraction(k, 1000) for k in (0, *cuts, 1000)],
+                  [Fraction(v, 1000) for v in values], lo_open)
 
 
 def _round_in(iv: Interval) -> Interval:
@@ -697,14 +684,14 @@ def test_integer_ball_ends_are_the_ball_rules(f, name, big_v, radius, t0):
 
 
 # in floats f(0.8680000000000001) = 1.0000000000000002, outside the domain
-_PEAK = _pl_map([Fraction(0), Fraction(868, 1000), Fraction(1)],
-                [Fraction(822, 1000), Fraction(1), Fraction(822, 1000)], lo_open=True)
+_PEAK = pl_map([Fraction(0), Fraction(868, 1000), Fraction(1)],
+               [Fraction(822, 1000), Fraction(1), Fraction(822, 1000)], lo_open=True)
 # in floats f(5e-324) = 0.0, outside the domain
-_QUARTER = _pl_map([Fraction(0), Fraction(1)], [Fraction(0), Fraction(1, 4)], lo_open=True)
+_QUARTER = pl_map([Fraction(0), Fraction(1)], [Fraction(0), Fraction(1, 4)], lo_open=True)
 # f(1/2) = 1/4 - 2**-1074: the ball of radius 1/4 about it starts at
 # -2**-1074, whose least float above is -0.0
-_HALF_DOWN = _pl_map([Fraction(-1), Fraction(1)],
-                     [Fraction(-1, 2) - Fraction(5e-324), Fraction(1, 2) - Fraction(5e-324)])
+_HALF_DOWN = pl_map([Fraction(-1), Fraction(1)],
+                    [Fraction(-1, 2) - Fraction(5e-324), Fraction(1, 2) - Fraction(5e-324)])
 
 
 @example(f=_PEAK, name="ratio-phi", ends=[0.8680000000000001] * 2, delta=0.05, floor_ulps=None,
@@ -784,17 +771,17 @@ def _fraction_chain(x, y, f, m, delta, t0, n_max):
 # 1/4 on [0, 3/5], then up to 1: at s = 1/2 the ball (1/4, 3/4) of radius
 # 1/5 at t0 = 1 has the flat value on its lower end, and the flat piece
 # would be the widest part
-_FLAT_ON_END = _pl_map([Fraction(0), Fraction(3, 5), Fraction(1)],
-                       [Fraction(1, 4), Fraction(1, 4), Fraction(1)])
+_FLAT_ON_END = pl_map([Fraction(0), Fraction(3, 5), Fraction(1)],
+                      [Fraction(1, 4), Fraction(1, 4), Fraction(1)])
 # 1/2 on (0, 1/2], then up to 1: under singleton balls {1/2} pulls back to
 # the whole flat piece
-_FLAT_ON_POINT = _pl_map([Fraction(0), Fraction(1, 2), Fraction(1)],
-                         [Fraction(1, 2), Fraction(1, 2), Fraction(1)], lo_open=True)
+_FLAT_ON_POINT = pl_map([Fraction(0), Fraction(1, 2), Fraction(1)],
+                        [Fraction(1, 2), Fraction(1, 2), Fraction(1)], lo_open=True)
 # up by slope 4 on [1/2, 3/4] and down on [3/4, 1]: the parts over the ball
 # (1/4, 3/4) are (9/16, 11/16) and (13/16, 15/16), float intervals of one
 # binade and equal width
-_TWIN_PARTS = _pl_map([Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)],
-                      [Fraction(0), Fraction(0), Fraction(1), Fraction(0)])
+_TWIN_PARTS = pl_map([Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)],
+                     [Fraction(0), Fraction(0), Fraction(1), Fraction(0)])
 # slope 2**-1100: a ball's preimage ends lie beyond every float (slope
 # 2**-1000 puts them near 1e300, still floats)
 _NEARLY_FLAT = IntervalMap([Piece(Fraction(0), Fraction(1), Fraction(1, 2**1100),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fuzzyshadow import systems
 from fuzzyshadow.fuzzy_metric import Interval
-from interval_reference import reference_and, reference_contains
 from fuzzyshadow.systems import (
     ConstructionError,
     IntervalMap,
@@ -20,6 +19,7 @@ from fuzzyshadow.systems import (
     perturbation_g,
     tent,
 )
+from exact_reference import pl_map, reference_and, reference_contains
 
 
 def test_tent_evals(tent2):
@@ -93,13 +93,13 @@ def test_escaping_image_rejected():
 ])
 def test_image_touching_the_open_end_rejected(knots, values, image):
     with pytest.raises(ValueError) as err:
-        _pl_map(knots, values, lo_open=True)
+        pl_map(knots, values, lo_open=True)
     assert str(err.value) == f"image {image} of map leaves its domain (0, 1]"
 
 
 def test_open_end_limit_allowed():
     # x on (0, 1] only tends to the excluded 0
-    assert _pl_map((0, 1), (0, 1), lo_open=True).image(
+    assert pl_map((0, 1), (0, 1), lo_open=True).image(
         Interval(Fraction(0), Fraction(1), False)) == Interval(Fraction(0), Fraction(1), False)
 
 
@@ -193,16 +193,6 @@ def test_perturbation_g_range(alpha):
         perturbation_g(alpha)
 
 
-def _pl_map(knots, values, lo_open=False):
-    """The continuous map through the points (knots[i], values[i])."""
-    knots, values = [Fraction(k) for k in knots], [Fraction(v) for v in values]
-    pieces = []
-    for x0, x1, y0, y1 in zip(knots, knots[1:], values, values[1:]):
-        slope = (y1 - y0) / (x1 - x0)
-        pieces.append(Piece(x0, x1, slope, y0 - slope * x0))
-    return IntervalMap(pieces, lo_open=lo_open)
-
-
 @st.composite
 def _map_pair(draw):
     """Two continuous maps of [0, 1] (or (0, 1]) with knots and values on 1/64."""
@@ -213,8 +203,8 @@ def _map_pair(draw):
         knots = [0, *sorted(inner), 64]
         values = draw(st.lists(st.integers(int(lo_open), 64), min_size=len(knots),
                                max_size=len(knots)))
-        return _pl_map([Fraction(k, 64) for k in knots], [Fraction(v, 64) for v in values],
-                       lo_open)
+        return pl_map([Fraction(k, 64) for k in knots], [Fraction(v, 64) for v in values],
+                      lo_open)
 
     return one_map(), one_map()
 
@@ -242,7 +232,7 @@ def test_sup_distance_needs_a_shared_domain(tent2, three_piece):
     with pytest.raises(ValueError, match="do not share a domain"):
         systems.sup_distance(tent2, three_piece)
     with pytest.raises(ValueError, match="do not share a domain"):
-        systems.sup_distance(tent2, _pl_map([0, "1/2"], [0, "1/2"]))
+        systems.sup_distance(tent2, pl_map([0, "1/2"], [0, "1/2"]))
 
 
 _E43_KNOTS = (0, "1/2", "3/4", 1)
@@ -264,14 +254,14 @@ _E43_VALUES = ("1/8", "1/2", "7/8", 1)
      "above the diagonal"),
 ], ids=["sup-gap", "fixed-points", "slope", "touch", "cross"])
 def test_verify_perturbation_rejects(three_piece, knots, values, message):
-    g = _pl_map(knots, values, lo_open=True)
+    g = pl_map(knots, values, lo_open=True)
     with pytest.raises(ConstructionError, match=message):
         systems._verify_perturbation(three_piece, g, Fraction(1, 256))
 
 
 def test_verify_perturbation_rejects_a_piece_on_the_diagonal():
     # g = id on [1/2, 1]: positive at every knot but 1/2 and 1, yet 0 in between
-    g = _pl_map((0, "1/2", 1), ("1/8", "1/2", 1), lo_open=True)
+    g = pl_map((0, "1/2", 1), ("1/8", "1/2", 1), lo_open=True)
     with pytest.raises(ConstructionError, match="above the diagonal"):
         systems._verify_perturbation(g, g, Fraction(1, 256))
 
@@ -312,8 +302,8 @@ def _power_maps(draw):
     cuts = sorted(draw(st.sets(st.integers(1, 999), max_size=5)))
     value = st.one_of(st.sampled_from([int(lo_open), 1000]), st.integers(int(lo_open), 1000))
     values = draw(st.lists(value, min_size=len(cuts) + 2, max_size=len(cuts) + 2))
-    f = _pl_map([Fraction(k, 1000) for k in (0, *cuts, 1000)],
-                [Fraction(v, 1000) for v in values], lo_open)
+    f = pl_map([Fraction(k, 1000) for k in (0, *cuts, 1000)],
+               [Fraction(v, 1000) for v in values], lo_open)
     return IteratedMap(f, draw(st.integers(1, 4)))
 
 
@@ -502,7 +492,7 @@ def _pl_maps(draw):
     values = draw(st.lists(levels, min_size=len(knots), max_size=len(knots)))
     if lo_open and draw(st.booleans()):
         values[0] = Fraction(0)
-    return _pl_map(knots, values, lo_open)
+    return pl_map(knots, values, lo_open)
 
 
 def _ends(f):

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from fuzzyshadow import fuzzy_metric as fm
 from fuzzyshadow import orbits, shadowing, systems
-from interval_reference import ball_union, point, reference_contains
+from exact_reference import ball_union, pl_map, point, reference_contains
 
 
 def _searches():
@@ -683,11 +683,7 @@ def _pl_maps(draw, nondecreasing=None):
         for k in range(1, len(values)):
             if flats[k]:
                 values[k] = values[k - 1]
-    pieces = []
-    for lo, hi, a, b in zip(xs, xs[1:], values, values[1:]):
-        slope = (b - a) / (hi - lo)
-        pieces.append(systems.Piece(lo, hi, slope, a - slope * lo))
-    return systems.IntervalMap(pieces, lo_open=True, name="pl")
+    return pl_map(xs, values, lo_open=True, name="pl")
 
 
 _HALF_OPEN_MAPS = (systems.example43_map(), systems.perturbation_g(1.0 / 256.0))
