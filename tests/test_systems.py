@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyshadow import systems
-from fuzzyshadow.fuzzy_metric import Interval
+from fuzzyshadow import orbits, systems
+from fuzzyshadow.fuzzy_metric import Interval, StandardFuzzyMetric
 from fuzzyshadow.systems import (
     ConstructionError,
     IntervalMap,
@@ -19,7 +19,7 @@ from fuzzyshadow.systems import (
     perturbation_g,
     tent,
 )
-from exact_reference import pl_map, reference_and, reference_contains
+from exact_reference import pl_map, reference_and, reference_contains, reference_preimage
 
 
 def test_tent_evals(tent2):
@@ -418,6 +418,32 @@ def test_image_detects_flat_pieces():
     f = IntervalMap([Piece(Fraction(0), half, Fraction(0), half),
                      Piece(half, Fraction(1), Fraction(1), Fraction(0))])
     assert f.image(_iv(0, "1/2", False, False)) == _iv("1/2", "1/2")
+
+
+def _float_midpoint(part):
+    """The float midpoint of the floats of part."""
+    lo = float(part.lo) if part.lo_closed else math.nextafter(float(part.lo), math.inf)
+    hi = float(part.hi) if part.hi_closed else math.nextafter(float(part.hi), -math.inf)
+    return float((Fraction(lo) + Fraction(hi)) / 2)
+
+
+def test_preimage_of_interval(tent2):
+    # tent:2 maps (1/8, 3/8) and (5/8, 7/8) onto (1/4, 3/4), the standard
+    # ball of radius 1/5 at t = 1 about 1/2; the walk-back step takes the
+    # float midpoint of the widest part
+    step = orbits._walk_step(tent2, StandardFuzzyMetric(), Fraction(1, 5), 1.0)
+    ball = _iv("1/4", "3/4", False, False)
+    left, right = _iv("1/8", "3/8", False, False), _iv("5/8", "7/8", False, False)
+    assert reference_preimage(tent2, ball, _iv(0, 1)) == [left, right]
+    # the floats of (1/8, 3/8) span 5 * 2**-55 more than those of (5/8, 7/8),
+    # whose spacing is wider
+    assert step(0.0, 1.0, 0.5) == _float_midpoint(left)
+    cut = _iv("1/4", "3/8", True, False)
+    assert reference_preimage(tent2, ball, _iv("1/4", 1)) == [cut, right]
+    assert step(0.25, 1.0, 0.5) == _float_midpoint(right) == 0.75
+    # the ball (9/4, 11/4) about 5/2 lies above the range [0, 1]
+    assert reference_preimage(tent2, _iv("9/4", "11/4", False, False), _iv(0, 1)) == []
+    assert step(0.0, 1.0, 2.5) is None
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
