@@ -15,9 +15,10 @@ sweep                 tabulate orbit validity and witness verdicts over
 Exit codes: 0 for found/pass, 1 for a negative verdict, 2 for usage errors,
 including numeric parameters out of range and radii too small to decide in
 floats, and 3 when a witness or a chain fails its independent re-check.
-A radius (``--eps``, ``--delta`` and their lists) must exceed the metric's
-float slack on the map at the horizon, and a chain's ``--delta`` 4 ulp(1)
-plus twice that slack; the error line names the bound.
+The float searches' radii (``shadow --eps``, ``sweep --eps-list``, the
+``mix`` radii) must exceed the metric's float slack on the map at the
+horizon, and ``chain --delta`` 4 ulp(1) plus twice that slack; the error
+line names the bound.  The validators are exact at any delta in (0, 1).
 Reports are deterministic JSON (no timestamps); stdout carries one summary
 line per run.  Map graphs are emitted as self-contained SVG.
 
@@ -375,7 +376,7 @@ def _map_and_metric(args):
 
 
 def _require_resolved(f, metric, t0: float, flag: str, radii) -> None:
-    """Raise ValueError, so exit 2, on a radius the float predicates cannot
+    """Raise ValueError, so exit 2, on a radius the float searches cannot
     decide: one at or below the metric's float slack on f at t0, where
     rounding alone can turn a verdict."""
     fm.require_map_in_space(f, metric)  # the slack is read on the metric's space
@@ -480,7 +481,6 @@ def _cmd_density(args) -> int:
             raise ValueError("density --orbit needs --map, --metric and --delta")
         t0 = 1.0 if args.t0 is None else args.t0
         f, metric = _map_and_metric(args)
-        _require_resolved(f, metric, t0, "--delta", [args.delta])
         seq = orbits.OrbitSequence.from_csv(args.orbit)
         iset = orbits.npo_set(seq, f, metric, delta=args.delta, t0=t0)
         report = orbits.density(iset)
@@ -498,7 +498,6 @@ def _cmd_sweep(args) -> int:
     f, metric = _map_and_metric(args)
     for t0 in args.t0s:
         _require_resolved(f, metric, t0, "--eps-list", args.epss)
-        _require_resolved(f, metric, t0, "--delta-list", args.deltas)
     seq = orbits.OrbitSequence.from_csv(args.orbit)
     # a witness does not depend on delta, so each (eps, t0) is searched once
     witnesses = {}

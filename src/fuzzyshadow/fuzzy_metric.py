@@ -164,8 +164,8 @@ class FuzzyMetric:
     t)``, the exact rationals (q, r) such that the open ball
     {z : M(u, z, t) > 1 - radius} of every u of the space is the interval
     (u q - r, u / q + r), or None when every such ball is {u}, the one
-    place a ball is defined, which both chain steps read through
-    ``orbits._integer_ball``; ``float_slack(f, t)``, a bound, in units of
+    place a ball is defined, which the chain steps, the validators and
+    ns_set read through ``orbits._integer_ball``; ``float_slack(f, t)``, a bound, in units of
     the radius, on how far float errors in evaluating a map f (k strides of
     its base for a power map) or in rounding a state move a ball's edge;
     ``continuity_delta(f, eps, t)``, an exact radius delta such that f maps
@@ -363,11 +363,17 @@ def require_map_in_space(f, m: FuzzyMetric) -> None:
 def bridge_threshold(delta: float, t0: float) -> float:
     """Classical distance threshold equivalent to a standard-metric bound.
 
-    t0/(t0+d) > 1-delta  iff  d < t0*delta/(1-delta), so fuzzy validators at
-    (delta, t0) and classical validators at this threshold agree exactly.
+    t0/(t0+d) > 1-delta  iff  d < t0*delta/(1-delta).  Both validators are
+    exact, so fuzzy ones at (delta, t0) and classical ones at this float agree
+    unless a distance lies between the threshold and its float.
     """
     _require_unit("delta", delta)
     return t0 * delta / (1.0 - delta)
+
+
+#: The standard metric on the whole float line, whose open ball of radius
+#: 1/2 at horizon eps is the classical ball d < eps.
+CLASSICAL = StandardFuzzyMetric(lo=-sys.float_info.max, hi=sys.float_info.max)
 
 
 # -- balls -------------------------------------------------------------------
@@ -486,8 +492,7 @@ def uniform_horizon(m: FuzzyMetric, eps: float, resolution: float = 1e-2) -> flo
     d (1 - eps) / eps by a relative 4 ulp(1) / (e (1 - eps)), besides the
     rounding up.  None also when e <= 0, when the space is too wide, or when
     it holds one float.
-    ``resolution`` is unused.  It stays third, with its 1e-2 default, only
-    because perfbench/ passes grids there, by position and by name.
+    ``resolution`` is unused: perfbench/ passes grids there.
     """
     _require_unit("eps", eps)
     e = Fraction(eps) - 4 * _ULP
@@ -534,8 +539,7 @@ def certify_fuzzy_continuity(m: FuzzyMetric, f, eps: float, t: float,
     and delta; the source states are floats, so they carry no error of
     their own.  holds is False only when that leaves no positive delta, at
     horizons so small that float errors in f swamp eps.
-    ``resolution`` is unused.  It stays fifth, with its 1e-2 default, only
-    because perfbench/ passes grids there positionally.
+    ``resolution`` is unused: perfbench/ passes grids there.
     """
     _require_unit("eps", eps)
     _require_finite_positive("horizon", t)

@@ -4,38 +4,26 @@ constructions.
 
 Conventions, fixed package-wide:
 
-* a fuzzy transition i -> i+1 is valid when M(f(x_i), x_{i+1}, t0) > 1 - delta,
-  and index i is a violation when the nearness is <= 1 - delta (complements by
-  construction);
-* a classical transition is valid when d(f(x_i), x_{i+1}) < delta, violated
-  when the distance is >= delta;
-* long sequences are walked in blocks of _BLOCK = 2**15 states: the
-  transition validators (validate_f_pseudo_orbit, npo_set,
-  classical_validate) map, score and compare one block of transitions at a
-  time; the tracing sets (ns_set, classical_ns_set) step, score and compare
-  one block of the true orbit at a time; interleave_for_power fills one
-  block of rows, perturbed_orbit one block of states, to_csv writes one
-  block of rows and from_csv parses one block of text at a time.  So their
-  transient memory is O(block): no pass holds a Python object per state,
-  and a 10**6-state validation traces about 1 MB where whole-array passes
-  took 22.9 MB.  Each step is elementwise or sequential, so the bits and
-  the errors are those of one pass over the whole sequence.  On 10**6
-  states (2-core Xeon, 4 MB L2) the fuzzy validation took 10.6, 10.6, 9.2,
-  10.6 and 13.7 ms at blocks of 2**13 ... 2**17, against 13.2-14.2 ms
-  whole;
-* prefix densities count violations in [0, n) and divide by n.  Infinite
-  sequences are represented by finite prefixes, so density verdicts are
-  finite-prefix judgments against an explicit threshold, never limit claims;
-* chains live on the continuum, not on a grid: under every metric here a
-  ball is an interval, and a continuous piecewise-linear map sends an
-  interval to an interval, so the ends of all chains of length n from x form
+* transition i -> i+1 is valid when x_{i+1} lies in the open ball
+  {z : M(u, z, t0) > 1 - delta} about the exact image u = f(x_i) of the
+  float x_i, and violated otherwise; ns_set measures x_i against the ball
+  about the float f^i(x).  Membership is exact at every delta in (0, 1)
+  (_ball_filter).  A classical radius delta is the ball of
+  fuzzy_metric.CLASSICAL at radius 1/2 and horizon delta: d < delta;
+* long sequences are walked in blocks of _BLOCK = 2**15 states (the
+  validators, the tracing sets, interleave_for_power, perturbed_orbit,
+  to_csv and from_csv), so their transient memory is O(block): a 10**6-state
+  validation traces about 1 MB where whole-array passes took 22.9 MB.  Each
+  step is elementwise or sequential, so the bits and the errors are those
+  of one pass over the whole sequence;
+* prefix densities count violations in [0, n) and divide by n: finite-prefix
+  judgments against an explicit threshold, never limit claims;
+* chains live on the continuum: every ball is an interval, and so is the
+  image of an interval, so the ends of all chains of length n from x form
   one interval R_n.  It is stepped exactly in Python integers, on balls
-  shrunk by a float-error slack, and rounded inward to float ends by
-  fuzzy_metric._float_inside, so that every state of R_n ends a float chain
-  that validate_f_pseudo_orbit accepts: a float is an integer over 2**1074
-  and the pieces are integers over one denominator, so a step is a few
-  integer products, two correctly rounded quotients and two comparisons.
-  The walk-back pulls balls back through the same pieces in integers.
+  shrunk by a float-error slack, and rounded inward to float ends, so that
+  every state of R_n ends a float chain that validate_f_pseudo_orbit
+  accepts.  The walk-back pulls balls back through the same pieces.
 """
 
 from __future__ import annotations
@@ -48,8 +36,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fuzzy_metric import (_float_inside, _numerator, _require_finite_positive, _require_unit,
-                           require_in_domain, require_map_in_space, require_resolved)
+from .fuzzy_metric import (CLASSICAL, _float_inside, _numerator, _require_finite_positive,
+                           _require_unit, require_in_domain, require_map_in_space,
+                           require_resolved)
 from .reports import VerificationError
 
 DENSITY_THRESHOLD = 0.01
@@ -278,26 +267,72 @@ def _cofinite_onset(present: set[int], n_max: int) -> int | None:
 
 def fuzzy_score(f, m, t0: float):
     """Pair score of fuzzy comparisons of states of f: the nearness
-    M(x, y, t0).  The horizon and the space are checked once here, so that
-    neither a non-finite t0 nor a state of f outside the space of m (0 under
-    a ratio metric, say) can give a verdict."""
+    M(x, y, t0), after checking the horizon and that f maps in m's space."""
     _require_finite_positive("horizon", t0)
     require_map_in_space(f, m)
     return lambda x, y: m.eval_array(x, y, t0)
 
 
-def classical_score(x, y):
-    """Pair score of classical comparisons: the negated distance -|x - y|, so
-    that a larger score is closer in both cases and a distance bound d < delta
-    reads score > -delta."""
-    return -np.abs(x - y)
+def _ball_filter(f, m, delta: float, t0: float):
+    """outside(c, z, sources): the indices j with z_j outside the open ball
+    {z : M(u_j, z, t0) > 1 - delta} about the exact image u_j of sources_j,
+    of which c_j is the float, or about c_j when sources is None.
+
+    With (q, r) = m.ball_rule ((1, 0) for singletons), z is inside iff
+    d = q max(z, u) - min(z, u) < r: every rule has q = 1 or r = 0.  d in
+    floats from c is within G = (1 + q) 2**-49 S + 2**-1075 of d at u,
+    S = f.eval_scale: |c - u| < 2**-51 S (see float_slack), states are
+    at most S in size, and rounding adds under 2**-51 (1 + q) S and an
+    underflow.  Only d within G of r is decided exactly, in integers over
+    D of f.integer_table (_outside_ball)."""
+    _require_finite_positive("horizon", t0)
+    require_map_in_space(f, m)
+    rule = m.ball_rule(delta, t0)
+    (qn, qd), (rn, rd) = (c.as_integer_ratio() for c in rule) if rule else ((1, 1), (0, 1))
+    sn, sd = f.eval_scale.as_integer_ratio()
+    # quotients rounded, then stepped outward: g >= G, closer <= r - G, farther >= r + G
+    g = math.nextafter((qn + qd) * sn / (qd * sd << 49), math.inf)
+    try:
+        r = rn / rd
+    except OverflowError:  # a ball wider than every float
+        r = math.inf
+    closer = math.nextafter(math.nextafter(r, -math.inf) - g, -math.inf)
+    farther = math.nextafter(math.nextafter(r, math.inf) + g, math.inf)
+    q = qn / qd
+
+    def outside(c, z, sources=None):
+        d = np.abs(z - c) if q == 1.0 else q * np.maximum(z, c) - np.minimum(z, c)
+        near = np.flatnonzero(d >= closer)
+        if not near.size:
+            return near
+        sure = d[near] >= farther
+        if sure.all():
+            return near
+        ball, unit = _integer_ball(f, m, delta, t0), f.integer_table.unit
+        for k in np.flatnonzero(~sure).tolist():
+            j = int(near[k])
+            if sources is None:
+                u = _numerator(float(c[j])) * unit
+            else:
+                x = _numerator(float(sources[j]))
+                u = f.integer_image(x, x)[0]
+            sure[k] = _outside_ball(ball, u, _numerator(float(z[j])) * unit)
+        return near[sure]
+
+    return outside
 
 
-def _transition_violations(seq: OrbitSequence, f, score, floor: float) -> IndexSet:
-    """Indices i with score(f(x_i), x_{i+1}) <= floor, found one block of
-    _BLOCK transitions at a time, so that f(x) and the scores are never held
-    at full length.  The whole sequence is checked to lie in the domain
-    first."""
+def _outside_ball(ball, u: int, z: int) -> bool:
+    """Whether z / D is outside _integer_ball's ball about u / D ({u} if None)."""
+    if ball is None:
+        return z != u
+    lo_mul, lo_add, lo_den, hi_mul, hi_add, hi_den = ball
+    return not (u * lo_mul + lo_add < z * lo_den and z * hi_den < u * hi_mul + hi_add)
+
+
+def _transition_violations(seq: OrbitSequence, f, outside) -> IndexSet:
+    """Indices i with x_{i+1} outside the ball about f(x_i), one block of
+    _BLOCK transitions at a time; the domain is checked first."""
     states = seq.states
     if states.size < 2:
         raise ValueError("need at least two states to validate transitions")
@@ -306,16 +341,14 @@ def _transition_violations(seq: OrbitSequence, f, score, floor: float) -> IndexS
     found = []
     for i in range(0, n, _BLOCK):
         stop = min(i + _BLOCK, n)
-        scores = score(f.eval_array(states[i:stop]), states[i + 1:stop + 1])
-        found.append(np.flatnonzero(scores <= floor) + i)
+        sources = states[i:stop]
+        found.append(outside(f.eval_array(sources), states[i + 1:stop + 1], sources) + i)
     return IndexSet(np.concatenate(found), universe=n)
 
 
-def _tracing_violations(seq: OrbitSequence, x: float, f, score, floor: float) -> IndexSet:
-    """Indices i with score(f^i(x), x_i) <= floor, found one block of _BLOCK
-    states at a time, so that neither the true orbit nor the scores are
-    held at full length.  The whole sequence is checked to lie in the
-    domain first."""
+def _tracing_violations(seq: OrbitSequence, x: float, f, outside) -> IndexSet:
+    """Indices i with x_i outside the ball about the float f^i(x), one block
+    of _BLOCK states at a time; the domain is checked first."""
     states = require_in_domain(f, seq.states)
     n, v, found = states.size, x, []
     for i in range(0, n, _BLOCK):
@@ -325,17 +358,15 @@ def _tracing_violations(seq: OrbitSequence, x: float, f, score, floor: float) ->
         skip = 1 if i else 0
         orbit = np.array(f.states(v, min(_BLOCK, n - i) + skip))[skip:]
         v = orbit[-1]
-        found.append(np.flatnonzero(score(orbit, states[i:i + orbit.size]) <= floor) + i)
+        found.append(outside(orbit, states[i:i + orbit.size]) + i)
     return IndexSet(np.concatenate(found), universe=n)
 
 
 def validate_f_pseudo_orbit(seq: OrbitSequence, f, m, delta: float, t0: float) -> IndexSet:
-    """Indices i where the fuzzy transition bound fails, i.e.
-    M(f(x_i), x_{i+1}, t0) <= 1 - delta.  Empty means the sequence is a valid
-    delta-pseudo-orbit of f at horizon t0.  Raises ValueError unless delta
-    lies in (0, 1)."""
+    """Indices i with M(f(x_i), x_{i+1}, t0) <= 1 - delta exactly: empty
+    for a delta-pseudo-orbit.  Raises ValueError unless delta lies in (0, 1)."""
     _require_unit("delta", delta)
-    return _transition_violations(seq, f, fuzzy_score(f, m, t0), 1.0 - delta)
+    return _transition_violations(seq, f, _ball_filter(f, m, delta, t0))
 
 
 def npo_set(seq: OrbitSequence, f, m, delta: float, t0: float) -> IndexSet:
@@ -345,25 +376,24 @@ def npo_set(seq: OrbitSequence, f, m, delta: float, t0: float) -> IndexSet:
 
 
 def ns_set(seq: OrbitSequence, x: float, f, m, delta: float, t0: float) -> IndexSet:
-    """Indices i where the tracing bound fails: M(f^i(x), x_i, t0) <= 1 - delta.
-    Raises ValueError unless delta lies in (0, 1)."""
+    """Indices i with M(f^i(x), x_i, t0) <= 1 - delta exactly, for the float
+    orbit of x.  Raises ValueError unless delta lies in (0, 1)."""
     _require_unit("delta", delta)
-    return _tracing_violations(seq, x, f, fuzzy_score(f, m, t0), 1.0 - delta)
+    return _tracing_violations(seq, x, f, _ball_filter(f, m, delta, t0))
 
 
 def classical_validate(seq: OrbitSequence, f, delta: float) -> IndexSet:
-    """Classical twin of the fuzzy validator: violations are steps with
-    d(f(x_i), x_{i+1}) >= delta.  Raises ValueError unless delta is finite
-    and positive."""
+    """Indices i with d(f(x_i), x_{i+1}) >= delta: the validator under
+    CLASSICAL at (1/2, delta).  delta must be finite and positive."""
     _require_finite_positive("delta", delta)
-    return _transition_violations(seq, f, classical_score, -delta)
+    return validate_f_pseudo_orbit(seq, f, CLASSICAL, 0.5, delta)
 
 
 def classical_ns_set(seq: OrbitSequence, x: float, f, eps: float) -> IndexSet:
-    """Classical tracing violations: indices with d(f^i(x), x_i) >= eps.
-    Raises ValueError unless eps is finite and positive."""
+    """Indices i with d(f^i(x), x_i) >= eps: ns_set under CLASSICAL at
+    (1/2, eps).  eps must be finite and positive."""
     _require_finite_positive("eps", eps)
-    return _tracing_violations(seq, x, f, classical_score, -eps)
+    return ns_set(seq, x, f, CLASSICAL, 0.5, eps)
 
 
 # -- density -------------------------------------------------------------------
@@ -683,21 +713,16 @@ def _walk_back(path: list, y: float, f, m, walk: Fraction, delta: float,
 def chain_search(x: float, y: float, f, m, delta: float, t0: float,
                  resolution: float = 1e-3, n_max: int = 64) -> OrbitSequence | None:
     """Shortest chain x = x_1, ..., x_n = y of floats with
-    M(f(x_k), x_{k+1}, t0) > 1 - delta in float arithmetic and n <= n_max
-    (the least n with y in R_n, see _reach_sets and _chain_radii), or None
-    when no R_n holds y.  The R_n are inner sets, on balls shrunk by the
-    float slack, so None means that no chain is certified, not that none
-    exists: near the least delta accepted, the slack takes up the whole
-    ball.
+    M(f(x_k), x_{k+1}, t0) > 1 - delta and n <= n_max (the least n with y in
+    R_n, see _reach_sets and _chain_radii), or None when no R_n holds y.  The
+    R_n are inner sets, on balls shrunk by the float slack, so None means
+    that no chain is certified, not that none exists.
 
-    Walked back from y in Python integers (_walk_step), x_k is the float
-    midpoint of the floats of the widest piece of R_k & f^-1(B(x_{k+1})),
-    the leftmost on ties, or the one state of a one-point R_k.  The chain is
-    re-verified with validate_f_pseudo_orbit, and one that fails raises
-    VerificationError.  ``resolution`` is unused.  It stays seventh, with
-    its 1e-3 default, only because perfbench/ passes grids there
-    positionally and its chain-node hook builds m.grid(resolution) from the
-    bound arguments.
+    Walked back from y (_walk_step), x_k is the float midpoint of the floats
+    of the widest piece of R_k & f^-1(B(x_{k+1})), the leftmost on ties, or
+    the one state of a one-point R_k.  A chain that validate_f_pseudo_orbit
+    rejects raises VerificationError.  ``resolution`` is unused: perfbench/
+    passes grids there positionally, and its chain-node hook reads it.
     """
     radius, walk = _chain_radii(x, y, f, m, delta, t0, n_max)
     path = []
@@ -723,13 +748,9 @@ def _lengths(x: float, y: float, f, m, radius: Fraction, t0: float, n_max: int):
 
 def chain_mixing_check(x: float, y: float, f, m, delta: float, t0: float,
                        resolution: float = 1e-3, n_max: int = 64) -> MixingReport:
-    """Which chain lengths n <= n_max from x to y chain_search certifies:
-    those with y in R_n.
-
-    Reports the set of achievable lengths and the least onset after which
-    every length occurs.  ``resolution`` is unused.  It stays seventh, with
-    its 1e-3 default, only because perfbench/ passes grids there positionally
-    and its chain-node hook builds m.grid(resolution) from the bound arguments.
+    """Which chain lengths n <= n_max from x to y chain_search certifies
+    (those with y in R_n), and the least onset after which every length
+    occurs.  ``resolution`` is unused, as in chain_search.
     """
     radius, _ = _chain_radii(x, y, f, m, delta, t0, n_max)
     return _lengths(x, y, f, m, radius, t0, n_max)[1]

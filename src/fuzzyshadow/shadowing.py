@@ -1,27 +1,11 @@
 """Witness searches for tracing properties, plus mixing probes.
 
 All searches are exhaustive over an explicit grid of candidate start points,
-f.grid(resolution) over the domain of the map f.  The domain is the state
-space, and a fuzzy metric only measures on it: every fuzzy search and probe
-first checks that the domain lies inside the metric's space.
-A "no witness" verdict is therefore certified only relative to the stated
-grid resolution, which every verdict records; refining the grid is the
-validation knob.  Witness verdicts are re-verified index by index before
-being returned.
-
-The tracing verdicts are grid-exhaustive, but their work is not.  The grid
-must be ascending.  No score rises, in floats too, as a candidate moves
-away from the first state x_0 on either side, so the candidates alive at
-index 0 are one run of the grid: a search over both run ends at once finds
-it from O(log grid) scores (at most 308 of 100 001 grid points), and a
-search that dies at index 0 ends there.  Those are counts of scores, not
-time: f.grid(resolution) still builds the whole grid array first, in
-O(grid) time and memory, and at grid 1e-5 that takes 0.1-0.35 ms of such a
-search.  Otherwise the least survivor's scalar orbit is checked from index
-0, and once it traces to the end of the sequence the rest of the grid is
-not stepped.  A search in which every candidate traces, as at the uniform
-horizon, costs n map steps for n states rather than n x grid; see
-_survivor_search for the general bound.
+f.grid(resolution) over the domain of the map f, which must lie inside the
+metric's space.  A "no witness" verdict is certified only relative to the
+stated grid resolution, which every verdict records.  Witness verdicts are
+re-verified index by index before being returned.  The tracing verdicts are
+grid-exhaustive, but their work is not: see _survivor_search.
 """
 
 from __future__ import annotations
@@ -31,8 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fuzzy_metric import (Ball, FuzzyMetric, _require_finite_positive, _require_unit,
-                           ball_members, require_map_in_space)
+from .fuzzy_metric import (CLASSICAL, Ball, FuzzyMetric, _require_finite_positive,
+                           _require_unit, ball_members, require_map_in_space)
 from .orbits import (
     MAX_STEPS,
     DensityReport,
@@ -40,7 +24,6 @@ from .orbits import (
     OrbitSequence,
     VerificationError,
     _cofinite_onset,
-    classical_score,
     density,
     fuzzy_score,
     ns_set,
@@ -65,9 +48,9 @@ class ShadowingVerdict:
     and ``worst_value`` its value there.  With no witness, ``worst_index`` is
     the index where the last grid candidates were eliminated, ``near_miss``
     the one of them that came closest to the sequence there (the smallest on
-    ties) and ``worst_value`` its value there.  ``mode`` states which
-    comparison the values use: fuzzy verdicts store a nearness (larger is
-    better), classical ones a distance (smaller is better).
+    ties) and ``worst_value`` its value there.  Values are nearnesses; a
+    classical verdict has ``eps`` 1/2 and ``t0`` the classical radius, so its
+    value at distance d is t0 / (t0 + d).
     """
 
     witness: float | None
@@ -76,8 +59,7 @@ class ShadowingVerdict:
     grid: float
     candidates: int
     eps: float
-    t0: float | None
-    mode: str = "fuzzy"
+    t0: float
     near_miss: float | None = None
 
     @property
@@ -106,22 +88,16 @@ def shadow_search(seq: OrbitSequence, f, m: FuzzyMetric, eps: float, t0: float,
 
 def classical_shadow_search(seq: OrbitSequence, f, eps: float,
                             resolution: float = DEFAULT_CLASSICAL_GRID) -> ShadowingVerdict:
-    """Classical tracing: candidates survive an index when d(f^i(x), x_i) < eps.
-
-    Runs the survivor loop of shadow_search on the negated distance; worst
-    values are reported as distances.
-    """
+    """Classical tracing, d(f^i(x), x_i) < eps: shadow_search under
+    CLASSICAL at radius 1/2 and horizon eps, whose balls are the classical
+    ones.  Raises ValueError unless eps is finite and positive."""
     _require_finite_positive("eps", eps)
-    cands = f.grid(resolution)
-    witness, arg, value, near = _survivor_search(seq, f, cands, classical_score, -eps)
-    # scores are negated distances; 0.0 - v maps a zero score to +0.0
-    return ShadowingVerdict(witness, arg, 0.0 - value, resolution, cands.size, eps, None,
-                            mode="classical", near_miss=near)
+    return shadow_search(seq, f, CLASSICAL, 0.5, eps, resolution)
 
 
 def _survivor_search(seq: OrbitSequence, f, cands: np.ndarray, score,
                      floor: float) -> tuple[float | None, int, float, float | None]:
-    """The survivor loop behind both tracing searches.
+    """The survivor loop of shadow_search.
 
     The candidates, which must be ascending, are advanced alongside the
     sequence and dropped at their first index with score(f^i(x), x_i) <=

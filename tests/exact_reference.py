@@ -1,7 +1,8 @@
 """Exact helpers shared by the tests: the piecewise-linear map through given
-points, and plain Fraction references for the interval algebra that the
+points, plain Fraction references for the interval algebra that the
 chains run in integers (a point, the meet, membership, the union of balls
-about an interval, and the preimage of an interval from every piece)."""
+about an interval, and the preimage of an interval from every piece), and
+the nearness predicate itself in Fractions."""
 
 from fractions import Fraction
 
@@ -61,3 +62,15 @@ def reference_preimage(f, target, within):
         if not part.is_empty:
             parts.append(part)
     return parts
+
+
+def exactly_near(m, u, z, radius, t) -> bool:
+    """M(u, z, t) > 1 - radius in exact arithmetic on the rational inputs."""
+    u, z, radius, t = map(Fraction, (u, z, radius, t))
+    if m.name == "standard":
+        value = t / (t + abs(u - z))
+    elif u == z:
+        value = Fraction(1)
+    else:
+        value = min(u, z) / max(u, z) * (min(t, 1) if m.name == "ratio-phi" else 1)
+    return value > 1 - radius

@@ -593,9 +593,7 @@ _TINY_RADIUS_CASES = [
     (["shadow", "--eps", "1e-17"], "--eps 1e-17"),
     (["shadow", "--eps", "1e-15"], "--eps 1e-15"),
     (["shadow", "--eps", "BOUND"], "--eps BOUND"),
-    (["density", "--delta", "1e-17"], "--delta 1e-17"),
     (["sweep", "--eps-list", "0.1,1e-17", "--delta-list", "0.1"], "--eps-list 1e-17"),
-    (["sweep", "--eps-list", "0.1", "--delta-list", "0.1,1e-17"], "--delta-list 1e-17"),
 ]
 
 
@@ -613,6 +611,21 @@ def test_radii_below_float_resolution_exit_2(tmp_path, capsys, sqrt2_orbit, argv
                    f"it must exceed {bound}, the float slack of standard on tent:1.41421 "
                    "at t0 1.0\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("delta, t0", [("1e-17", "1.0"), ("0.1", "5e-324"), ("0.1", "1e-323")])
+def test_density_decides_radii_below_float_resolution(tmp_path, capsys, delta, t0):
+    # tent:2 steps 0.3 exactly in floats, so its float orbit is a pseudo-orbit
+    # at every radius; at delta 1e-17 the float kernel flagged all 50
+    # transitions, and these horizons exited 2
+    path = tmp_path / "tent2.csv"
+    tent(2.0).orbit(0.3, 50).to_csv(path)
+    out = tmp_path / "out"
+    rc = main(["density", "--orbit", str(path), "--map", "tent:2", "--metric", "standard",
+               "--delta", delta, "--t0", t0, "--out", str(out)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    report = read_report(out, "density.json")["report"]
+    assert report["universe"] == 50 and report["final_density"] == 0.0
 
 
 def test_a_chain_below_float_resolution_exits_2(tmp_path, capsys):
@@ -657,7 +670,6 @@ def test_mix_radii_below_float_resolution_exit_2(tmp_path, capsys, u_radius, v_r
 
 _SUBNORMAL_HORIZON_CASES = [
     ["shadow", "--eps", "0.1", "--orbit", "ORBIT"],
-    ["density", "--delta", "0.1", "--orbit", "ORBIT"],
     ["sweep", "--eps-list", "0.1", "--delta-list", "0.1", "--orbit", "ORBIT"],
     ["mix", "--u-center", "0.2", "--u-radius", "0.1", "--v-center", "0.8", "--v-radius", "0.1"],
     ["chain", "--from", "0.2", "--to", "0.8", "--delta", "0.1"],

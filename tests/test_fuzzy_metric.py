@@ -15,7 +15,7 @@ from fuzzyshadow.reports import VerificationError
 from fuzzyshadow.systems import (IntervalMap, IteratedMap, Piece, example43_map,
                                  perturbation_g, tent)
 from fuzzyshadow.tnorm import TNorm
-from exact_reference import ball_union, point, reference_contains
+from exact_reference import ball_union, exactly_near, point, reference_contains
 
 
 def test_eval_examples(standard_metric, ratio_phi_metric, ratio_metric):
@@ -283,18 +283,6 @@ def test_bridge_threshold_pointwise(delta, t0, d):
         assert lhs == (d < thr)
 
 
-def _exactly_near(m, u, z, radius, t) -> bool:
-    """M(u, z, t) > 1 - radius in exact arithmetic on the float inputs."""
-    u, z, radius, t = map(Fraction, (u, z, radius, t))
-    if m.name == "standard":
-        value = t / (t + abs(u - z))
-    elif u == z:
-        value = Fraction(1)
-    else:
-        value = min(u, z) / max(u, z) * (min(t, 1) if m.name == "ratio-phi" else 1)
-    return value > 1 - radius
-
-
 @given(name=st.sampled_from(fm.METRIC_NAMES), u=st.floats(1e-3, 1.0),
        radius=st.floats(1e-3, 0.999), t=st.floats(0.01, 4.0))
 def test_ball_rule_matches_exact_predicate(name, u, radius, t):
@@ -307,7 +295,7 @@ def test_ball_rule_matches_exact_predicate(name, u, radius, t):
         zs += [np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)]
     for z in zs:
         if m.contains(z):
-            assert reference_contains(ball, z) == _exactly_near(m, u, z, radius, t)
+            assert reference_contains(ball, z) == exactly_near(m, u, z, radius, t)
 
 
 def test_certify_identity(standard_metric):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fuzzyshadow import orbits
 from fuzzyshadow.fuzzy_metric import (
+    CLASSICAL,
     Interval,
     RatioPhiFuzzyMetric,
     StandardFuzzyMetric,
@@ -37,7 +38,8 @@ from fuzzyshadow.orbits import (
 )
 from fuzzyshadow.systems import (IntervalMap, IteratedMap, Piece, example43_map, map_from_spec,
                                  tent)
-from exact_reference import ball_union, pl_map, point, reference_contains, reference_preimage
+from exact_reference import (ball_union, exactly_near, pl_map, point, reference_contains,
+                             reference_preimage)
 
 
 def brute_force_skeleton(n):
@@ -339,7 +341,7 @@ def test_blocked_tracing_sets_match_one_whole_orbit(n):
         assert np.array_equal(got.indices, _whole_tracing(seq.states, x, f, fuzzy, 0.99))
         for g in (f, power):
             got = orbits.classical_ns_set(seq, x, g, 0.001)
-            want = _whole_tracing(seq.states, x, g, orbits.classical_score, -0.001)
+            want = _whole_tracing(seq.states, x, g, lambda a, b: -np.abs(a - b), -0.001)
             assert got.indices.dtype == np.int64 and np.array_equal(got.indices, want)
 
 
@@ -425,7 +427,7 @@ def test_csv_memory_stays_blocked(tmp_path):
     assert peak < 5 * 2**20  # 110.9 MB whole
     peak, back = _traced_peak(lambda: OrbitSequence.from_csv(path))
     assert back.states.tobytes() == states.tobytes()
-    assert peak < 11 * 2**20  # 39.5 MB whole, 15.5 MB concatenating blocks
+    assert peak < 11 * 2**20  # 39.5 MB whole, 9.5 MB growing one array
 
 
 def test_perturbed_orbit_validity(tent2, standard_metric):
@@ -564,28 +566,34 @@ def test_chain_length_bounded_by_n_max(tent2, standard_metric):
 
 
 def test_chain_skips_a_float_tie(tent2, standard_metric):
-    # y sits just inside the exact ball of f(0.2) = 0.4 (|0.4 - y| < 1/9), but
-    # in floats 1/(1 + |0.4 - y|) is exactly 0.9, so [0.2, y] is no float chain
+    # y sits just inside the exact ball of f(0.2) = 0.4 (|0.4 - y| < 1/9),
+    # so [0.2, y] is a chain, but the float kernel puts it on the edge; it
+    # lies within the float slack of the edge, so the inner reach set R_2
+    # leaves it out, and the certified chain takes 3 states
     y = 0.5111111111111111
+    assert validate_f_pseudo_orbit(OrbitSequence(np.array([0.2, y])), tent2, standard_metric,
+                                   0.1, 1.0).is_empty
     assert chain_mixing_check(0.2, y, tent2, standard_metric, 0.1, 1.0, n_max=3).present == (3,)
     chain = chain_search(0.2, y, tent2, standard_metric, 0.1, 1.0)
     assert len(chain) == 3 and chain[0] == 0.2 and chain[2] == y
     assert validate_f_pseudo_orbit(chain, tent2, standard_metric, 0.1, 1.0).is_empty
 
 
-class _NoSlackMetric(StandardFuzzyMetric):
-    """Claims float errors that cancel the kernel's rounding margin, so its
-    reach radius is delta itself and the float tie above looks like a chain."""
+class _NegativeSlackMetric(StandardFuzzyMetric):
+    """Claims float errors so negative that its reach and walk-back radii
+    exceed delta, so a state just outside the exact ball looks like a chain."""
 
     def float_slack(self, f, t):
-        return Fraction(-2, 2**52)
+        return Fraction(-1, 2**40)
 
 
 def test_chain_that_fails_reverification_raises(tent2):
-    y = 0.5111111111111111
-    assert chain_mixing_check(0.2, y, tent2, _NoSlackMetric(), 0.1, 1.0, n_max=2).present == (2,)
+    # the least float outside the exact ball of f(0.2) = 0.4 at delta 0.1
+    y = 0.5111111111111112
+    m = _NegativeSlackMetric()
+    assert chain_mixing_check(0.2, y, tent2, m, 0.1, 1.0, n_max=2).present == (2,)
     with pytest.raises(orbits.VerificationError, match="re-verification failed at index 0"):
-        chain_search(0.2, y, tent2, _NoSlackMetric(), 0.1, 1.0)
+        chain_search(0.2, y, tent2, m, 0.1, 1.0)
 
 
 def test_ratio_chain_reach_ends_stay_floats(three_piece, ratio_phi_metric):
@@ -681,6 +689,121 @@ def test_integer_ball_ends_are_the_ball_rules(f, name, big_v, radius, t0):
     lo_mul, lo_add, lo_den, hi_mul, hi_add, hi_den = ball
     assert Fraction(big_v * lo_mul + lo_add, big_d * lo_den) == big_v * q / big_d - r
     assert Fraction(big_v * hi_mul + hi_add, big_d * hi_den) == big_v / (q * big_d) + r
+
+
+def _edge_floats(m, radius, t0, centre) -> list[float]:
+    """The floats at and next to the ends of the ball about the rational
+    centre by m.ball_rule (the centre's under singleton balls)."""
+    rule = m.ball_rule(radius, t0)
+    ends = [centre] if rule is None else [centre * rule[0] - rule[1], centre / rule[0] + rule[1]]
+    out = []
+    for end in ends:
+        try:
+            v = float(end)
+        except OverflowError:  # an end past the largest float
+            continue
+        out += [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+    return out
+
+
+@st.composite
+def _ball_inputs(draw):
+    """(name, f, m, radius, t0) over the three metrics and the classical
+    ball (CLASSICAL at radius 1/2, t0 the classical radius), the maps of
+    _rational_maps and their squares, radii down to 5e-324 and horizons
+    from 5e-324 to 1e300."""
+    name = draw(st.sampled_from(["standard", "ratio", "ratio-phi", "classical"]))
+    maps = _rational_maps()
+    f = draw(maps if name in ("standard", "classical") else maps.filter(lambda g: g.lo_open))
+    if draw(st.booleans()):
+        f = IteratedMap(f, 2)
+    t0 = draw(st.floats(5e-324, 1e300) | st.sampled_from([5e-324, 1e-17, 1.0, 1e17, 1e300]))
+    if name == "classical":
+        return name, f, CLASSICAL, 0.5, t0
+    radius = draw(st.floats(5e-324, 1.0, exclude_max=True)
+                  | st.sampled_from([5e-324, 1e-300, 1e-17, 2.0**-53, 0.5]))
+    return name, f, metric_from_name(name), radius, t0
+
+
+def _near_states(draw, f, m, radius, t0, centre) -> float:
+    """A state of f's domain, often the float of an end of the ball about
+    centre, exactly r from it or next to that, or of centre itself under
+    singleton balls."""
+    picks = [v for v in _edge_floats(m, radius, t0, centre) if f.contains(v)]
+    return draw(st.sampled_from(picks) | st.floats(f.least, f.greatest) if picks
+                else st.floats(f.least, f.greatest))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much,
+                                                 HealthCheck.too_slow])
+@given(case=_ball_inputs(), data=st.data(), n=st.integers(1, 6))
+def test_validators_decide_the_exact_ball(case, data, n):
+    # x_{i+1} is valid iff M(f(x_i), x_{i+1}, t0) > 1 - radius in Fractions,
+    # for the exact image f(x_i) of the float x_i
+    name, f, m, radius, t0 = case
+    exact = getattr(f, "_power", f)
+    states = [data.draw(st.floats(f.least, f.greatest))]
+    for _ in range(n):
+        states.append(_near_states(data.draw, f, m, radius, t0, exact.value(Fraction(states[-1]))))
+    want = [i for i in range(n) if not exactly_near(
+        m, exact.value(Fraction(states[i])), states[i + 1], radius, t0)]
+    seq = OrbitSequence(np.array(states))
+    got = (classical_validate(seq, f, t0) if name == "classical"
+           else validate_f_pseudo_orbit(seq, f, m, radius, t0))
+    assert got.indices.tolist() == want and got.universe == n
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much,
+                                                 HealthCheck.too_slow])
+@given(case=_ball_inputs(), data=st.data(), n=st.integers(1, 6))
+def test_tracing_sets_decide_the_exact_ball(case, data, n):
+    # x_i is traced iff M(f^i(x), x_i, t0) > 1 - radius in Fractions, for
+    # the float orbit f^i(x)
+    name, f, m, radius, t0 = case
+    x = data.draw(st.floats(f.least, f.greatest))
+    try:
+        orbit = f.states(x, n)
+    except ValueError:  # the float orbit leaves the domain
+        assume(False)
+    states = [_near_states(data.draw, f, m, radius, t0, Fraction(v)) for v in orbit]
+    want = [i for i, (v, z) in enumerate(zip(orbit, states))
+            if not exactly_near(m, v, z, radius, t0)]
+    seq = OrbitSequence(np.array(states))
+    got = (orbits.classical_ns_set(seq, x, f, t0) if name == "classical"
+           else ns_set(seq, x, f, m, radius, t0))
+    assert got.indices.tolist() == want and got.universe == n
+
+
+def test_an_exact_float_orbit_is_valid_below_float_resolution(tent2, standard_metric):
+    # tent:2 steps 0.3 exactly in floats; the float kernel, comparing with
+    # 1 - 1e-17 = 1.0, flagged all 50 transitions and all 51 indices
+    orb = tent2.orbit(0.3, 50)
+    for delta in (1e-17, 5e-324):
+        assert validate_f_pseudo_orbit(orb, tent2, standard_metric, delta, 1.0).is_empty
+        assert ns_set(orb, 0.3, tent2, standard_metric, delta, 1.0).is_empty
+    assert classical_validate(orb, tent2, 5e-324).is_empty
+    assert orbits.classical_ns_set(orb, 0.3, tent2, 5e-324).is_empty
+
+
+def test_chain_transitions_stay_in_the_float_filter(monkeypatch):
+    # a chain's walk-back radius sits below delta by the float slack and
+    # 2**-50, so no transition of its re-verification reaches the exact path
+    calls, decide = [], orbits._outside_ball
+
+    def counted(*args):
+        calls.append(args)
+        return decide(*args)
+
+    monkeypatch.setattr(orbits, "_outside_ball", counted)
+    chains = []
+    for spec, name in (("tent:2", "standard"), ("tent:sqrt2", "standard"),
+                       ("example43", "ratio-phi"), ("example43", "standard")):
+        f, m = map_from_spec(spec), metric_from_name(name)
+        for x, y in ((0.2, 0.8), (0.9, 0.1), (0.05, 0.95)):
+            for delta in (0.1, 0.05, 0.01):
+                chains.append(chain_search(x, y, f, m, delta, 1.0))
+    assert sum(chain is not None and len(chain) > 2 for chain in chains) >= 20
+    assert calls == []
 
 
 # in floats f(0.8680000000000001) = 1.0000000000000002, outside the domain

@@ -119,7 +119,8 @@ def test_classical_crossing_orbit_has_no_witness(three_piece):
     seq = build_nonshadowable_orbit(0.01)
     verdict = classical_shadow_search(seq, three_piece, eps=0.125, resolution=1e-4)
     assert not verdict.found
-    assert verdict.worst_value >= 0.125
+    # a nearness of at most 1/2 at horizon 1/8: a distance of at least 1/8
+    assert verdict.eps == 0.5 and verdict.t0 == 0.125 and verdict.worst_value <= 0.5
 
 
 def test_ergodic_true_orbit(tent2, standard_metric):
@@ -336,8 +337,11 @@ def test_verdict_serialization(tent2, standard_metric):
                             resolution=1e-2)
     payload = verdict.to_dict()
     assert payload["verdict"] in ("witness-found", "no-witness")
-    assert set(payload) >= {"witness", "worst_index", "worst_value", "grid",
-                            "candidates", "eps", "t0", "mode"}
+    assert set(payload) == {"verdict", "witness", "worst_index", "worst_value", "grid",
+                            "candidates", "eps", "t0", "near_miss"}
+    classical = classical_shadow_search(orb, tent2, eps=0.05, resolution=1e-2).to_dict()
+    assert set(classical) == set(payload)
+    assert (classical["eps"], classical["t0"]) == (0.5, 0.05)
 
 
 def test_shadow_search_eps_validation(tent2, standard_metric):

@@ -65,67 +65,65 @@ PINNED = {
     "fuzzy-tent2-flat": {
         "verdict": "witness-found", "witness": 0.0, "worst_index": 52,
         "worst_value": 0.9047619047619048, "grid": 0.001, "candidates": 1001, "eps": 0.1,
-        "t0": 9.5, "mode": "fuzzy", "near_miss": None,
+        "t0": 9.5, "near_miss": None,
     },
     "fuzzy-tent2-tight": {
         "verdict": "no-witness", "witness": None, "worst_index": 2,
         "worst_value": 0.9281913234835582, "grid": 0.001, "candidates": 1001, "eps": 0.01,
-        "t0": 0.5, "mode": "fuzzy", "near_miss": 0.299,
+        "t0": 0.5, "near_miss": 0.299,
     },
     "fuzzy-sqrt2-quiet": {
         "verdict": "no-witness", "witness": None, "worst_index": 17,
         "worst_value": 0.9443740006633238, "grid": 0.0001, "candidates": 10001, "eps": 0.05,
-        "t0": 0.1, "mode": "fuzzy", "near_miss": 0.29910000000000003,
+        "t0": 0.1, "near_miss": 0.29910000000000003,
     },
     "fuzzy-e43-ratio-phi": {
         "verdict": "no-witness", "witness": None, "worst_index": 25,
         "worst_value": 0.7751102075099623, "grid": 0.001, "candidates": 1000, "eps": 0.2,
-        "t0": 1.0, "mode": "fuzzy", "near_miss": 0.312,
+        "t0": 1.0, "near_miss": 0.312,
     },
     "fuzzy-e43-ratio": {
         "verdict": "no-witness", "witness": None, "worst_index": 25,
         "worst_value": 0.7751102075099623, "grid": 0.001, "candidates": 1000, "eps": 0.2,
-        "t0": 1.0, "mode": "fuzzy", "near_miss": 0.312,
+        "t0": 1.0, "near_miss": 0.312,
     },
     "fuzzy-e43-standard": {
         "verdict": "witness-found", "witness": 0.001, "worst_index": 46,
         "worst_value": 0.8888887780243964, "grid": 0.001, "candidates": 1000, "eps": 0.2,
-        "t0": 4.000000000000022, "mode": "fuzzy", "near_miss": None,
+        "t0": 4.000000000000022, "near_miss": None,
     },
     "classical-e43-crossing": {
         "verdict": "no-witness", "witness": None, "worst_index": 25,
-        "worst_value": 0.14498117600696603, "grid": 0.0001, "candidates": 10000,
-        "eps": 0.125, "t0": None, "mode": "classical", "near_miss": 0.3749,
+        "worst_value": 0.46299524229339145, "grid": 0.0001, "candidates": 10000,
+        "eps": 0.5, "t0": 0.125, "near_miss": 0.3749,
     },
     "classical-tent2-noisy": {
         "verdict": "no-witness", "witness": None, "worst_index": 7,
-        "worst_value": 0.052452476272217496, "grid": 0.001, "candidates": 1001, "eps": 0.05,
-        "t0": None, "mode": "classical", "near_miss": 0.28800000000000003,
+        "worst_value": 0.4880311518010495, "grid": 0.001, "candidates": 1001, "eps": 0.5,
+        "t0": 0.05, "near_miss": 0.28800000000000003,
     },
     "classical-sqrt2-quiet": {
         "verdict": "no-witness", "witness": None, "worst_index": 24,
-        "worst_value": 0.06284480990016472, "grid": 0.0001, "candidates": 10001,
-        "eps": 0.05, "t0": None, "mode": "classical", "near_miss": 0.3028,
+        "worst_value": 0.44308639488369606, "grid": 0.0001, "candidates": 10001,
+        "eps": 0.5, "t0": 0.05, "near_miss": 0.3028,
     },
     "classical-fixed-point": {
-        "verdict": "witness-found", "witness": 0.0, "worst_index": 0, "worst_value": 0.0,
-        "grid": 0.01, "candidates": 101, "eps": 0.1, "t0": None, "mode": "classical",
-        "near_miss": None,
+        "verdict": "witness-found", "witness": 0.0, "worst_index": 0, "worst_value": 1.0,
+        "grid": 0.01, "candidates": 101, "eps": 0.5, "t0": 0.1, "near_miss": None,
     },
     "classical-sqrt2-walk": {
         "verdict": "witness-found", "witness": 0.301, "worst_index": 51,
-        "worst_value": 0.08495470380305137, "grid": 0.001, "candidates": 1001, "eps": 0.1,
-        "t0": None, "mode": "classical", "near_miss": None,
+        "worst_value": 0.5406729212277012, "grid": 0.001, "candidates": 1001, "eps": 0.5,
+        "t0": 0.1, "near_miss": None,
     },
     "classical-sqrt2-rough": {
         "verdict": "no-witness", "witness": None, "worst_index": 41,
-        "worst_value": 0.12702111020109963, "grid": 0.001, "candidates": 1001, "eps": 0.1,
-        "t0": None, "mode": "classical", "near_miss": 0.33,
+        "worst_value": 0.4404876705581172, "grid": 0.001, "candidates": 1001, "eps": 0.5,
+        "t0": 0.1, "near_miss": 0.33,
     },
     "classical-tent2-orbit": {
-        "verdict": "witness-found", "witness": 0.3, "worst_index": 0, "worst_value": 0.0,
-        "grid": 0.001, "candidates": 1001, "eps": 0.01, "t0": None, "mode": "classical",
-        "near_miss": None,
+        "verdict": "witness-found", "witness": 0.3, "worst_index": 0, "worst_value": 1.0,
+        "grid": 0.001, "candidates": 1001, "eps": 0.5, "t0": 0.01, "near_miss": None,
     },
 }
 
@@ -341,6 +339,12 @@ def _dense_survivors(seq, f, cands, score, floor):
     return None, i, float(scores[j, i]), float(cands[j])
 
 
+def _classical(f, eps):
+    """The score and floor of classical comparisons at eps: the nearness
+    under CLASSICAL at horizon eps, which is above 1/2 iff d < eps."""
+    return orbits.fuzzy_score(f, fm.CLASSICAL, eps), 0.5
+
+
 @st.composite
 def _survivor_inputs(draw):
     name = draw(st.sampled_from(("classical", *fm.METRIC_NAMES)))
@@ -351,8 +355,7 @@ def _survivor_inputs(draw):
                                   systems.tent(1.6), systems.example43_map()]))
     resolution = 1.0 / draw(st.integers(4, 400))
     if name == "classical":
-        cands, score = f.grid(resolution), orbits.classical_score
-        floor = -draw(st.floats(1e-3, 0.5))
+        cands, (score, floor) = f.grid(resolution), _classical(f, draw(st.floats(1e-3, 0.5)))
     else:
         m = (fm.StandardFuzzyMetric(lo_open=f.lo_open) if name == "standard"
              else fm.metric_from_name(name))
@@ -387,14 +390,14 @@ _LEAKY = systems.IntervalMap((
 
 # candidates at distance exactly eps from the one state die under "<= floor"
 @example(case=(orbits.OrbitSequence(np.array([0.25])), systems.tent(2.0),
-               systems.tent(2.0).grid(0.25), orbits.classical_score, -0.25))
+               systems.tent(2.0).grid(0.25), *_classical(systems.tent(2.0), 0.25)))
 # the least candidate alive at index 0 dies at index 48 and the one after it
 # at 54, both past the first probe chunk; the witness is the true orbit's start
-@example(case=(_SLOW.orbit(0.01, 299), _SLOW, _SLOW.grid(1 / 400), orbits.classical_score, -0.1))
+@example(case=(_SLOW.orbit(0.01, 299), _SLOW, _SLOW.grid(1 / 400), *_classical(_SLOW, 0.1)))
 # a probe whose float orbit leaves the domain gives up, and the loop drops
 # the candidate where the score matrix does
 @example(case=(orbits.OrbitSequence(np.array([0.233, 0.0, 0.2])), _LEAKY, np.array([0.233, 0.5]),
-               orbits.classical_score, -0.1))
+               *_classical(_LEAKY, 0.1)))
 # at the uniform horizon every candidate traces
 @example(case=(orbits.perturbed_orbit(systems.tent(2.0), 0.3, 299, 0.1, seed=3), systems.tent(2.0),
                _STD.grid(1 / 400),
@@ -404,7 +407,7 @@ _LEAKY = systems.IntervalMap((
 # index, and an empty index-0 run
 @example(case=(orbits.perturbed_orbit(systems.tent(math.sqrt(2)), 0.3, 20, 1e-2, seed=5),
                systems.tent(math.sqrt(2)), systems.tent(math.sqrt(2)).grid(1e-4),
-               orbits.classical_score, -0.05))
+               *_classical(systems.tent(math.sqrt(2)), 0.05)))
 @example(case=(orbits.perturbed_orbit(systems.tent(2.0), 0.3, 20, 0.1, seed=3), systems.tent(2.0),
                _STD.grid(1e-4),
                orbits.fuzzy_score(systems.tent(2.0), _STD, fm.uniform_horizon(_STD, 0.1)), 0.9))
@@ -440,7 +443,7 @@ def _run_inputs(draw):
     cands = f.grid(draw(st.sampled_from(_RUN_GRIDS)))
     eps = draw(st.floats(0.005, 0.995))
     if name == "classical":
-        return cands, _run_state(draw, f, cands), orbits.classical_score, -eps
+        return cands, _run_state(draw, f, cands), *_classical(f, eps)
     m = _STD if name == "standard" else fm.metric_from_name(name)
     # 5e-324 scales every ratio-phi score into the subnormals, where whole
     # stretches of the grid tie
@@ -458,7 +461,7 @@ _E43 = systems.example43_map()
 
 
 # a candidate at exactly the floor dies: the run is the state's grid point
-@example(case=(systems.tent(2.0).grid(0.25), 0.25, orbits.classical_score, -0.25))
+@example(case=(systems.tent(2.0).grid(0.25), 0.25, *_classical(systems.tent(2.0), 0.25)))
 # the state on the grid: alone under ratio-phi below t0 = 1 - eps, inside a
 # run under ratio
 @example(case=(_E43.grid(1e-3), 0.501, orbits.fuzzy_score(_E43, fm.RatioPhiFuzzyMetric(), 0.5),
@@ -497,8 +500,8 @@ def test_index0_run_matches_dense_mask(case):
 
 def test_index0_run_edge_cases_are_what_they_claim():
     # the examples above are only edge cases if these hold
-    exact = orbits.classical_score(systems.tent(2.0).grid(0.25), 0.25)
-    assert list(exact) == [-0.25, 0.0, -0.25, -0.5, -0.75]
+    exact = _classical(systems.tent(2.0), 0.25)[0](systems.tent(2.0).grid(0.25), 0.25)
+    assert list(exact) == [0.5, 1.0, 0.5, 1 / 3, 0.25]
     assert 0.501 in _E43.grid(1e-3) and 0.5001 in _E43.grid(1e-4)
     rphi = orbits.fuzzy_score(_E43, fm.RatioPhiFuzzyMetric(), 0.5)
     tie = rphi(_E43.grid(0.1), 0.7483314773547883)
@@ -538,13 +541,13 @@ def test_trace_stops_exactly_at_violations(start):
     f = systems.tent(math.sqrt(2))
     states = f.orbit(0.3, 299).states[start:]
     x = float(states[0])
-    scores = shadowing._trace(f, x, states, orbits.classical_score, -1e-9)
-    assert np.array_equal(scores, np.zeros(states.size))
+    scores = shadowing._trace(f, x, states, *_classical(f, 1e-9))
+    assert np.array_equal(scores, np.ones(states.size))
     violations = {0, 7, 8, 39, 40, 299 - start}
     for k in sorted(violations & set(range(states.size))):
         bad = states.copy()
         bad[k] += 0.5 if bad[k] < 0.5 else -0.5
-        assert shadowing._trace(f, x, bad, orbits.classical_score, -1e-9) == f" at index {k}"
+        assert shadowing._trace(f, x, bad, *_classical(f, 1e-9)) == f" at index {k}"
 
 
 class _SkewedMap(systems.IntervalMap):
@@ -605,13 +608,10 @@ def test_witness_search_work_is_linear_when_every_candidate_traces():
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_pinned_evidence_matches_dense_matrix(case):
     seq, f, m, eps, t0, grid = _searches()[case]
-    if m is None:
-        witness, index, value, near = _dense_survivors(seq, f, f.grid(grid),
-                                                       orbits.classical_score, -eps)
-        value = 0.0 - value
-    else:
-        witness, index, value, near = _dense_survivors(seq, f, f.grid(grid),
-                                                       orbits.fuzzy_score(f, m, t0), 1.0 - eps)
+    if m is None:  # classical: the standard metric on the whole float line at (1/2, eps)
+        m, eps, t0 = fm.CLASSICAL, 0.5, eps
+    witness, index, value, near = _dense_survivors(seq, f, f.grid(grid),
+                                                   orbits.fuzzy_score(f, m, t0), 1.0 - eps)
     pin = PINNED[case]
     assert json.dumps([witness, index, value, near]) == json.dumps(
         [pin["witness"], pin["worst_index"], pin["worst_value"], pin["near_miss"]])
