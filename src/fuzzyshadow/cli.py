@@ -16,9 +16,9 @@ Exit codes: 0 for found/pass, 1 for a negative verdict, 2 for usage errors,
 including numeric parameters out of range and radii too small to decide in
 floats, and 3 when a witness or a chain fails its independent re-check.
 The float searches' radii (``shadow --eps``, ``sweep --eps-list``, the
-``mix`` radii) must exceed the metric's float slack on the map at the
-horizon, and ``chain --delta`` 4 ulp(1) plus twice that slack; the error
-line names the bound.  The validators are exact at any delta in (0, 1).
+``mix`` radii) and ``chain --delta`` must exceed the metric's float slack
+on the map at the horizon; the error line names the bound.  The validators
+are exact at any delta in (0, 1), and a chain is re-checked at its delta.
 Reports are deterministic JSON (no timestamps); stdout carries one summary
 line per run.  Map graphs are emitted as self-contained SVG.
 

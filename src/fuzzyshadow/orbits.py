@@ -20,10 +20,13 @@ Conventions, fixed package-wide:
   judgments against an explicit threshold, never limit claims;
 * chains live on the continuum: every ball is an interval, and so is the
   image of an interval, so the ends of all chains of length n from x form
-  one interval R_n.  It is stepped exactly in Python integers, on balls
-  shrunk by a float-error slack, and rounded inward to float ends, so that
-  every state of R_n ends a float chain that validate_f_pseudo_orbit
-  accepts.  The walk-back pulls balls back through the same pieces.
+  one interval R_n.  It is stepped exactly in Python integers, on balls of
+  radius delta less the float slack, and rounded inward to float ends, so
+  that every state of R_n ends a float chain at delta itself.  The
+  walk-back pulls the balls of radius delta back through the same pieces,
+  and validate_f_pseudo_orbit re-checks the chain at delta.  Under
+  singleton balls every ball is the closed ball of radius 0, so a chain is
+  an exact orbit through floats.
 """
 
 from __future__ import annotations
@@ -273,25 +276,28 @@ def fuzzy_score(f, m, t0: float):
     return lambda x, y: m.eval_array(x, y, t0)
 
 
-def _ball_filter(f, m, delta: float, t0: float):
+def _ball_filter(f, m, delta: float, t0: float, mapped: bool):
     """outside(c, z, sources): the indices j with z_j outside the open ball
     {z : M(u_j, z, t0) > 1 - delta} about the exact image u_j of sources_j,
-    of which c_j is the float, or about c_j when sources is None.
+    of which c_j is the float, when mapped; about c_j itself, sources None,
+    when not.
 
     With (q, r) = m.ball_rule ((1, 0) for singletons), z is inside iff
-    d = q max(z, u) - min(z, u) < r: every rule has q = 1 or r = 0.  d in
-    floats from c is within G = (1 + q) 2**-49 S + 2**-1075 of d at u,
-    S = f.eval_scale: |c - u| < 2**-51 S (see float_slack), states are
-    at most S in size, and rounding adds under 2**-51 (1 + q) S and an
-    underflow.  Only d within G of r is decided exactly, in integers over
-    D of f.integer_table (_outside_ball)."""
+    d = q max(z, u) - min(z, u) < r: every rule has q = 1 or r = 0, and
+    q <= 1.  States are at most S = f.eval_scale in size, so rounding q, the
+    product and the difference adds under (1 + q) 2**-51 S and an underflow
+    to d at c.  When mapped, |c - u| < 2**-51 S (see float_slack) moves d by
+    under 2**-51 S more, and G = (1 + q) 2**-49 S + 2**-1075 bounds the
+    error of d in floats from c; when not, c is u, and G = (1 + q) 2**-51 S
+    + 2**-1075.  Only d within G of r is decided exactly, in integers over D
+    of f.integer_table (_outside_ball)."""
     _require_finite_positive("horizon", t0)
     require_map_in_space(f, m)
     rule = m.ball_rule(delta, t0)
     (qn, qd), (rn, rd) = (c.as_integer_ratio() for c in rule) if rule else ((1, 1), (0, 1))
     sn, sd = f.eval_scale.as_integer_ratio()
     # quotients rounded, then stepped outward: g >= G, closer <= r - G, farther >= r + G
-    g = math.nextafter((qn + qd) * sn / (qd * sd << 49), math.inf)
+    g = math.nextafter((qn + qd) * sn / (qd * sd << (49 if mapped else 51)), math.inf)
     try:
         r = rn / rd
     except OverflowError:  # a ball wider than every float
@@ -323,11 +329,10 @@ def _ball_filter(f, m, delta: float, t0: float):
 
 
 def _outside_ball(ball, u: int, z: int) -> bool:
-    """Whether z / D is outside _integer_ball's ball about u / D ({u} if None)."""
-    if ball is None:
-        return z != u
-    lo_mul, lo_add, lo_den, hi_mul, hi_add, hi_den = ball
-    return not (u * lo_mul + lo_add < z * lo_den and z * hi_den < u * hi_mul + hi_add)
+    """Whether z / D is outside _integer_ball's ball about u / D."""
+    lo_mul, lo_add, lo_den, hi_mul, hi_add, hi_den, closed = ball
+    gap = 0 if closed else 1  # an end holds z when its integer margin is >= gap
+    return z * lo_den - u * lo_mul - lo_add < gap or u * hi_mul + hi_add - z * hi_den < gap
 
 
 def _transition_violations(seq: OrbitSequence, f, outside) -> IndexSet:
@@ -366,7 +371,7 @@ def validate_f_pseudo_orbit(seq: OrbitSequence, f, m, delta: float, t0: float) -
     """Indices i with M(f(x_i), x_{i+1}, t0) <= 1 - delta exactly: empty
     for a delta-pseudo-orbit.  Raises ValueError unless delta lies in (0, 1)."""
     _require_unit("delta", delta)
-    return _transition_violations(seq, f, _ball_filter(f, m, delta, t0))
+    return _transition_violations(seq, f, _ball_filter(f, m, delta, t0, True))
 
 
 def npo_set(seq: OrbitSequence, f, m, delta: float, t0: float) -> IndexSet:
@@ -379,7 +384,7 @@ def ns_set(seq: OrbitSequence, x: float, f, m, delta: float, t0: float) -> Index
     """Indices i with M(f^i(x), x_i, t0) <= 1 - delta exactly, for the float
     orbit of x.  Raises ValueError unless delta lies in (0, 1)."""
     _require_unit("delta", delta)
-    return _tracing_violations(seq, x, f, _ball_filter(f, m, delta, t0))
+    return _tracing_violations(seq, x, f, _ball_filter(f, m, delta, t0, False))
 
 
 def classical_validate(seq: OrbitSequence, f, delta: float) -> IndexSet:
@@ -515,18 +520,14 @@ def perturbed_orbit(f, x0: float, n: int, noise: float, seed: int = 0) -> OrbitS
 # -- chains over float-safe reach intervals ---------------------------------------
 
 
-def _chain_radii(x: float, y: float, f, m, delta: float, t0: float,
-                 n_max: int) -> tuple[Fraction, Fraction]:
-    """The radii of the reach balls and of the walk-back balls of chains.
-
-    Both sit below delta by the metric's float slack (reach twice, walk-back
-    once) plus 4 ulp(1) for the rounding of the kernel and of 1 - delta.  So
-    a state of R_k rounded to a float still has a predecessor under the
-    walk-back radius, and a float step inside a walk-back ball passes
-    validate_f_pseudo_orbit.  x and y must lie in the domain of f, and the
-    domain in the space of m.  A delta at or below 4 ulp(1) plus twice the
-    slack leaves no reach radius, and raises ValueError.  The radii are
-    worked out in integers over one denominator."""
+def _chain_radii(x: float, y: float, f, m, delta: float, t0: float, n_max: int) -> Fraction:
+    """The radius of the reach balls of chains: delta less the metric's
+    float slack, the margin that rounding a real predecessor to a float
+    needs, so that a state of R_{k+1} has a float predecessor in R_k under
+    delta itself, the radius of the walk-back balls and of the re-check.  x
+    and y must lie in the domain of f, and the domain in the space of m.  A
+    delta at or below the slack, the floor cli sets for the searches, leaves
+    no reach radius and raises ValueError."""
     if not (0.0 < delta < 1.0 and 0.0 < t0 < math.inf and 1 <= n_max <= MAX_STEPS):
         raise ValueError("chains need delta in (0, 1), a finite horizon t0 > 0 and "
                          f"n_max in [1, {MAX_STEPS}], got {delta!r}, {t0!r} and {n_max!r}")
@@ -538,35 +539,31 @@ def _chain_radii(x: float, y: float, f, m, delta: float, t0: float,
         if not f.contains(v):
             raise ValueError(f"state {v!r} outside domain of {f.name}")
     slack = m.float_slack(f, t0)
-    # walk = delta - 2**-50 - slack and radius = walk - slack, over the
-    # denominator dd sd 2**50
     (dn, dd), (sn, sd) = delta.as_integer_ratio(), slack.as_integer_ratio()
-    den, offset = dd * sd << 50, sn * dd << 50
-    walk = (dn * sd << 50) - dd * sd - offset
-    radius = walk - offset
-    if radius <= 0:  # delta <= 4 ulp(1) + 2 slack: require_resolved names the floor
-        require_resolved("delta", delta, 4 * Fraction(2.0**-52) + 2 * slack,
-                         f"4 ulp(1) plus twice the float slack of {m.name} on {f.name} "
-                         f"at t0 {t0!r}")
-    return Fraction(radius, den), Fraction(walk, den)
+    radius = dn * sd - sn * dd  # over dd sd
+    if radius <= 0:
+        require_resolved("delta", delta, slack,
+                         f"the float slack of {m.name} on {f.name} at t0 {t0!r}")
+    return Fraction(radius, dd * sd)
 
 
-def _integer_ball(f, m, radius: Fraction, t0: float) -> tuple[int, ...] | None:
-    """The open ball of the given radius at horizon t0 about a value V / D,
+def _integer_ball(f, m, radius: Fraction | float, t0: float) -> tuple[int, ...]:
+    """The ball of the given radius at horizon t0 about a value V / D,
     D = unit * 2**1074 the denominator of f.integer_table, as (lo_mul,
-    lo_add, lo_den, hi_mul, hi_add, hi_den): its ends are
-    (V lo_mul + lo_add) / (D lo_den) and (V hi_mul + hi_add) / (D hi_den).
-    None under singleton balls.
+    lo_add, lo_den, hi_mul, hi_add, hi_den, closed): its ends are
+    (V lo_mul + lo_add) / (D lo_den) and (V hi_mul + hi_add) / (D hi_den),
+    open, or closed when closed is true.
 
-    With (q, r) = (qn / qd, rn / rd) = m.ball_rule, the ends V q / D - r and
-    V / (q D) + r are (V qn rd - rn qd D) / (D qd rd) and
-    (V qd rd + rn qn D) / (D qn rd)."""
+    With (q, r) = (qn / qd, rn / rd) = m.ball_rule, the open ends V q / D - r
+    and V / (q D) + r are (V qn rd - rn qd D) / (D qd rd) and
+    (V qd rd + rn qn D) / (D qn rd).  Under singleton balls it is the closed
+    ball of radius 0, (1, 0, 1, 1, 0, 1, True)."""
     rule = m.ball_rule(radius, t0)
     if rule is None:
-        return None
+        return 1, 0, 1, 1, 0, 1, True
     (qn, qd), (rn, rd) = (c.as_integer_ratio() for c in rule)
     big_d = f.integer_table.unit << 1074
-    return qn * rd, -rn * qd * big_d, qd * rd, qd * rd, rn * qn * big_d, qn * rd
+    return qn * rd, -rn * qd * big_d, qd * rd, qd * rd, rn * qn * big_d, qn * rd, False
 
 
 def _reach_step(f, m, radius: Fraction, t0: float):
@@ -576,20 +573,14 @@ def _reach_step(f, m, radius: Fraction, t0: float):
 
     The step is exact in Python integers.  f.integer_image gives the least
     and greatest value of f over [a, b] as integers lo and hi over the
-    denominator D of f.integer_table.  The ball's open ends about lo and hi
+    denominator D of f.integer_table.  The ball's ends about lo and hi
     (_integer_ball) are integers N over D times one denominator a side,
-    which _float_inside rounds inward.  An end beyond f.least or
-    f.greatest, the least or greatest float of X, is that float instead.
-    Under singleton balls the step is the float orbit's, cut by X."""
+    which _float_inside rounds inward, open or closed as the ball's ends
+    are.  An end beyond f.least or f.greatest, the least or greatest float
+    of X, is that float instead.  Under singleton balls B(f([a, b])) is
+    f([a, b]) itself."""
     least, greatest = f.least, f.greatest
-    ball = _integer_ball(f, m, radius, t0)
-    if ball is None:
-        def step(a, b):
-            v = f.eval(a)
-            return max(v, least), min(v, greatest)
-        return step
-
-    lo_mul, lo_add, lo_den, hi_mul, hi_add, hi_den = ball
+    lo_mul, lo_add, lo_den, hi_mul, hi_add, hi_den, closed = _integer_ball(f, m, radius, t0)
     # a side's end is N / (D den) = N / (unit den 2**1074), and its bound is
     # the least or greatest float of X over that
     unit = f.integer_table.unit
@@ -600,9 +591,9 @@ def _reach_step(f, m, radius: Fraction, t0: float):
     def step(a, b):
         lo, hi = image(_numerator(a), _numerator(b))
         n = lo * lo_mul + lo_add
-        a = least if n < lo_bound else _float_inside(n, lo_unit, True)
+        a = least if n < lo_bound else _float_inside(n, lo_unit, True, closed)
         n = hi * hi_mul + hi_add
-        b = greatest if n > hi_bound else _float_inside(n, hi_unit, False)
+        b = greatest if n > hi_bound else _float_inside(n, hi_unit, False, closed)
         return a, b
 
     return step
@@ -611,9 +602,11 @@ def _reach_step(f, m, radius: Fraction, t0: float):
 def _reach_sets(x: float, f, m, radius: Fraction, t0: float, n_max: int):
     """Yield R_1, ..., R_{n_max} as float pairs (lo, hi), empty when
     lo > hi: R_1 = {x}, and R_{k+1} holds the floats of B(f(R_k)) & X,
-    where B is the union of the open balls of the given radius at horizon
-    t0 and X the domain of f (see _reach_step).  Under singleton balls the
-    only chain is the float orbit."""
+    where B is the union of the balls of the given radius at horizon t0
+    (_integer_ball) and X the domain of f (see _reach_step).  Under singleton balls
+    R_{k+1} is the exact image of the one state of R_k when that image is a
+    float of X, and empty otherwise: the only chain is an exact orbit
+    through floats."""
     step = _reach_step(f, m, radius, t0)
     reach, prev = (float(x) + 0.0,) * 2, None
     for _ in range(n_max):
@@ -624,27 +617,25 @@ def _reach_sets(x: float, f, m, radius: Fraction, t0: float, n_max: int):
             reach = step(*reach)
 
 
-def _walk_step(f, m, walk: Fraction, t0: float):
+def _walk_step(f, m, delta: float, t0: float):
     """The step (a, b, s) -> x of the walk-back from s: x is the float
     midpoint of the floats of the widest piece of [a, b] & f^-1(B(s)), the
-    leftmost on ties, or None when no piece holds a float.  B(s) is the open
-    ball of radius walk at horizon t0 about s, or {s} under singleton balls;
+    leftmost on ties, or None when no piece holds a float.  B(s) is the ball
+    of radius delta at horizon t0 about s, the one the re-check reads;
     [a, b] is a closed interval of floats of the domain of f.
 
     The step is exact in Python integers.  s is S unit / D with
     S = s * 2**1074, so by _integer_ball the ball's ends are L / (D ld) and
     H / (D hd) with L = S unit lo_mul + lo_add and H = S unit hi_mul +
-    hi_add; a closed ball {s} is (1, 0, 1, 1, 0, 1).  On a piece
-    f(v) = (slope V + c) / D of f.integer_table, f(v) > L / (D ld) iff
-    slope ld V > L - c ld, and likewise at H, so each end of the preimage
-    is one quotient over slope ld or slope hd, swapped on a decreasing
-    piece.  An end that [lo, hi] already meets, or that no float of it
-    meets, is decided by comparing products, before any division, so that
-    a bound beyond every float is never divided out.  The rest rounds
-    through _float_inside, within the piece's floats (f.piece_floats)."""
-    ball = _integer_ball(f, m, walk, t0)
-    closed = ball is None
-    lo_mul, lo_add, ld, hi_mul, hi_add, hd = (1, 0, 1, 1, 0, 1) if closed else ball
+    hi_add.  On a piece f(v) = (slope V + c) / D of f.integer_table,
+    f(v) > L / (D ld) iff slope ld V > L - c ld, and likewise at H, so each
+    end of the preimage is one quotient over slope ld or slope hd, swapped
+    on a decreasing piece.  An end that [lo, hi] already meets, or that no
+    float of it meets, is decided by comparing products, before any
+    division, so that a bound beyond every float is never divided out.  The
+    rest rounds through _float_inside, within the piece's floats
+    (f.piece_floats)."""
+    lo_mul, lo_add, ld, hi_mul, hi_add, hd, closed = _integer_ball(f, m, delta, t0)
     unit, knots, slopes, intercepts, _ = f.integer_table
     pieces = tuple(zip(slopes, intercepts, f.piece_floats))
     last = len(pieces)
@@ -689,13 +680,12 @@ def _walk_step(f, m, walk: Fraction, t0: float):
     return step
 
 
-def _walk_back(path: list, y: float, f, m, walk: Fraction, delta: float,
-               t0: float) -> OrbitSequence:
+def _walk_back(path: list, y: float, f, m, delta: float, t0: float) -> OrbitSequence:
     """The chain through the reach sets of path, then y, where y lies in the
     set after path's last: walked back from y by _walk_step (a one-point
     set gives its one state), then re-verified with validate_f_pseudo_orbit.
     A chain that fails raises VerificationError."""
-    step = _walk_step(f, m, walk, t0) if path else None
+    step = _walk_step(f, m, delta, t0) if path else None
     states = [float(y)]
     for a, b in reversed(path):
         v = a if a == b else step(a, b, states[-1])
@@ -724,11 +714,11 @@ def chain_search(x: float, y: float, f, m, delta: float, t0: float,
     rejects raises VerificationError.  ``resolution`` is unused: perfbench/
     passes grids there positionally, and its chain-node hook reads it.
     """
-    radius, walk = _chain_radii(x, y, f, m, delta, t0, n_max)
+    radius = _chain_radii(x, y, f, m, delta, t0, n_max)
     path = []
     for reach in _reach_sets(x, f, m, radius, t0, n_max):
         if reach[0] <= y <= reach[1]:
-            return _walk_back(path, y, f, m, walk, delta, t0)
+            return _walk_back(path, y, f, m, delta, t0)
         path.append(reach)
     return None
 
@@ -752,7 +742,7 @@ def chain_mixing_check(x: float, y: float, f, m, delta: float, t0: float,
     (those with y in R_n), and the least onset after which every length
     occurs.  ``resolution`` is unused, as in chain_search.
     """
-    radius, _ = _chain_radii(x, y, f, m, delta, t0, n_max)
+    radius = _chain_radii(x, y, f, m, delta, t0, n_max)
     return _lengths(x, y, f, m, radius, t0, n_max)[1]
 
 
@@ -760,7 +750,7 @@ def chain_with_lengths(x: float, y: float, f, m, delta: float, t0: float,
                        n_max: int = 64) -> tuple[OrbitSequence | None, MixingReport]:
     """chain_search and chain_mixing_check of the same arguments from one
     pass over the reach sets: what ``chain --lengths`` reports."""
-    radius, walk = _chain_radii(x, y, f, m, delta, t0, n_max)
+    radius = _chain_radii(x, y, f, m, delta, t0, n_max)
     path, report = _lengths(x, y, f, m, radius, t0, n_max)
-    chain = _walk_back(path, y, f, m, walk, delta, t0) if report.present else None
+    chain = _walk_back(path, y, f, m, delta, t0) if report.present else None
     return chain, report

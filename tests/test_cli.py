@@ -638,6 +638,40 @@ def test_a_chain_below_float_resolution_exits_2(tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+_CHAIN_VERDICTS = [
+    # at the float slack the chain floor names it, as the searches' floor does
+    (["--map", _SQRT2, "--metric", "standard", "--delta", "BOUND", "--to", "0.4242640687119285"],
+     2, None),
+    # at the old floor, 4 ulp(1) plus twice the slack, this printed "none"
+    (["--map", _SQRT2, "--metric", "standard", "--delta", "4.288504773294291e-15",
+      "--to", "0.4242640687119285"], 0, [0.3, 0.4242640687119285]),
+    # singleton balls: the float f(0.3) = 0.35 is not the exact image, and
+    # the float-orbit step failed its re-check with exit 3
+    (["--map", "example43", "--metric", "ratio-phi", "--t0", "0.5", "--delta", "0.1",
+      "--to", "0.35"], 1, None),
+]
+
+
+@pytest.mark.parametrize("argv, rc, states", _CHAIN_VERDICTS,
+                         ids=["slack-floor", "old-floor", "singleton"])
+def test_chain_verdicts_near_the_floor_and_under_singleton_balls(tmp_path, capsys, argv, rc,
+                                                                 states):
+    bound = repr(_sqrt2_slack_bound())
+    argv = ["chain", "--from", "0.3"] + [bound if a == "BOUND" else a for a in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == rc
+    captured = capsys.readouterr()
+    if rc == 2:
+        assert captured.err == (f"error: delta {bound} is too small to decide in floats: it "
+                                f"must exceed {bound}, the float slack of standard on "
+                                "tent:1.41421 at t0 1.0\n")
+        assert not out.exists()
+        return
+    assert captured.err == ""
+    report = read_report(out, "chain.json")
+    assert report["found"] is (rc == 0) and report["states"] == states
+
+
 _MIX = ["mix", "--map", "tent:2", "--metric", "standard", "--u-center", "0.2",
         "--v-center", "0.8", "--n-max", "8"]
 
@@ -703,14 +737,11 @@ def test_mix_radius_just_above_float_resolution_runs(tmp_path, capsys):
     ["shadow", "--eps", "ABOVE", "--orbit", "ORBIT"],
     ["density", "--delta", "ABOVE", "--orbit", "ORBIT"],
     ["sweep", "--eps-list", "ABOVE", "--delta-list", "ABOVE", "--orbit", "ORBIT"],
-    ["chain", "--from", "0.3", "--to", "0.4242640687119285", "--delta", "CHAIN_ABOVE"],
+    ["chain", "--from", "0.3", "--to", "0.4242640687119285", "--delta", "ABOVE"],
 ], ids=lambda argv: argv[0])
 def test_radii_just_above_float_resolution_still_run(tmp_path, capsys, sqrt2_orbit, argv):
-    f = systems.map_from_spec(_SQRT2)
-    least = 4 * Fraction(2.0**-52) + 2 * StandardFuzzyMetric().float_slack(f, 1.0)
     # the float after the nearest float of a bound exceeds the bound
-    subs = {"ABOVE": repr(math.nextafter(_sqrt2_slack_bound(), math.inf)), "ORBIT": sqrt2_orbit,
-            "CHAIN_ABOVE": repr(math.nextafter(float(least), math.inf))}
+    subs = {"ABOVE": repr(math.nextafter(_sqrt2_slack_bound(), math.inf)), "ORBIT": sqrt2_orbit}
     argv = [subs.get(a, a) for a in argv]
     rc = main(argv + ["--map", _SQRT2, "--metric", "standard", "--out", str(tmp_path)])
     assert rc in (0, 1) and capsys.readouterr().err == ""

@@ -554,6 +554,12 @@ def test_chain_with_singleton_balls_is_the_true_orbit(three_piece, ratio_phi_met
     rep = chain_mixing_check(0.25, orbit[-1], three_piece, ratio_phi_metric, 0.05, 0.5,
                              n_max=10)
     assert rep.present == (6,) and rep.n0 is None
+    # the float f(0.3) = 0.35 is not the exact image, so no chain reaches
+    # it, where stepping the float orbit raised VerificationError
+    y = three_piece.eval(0.3)
+    assert three_piece.value(Fraction(0.3)) != y
+    for f in (three_piece, IteratedMap(three_piece, 2)):
+        assert chain_search(0.3, y, f, ratio_phi_metric, 0.1, 0.5) is None
 
 
 def test_chain_length_bounded_by_n_max(tent2, standard_metric):
@@ -599,7 +605,7 @@ def test_chain_that_fails_reverification_raises(tent2):
 def test_ratio_chain_reach_ends_stay_floats(three_piece, ratio_phi_metric):
     # exact ends under a ratio metric grow ~55 bits a step and never settle;
     # float ends keep each step small and settle on a float within ~90 steps
-    radius, _ = orbits._chain_radii(0.2, 0.8, three_piece, ratio_phi_metric, 0.1, 1.0, 2048)
+    radius = orbits._chain_radii(0.2, 0.8, three_piece, ratio_phi_metric, 0.1, 1.0, 2048)
     sets = [Interval(Fraction(a), Fraction(b))
             for a, b in orbits._reach_sets(0.2, three_piece, ratio_phi_metric, radius, 1.0, 2048)]
     assert len(sets) == 2048
@@ -666,10 +672,7 @@ def _fraction_reach_step(a, b, f, m, radius, t0) -> Interval:
     exact = getattr(f, "_power", f)  # a power map's composition
     reach = Interval(Fraction(a), Fraction(b))
     image = exact.image(reach)
-    ball = ball_union(m, image, radius, t0)
-    if ball == image:  # singleton balls: step the float orbit
-        ball = point(f.eval(float(reach.lo)))
-    return _round_in(ball & exact.domain)
+    return _round_in(ball_union(m, image, radius, t0) & exact.domain)
 
 
 @given(f=_rational_maps(), name=st.sampled_from(["standard", "ratio-phi", "ratio"]),
@@ -678,15 +681,17 @@ def _fraction_reach_step(a, b, f, m, radius, t0) -> Interval:
        | st.sampled_from([Fraction(1, 5), Fraction(1, 3), Fraction(1, 2)]),
        t0=st.floats(1e-3, 1.0) | st.floats(1.0, 1e300))
 def test_integer_ball_ends_are_the_ball_rules(f, name, big_v, radius, t0):
-    # about V / D, D = unit 2**1074, the ends are V q / D - r and
-    # V / (q D) + r exactly, with (q, r) = ball_rule; None under singletons
+    # about V / D, D = unit 2**1074, the open ends are V q / D - r and
+    # V / (q D) + r exactly, with (q, r) = ball_rule; under singleton balls
+    # the closed ends are V / D, the closed ball of radius 0
     m = metric_from_name(name)
     ball, rule = orbits._integer_ball(f, m, radius, t0), m.ball_rule(radius, t0)
     if rule is None:
-        assert ball is None
+        assert ball == (1, 0, 1, 1, 0, 1, True)
         return
     (q, r), big_d = rule, f.integer_table.unit << 1074
-    lo_mul, lo_add, lo_den, hi_mul, hi_add, hi_den = ball
+    lo_mul, lo_add, lo_den, hi_mul, hi_add, hi_den, closed = ball
+    assert closed is False
     assert Fraction(big_v * lo_mul + lo_add, big_d * lo_den) == big_v * q / big_d - r
     assert Fraction(big_v * hi_mul + hi_add, big_d * hi_den) == big_v / (q * big_d) + r
 
@@ -786,8 +791,9 @@ def test_an_exact_float_orbit_is_valid_below_float_resolution(tent2, standard_me
 
 
 def test_chain_transitions_stay_in_the_float_filter(monkeypatch):
-    # a chain's walk-back radius sits below delta by the float slack and
-    # 2**-50, so no transition of its re-verification reaches the exact path
+    # a chain's walk-back states are float midpoints of preimages of balls
+    # at delta, so no transition of its re-verification lies within the
+    # float filter's guard band of a ball's edge and reaches the exact path
     calls, decide = [], orbits._outside_ball
 
     def counted(*args):
@@ -818,7 +824,7 @@ _HALF_DOWN = pl_map([Fraction(-1), Fraction(1)],
 
 
 @example(f=_PEAK, name="ratio-phi", ends=[0.8680000000000001] * 2, delta=0.05, floor_ulps=None,
-         radius=None, t0=0.5)  # a singleton-ball float step that leaves the domain
+         radius=None, t0=0.5)  # a singleton-ball image that is not a float
 @example(f=_QUARTER, name="ratio-phi", ends=[5e-324] * 2, delta=0.05, floor_ulps=None,
          radius=None, t0=0.5)  # the set empties
 @example(f=example43_map(), name="ratio", ends=[5e-324] * 2, delta=0.1, floor_ulps=None,
@@ -838,19 +844,19 @@ def test_integer_reach_step_matches_the_fraction_step(f, name, ends, delta, floo
                                                       t0):
     # set for set and bit for bit, over six steps or until the set empties;
     # the radius is a chain's reach radius at delta, or at floor_ulps floats
-    # above the least delta chains accept, or given, when ball ends are
-    # often floats
+    # above the least delta chains accept (the float slack), or given, when
+    # ball ends are often floats
     m = StandardFuzzyMetric(lo=-1.0) if name == "standard" else metric_from_name(name)
     a, b = sorted(ends)
     assume(f.contains(a) and f.contains(b) and (name == "standard" or f.lo_open))
     if floor_ulps is not None:
-        least = 4 * Fraction(2.0**-52) + 2 * m.float_slack(f, t0)
+        least = m.float_slack(f, t0)
         delta = float(least)
         for _ in range(floor_ulps if delta > least else floor_ulps + 1):
             delta = math.nextafter(delta, math.inf)
     if radius is None:
         try:
-            radius, _ = orbits._chain_radii(a, b, f, m, delta, t0, 1)
+            radius = orbits._chain_radii(a, b, f, m, delta, t0, 1)
         except ValueError:  # delta at or below the floor, or delta >= 1
             assume(False)
     step = orbits._reach_step(f, m, radius, t0)
@@ -877,7 +883,7 @@ def _fraction_walk_step(a, b, s, f, m, walk, t0):
 
 def _fraction_chain(x, y, f, m, delta, t0, n_max):
     """chain_search's states with the walk-back done in Fractions, or None."""
-    radius, walk = orbits._chain_radii(x, y, f, m, delta, t0, n_max)
+    radius = orbits._chain_radii(x, y, f, m, delta, t0, n_max)
     path = []
     for a, b in orbits._reach_sets(x, f, m, radius, t0, n_max):
         if a <= y <= b:
@@ -887,7 +893,7 @@ def _fraction_chain(x, y, f, m, delta, t0, n_max):
         return None
     states = [float(y)]
     for a, b in reversed(path):
-        states.append(a if a == b else _fraction_walk_step(a, b, states[-1], f, m, walk, t0))
+        states.append(a if a == b else _fraction_walk_step(a, b, states[-1], f, m, delta, t0))
     return states[::-1]
 
 
@@ -941,23 +947,22 @@ def test_integer_walk_back_step_matches_the_fraction_step(f, name, ends, succ, i
                                                           floor_ulps, walk, t0):
     # bit for bit, None for None; the successor is a random float, or the
     # image of a point of the pair, and the radius a chain's walk-back
-    # radius at delta, or at floor_ulps floats above the least delta chains
-    # accept, or given, when ball ends are often floats
+    # radius, delta itself, or floor_ulps floats above the least delta
+    # chains accept (the float slack), or given, when ball ends are often
+    # floats
     m = StandardFuzzyMetric(lo=-1.0) if name == "standard" else metric_from_name(name)
     a, b = sorted(ends)
     assume(f.contains(a) and f.contains(b) and (name == "standard" or f.lo_open))
     if image:
         succ = f.eval(min(max(a + succ * (b - a), a), b))
     if floor_ulps is not None:
-        least = 4 * Fraction(2.0**-52) + 2 * m.float_slack(f, t0)
+        least = m.float_slack(f, t0)
         delta = float(least)
         for _ in range(floor_ulps if delta > least else floor_ulps + 1):
             delta = math.nextafter(delta, math.inf)
+        assume(delta < 1.0)
     if walk is None:
-        try:
-            _, walk = orbits._chain_radii(a, b, f, m, delta, t0, 1)
-        except ValueError:  # delta at or below the floor, or delta >= 1
-            assume(False)
+        walk = delta
     got = orbits._walk_step(f, m, walk, t0)(a, b, succ)
     expected = _fraction_walk_step(a, b, succ, f, m, walk, t0)
     assert (got if got is None else got.hex()) == (expected if expected is None
@@ -989,9 +994,9 @@ def test_the_walk_back_makes_no_fraction(monkeypatch):
     f, m = example43_map(), RatioPhiFuzzyMetric()
     expected = chain_search(0.26, 0.74, f, m, 0.1, 1.0)
     assert len(expected) > 2
-    radius, walk = orbits._chain_radii(0.26, 0.74, f, m, 0.1, 1.0, 64)
+    radius = orbits._chain_radii(0.26, 0.74, f, m, 0.1, 1.0, 64)
     path = list(orbits._reach_sets(0.26, f, m, radius, 1.0, len(expected)))[:-1]
-    step = orbits._walk_step(f, m, walk, 1.0)
+    step = orbits._walk_step(f, m, 0.1, 1.0)
     states = [0.74]
     with monkeypatch.context() as patch:
         patch.setattr(Fraction, "__new__", forbidden)
@@ -1027,16 +1032,16 @@ def test_a_chain_from_minus_zero_starts_at_zero(tent2, standard_metric):
        x=st.floats(0.0, 1.0, exclude_min=True), delta=st.floats(1e-6, 0.999),
        t0=st.floats(1e-3, 10.0), ulps=st.integers(0, 3))
 def test_walk_back_balls_hold_only_float_valid_steps(spec, name, x, delta, t0, ulps):
-    # a float state z within ulps floats of the edge of the walk-back ball
-    # around the exact image f(x), and inside it, is near f(x) in floats too
+    # a float state z within ulps floats of the edge of the walk-back ball,
+    # the ball of radius delta around the exact image f(x), and inside it,
+    # passes the re-check at delta
     f = map_from_spec(spec)
     if name != "standard" and not spec.startswith(("example43", "g:")):
         return
     m = (StandardFuzzyMetric(lo_open=f.lo_open) if name == "standard"
          else metric_from_name(name))
-    _, walk = orbits._chain_radii(x, x, f, m, delta, t0, 1)
     image = f.image(point(x))
-    ball = ball_union(m, image, walk, t0)
+    ball = ball_union(m, image, delta, t0)
     if ball == image:
         return
     for end, inward in ((ball.lo, math.inf), (ball.hi, -math.inf)):
@@ -1077,7 +1082,7 @@ def test_power_map_chains_pass_their_rechecks(name, metric, ends, delta, t0):
         assert chain.states.tolist() == found.states.tolist()
         assert (chain[0], chain[len(chain) - 1], report.present[0]) == (x, y, len(chain))
         assert len(chain) == 1 or validate_f_pseudo_orbit(chain, f, m, delta, t0).is_empty
-    radius, _ = orbits._chain_radii(x, y, f, m, delta, t0, 1)
+    radius = orbits._chain_radii(x, y, f, m, delta, t0, 1)
     reach = orbits._reach_sets(x, f, m, radius, t0, 8)
     a, b = next(reach)
     for got in reach:
@@ -1087,6 +1092,58 @@ def test_power_map_chains_pass_their_rechecks(name, metric, ends, delta, t0):
             break
         assert [v.hex() for v in got] == [float(e).hex() for e in (expected.lo, expected.hi)]
         a, b = got
+
+
+@example(f=example43_map(), power=False, name="ratio-phi", x=0.25, y=None, delta=0.05,
+         floor_ulps=None, t0=5.0, singleton=True)  # an exact float step
+@example(f=example43_map(), power=False, name="ratio-phi", x=0.3, y=None, delta=0.1,
+         floor_ulps=None, t0=5.0, singleton=True)  # a float step that is not exact
+@example(f=example43_map(), power=True, name="ratio-phi", x=0.3, y=None, delta=0.1,
+         floor_ulps=None, t0=5.0, singleton=True)
+@settings(deadline=None)
+@given(f=_rational_maps(), power=st.booleans(),
+       name=st.sampled_from(["standard", "ratio-phi", "ratio"]),
+       x=st.floats(0.0, 1.0) | st.sampled_from([0.125, 0.25, 0.5, 0.75, 1.0]),
+       y=st.none() | st.floats(0.0, 1.0), delta=st.floats(0.0, 0.9, exclude_min=True),
+       floor_ulps=st.none() | st.integers(1, 3), t0=st.floats(1e-3, 10.0),
+       singleton=st.booleans())
+def test_chains_certify_at_delta(f, power, name, x, y, delta, floor_ulps, t0, singleton):
+    # from just above the floor to 0.9, on powers and under singleton balls
+    # (ratio-phi at t0 <= 1 - delta) too: a chain found passes its re-check
+    # at delta, so chain_search never raises VerificationError, and the
+    # three entry points agree; y is free, or the float image of x
+    m = StandardFuzzyMetric(lo=-1.0) if name == "standard" else metric_from_name(name)
+    if power:
+        f = IteratedMap(f, 2)
+    assume(f.contains(x) and (name == "standard" or f.lo_open))
+    if y is None:
+        try:
+            y = f.eval(x)
+        except ValueError:  # a power's float steps leave the domain
+            assume(False)
+    assume(f.contains(y))
+    if singleton and name == "ratio-phi":
+        t0 = max(t0 / 10.0 * (1.0 - delta), 1e-3)
+        assume(m.ball_rule(delta, t0) is None)
+    least = m.float_slack(f, t0)
+    if floor_ulps is not None:
+        delta = float(least)
+        for _ in range(floor_ulps if delta > least else floor_ulps + 1):
+            delta = math.nextafter(delta, math.inf)
+    assume(least < delta <= 0.9)
+    chain = chain_search(x, y, f, m, delta, t0)
+    found, report = chain_with_lengths(x, y, f, m, delta, t0)
+    assert chain_mixing_check(x, y, f, m, delta, t0) == report
+    assert (chain is None) == (found is None) == (not report.present)
+    if chain is None:
+        return
+    assert chain.states.tolist() == found.states.tolist()
+    assert (chain[0], chain[len(chain) - 1], report.present[0]) == (x, y, len(chain))
+    assert len(chain) == 1 or validate_f_pseudo_orbit(chain, f, m, delta, t0).is_empty
+    if m.ball_rule(delta, t0) is None:  # an exact orbit through floats
+        exact = getattr(f, "_power", f)
+        states = chain.states.tolist()
+        assert all(exact.value(Fraction(u)) == v for u, v in zip(states, states[1:]))
 
 
 @pytest.mark.parametrize("kwargs", [{"delta": 0.0}, {"delta": 1.0}, {"t0": 0.0},
@@ -1101,20 +1158,26 @@ def test_chain_parameters_checked(tent2, standard_metric, kwargs):
 
 def test_chain_radius_below_float_resolution_raises(standard_metric):
     # f(0.3) is one float step from 0.3, yet at delta 1e-17 the reach radius
-    # was negative and the search answered "none"
+    # was negative and the search answered "none".  The floor is the float
+    # slack, as for the searches; the old floor, 4 ulp(1) plus twice the
+    # slack, now finds [0.3, f(0.3)]
     f = tent(math.sqrt(2))
     y = f.eval(0.3)
-    least = 4 * Fraction(2.0**-52) + 2 * standard_metric.float_slack(f, 1.0)
+    least = standard_metric.float_slack(f, 1.0)
     bound = float(least)
     if bound > least:
         bound = math.nextafter(bound, -math.inf)
+    assert bound == 1.7001631767970827e-15
     for check in (chain_search, chain_mixing_check):
         for delta in (1e-17, bound):
             with pytest.raises(ValueError, match=rf"^delta {delta!r} is too small to decide in "
-                                                 rf"floats: it must exceed {bound!r}, 4 ulp\(1\)"):
+                                                 rf"floats: it must exceed {bound!r}, the float "
+                                                 r"slack of standard on tent:1\.41421 at t0 1\.0$"):
                 check(0.3, y, f, standard_metric, delta, 1.0)
         check(0.3, y, f, standard_metric, math.nextafter(bound, math.inf), 1.0)
-    assert len(chain_search(0.3, y, f, standard_metric, 1e-14, 1.0)) == 2
+    old_floor = 4 * Fraction(2.0**-52) + 2 * least
+    for delta in (math.nextafter(float(old_floor), math.inf), 1e-14):
+        assert chain_search(0.3, y, f, standard_metric, delta, 1.0).states.tolist() == [0.3, y]
 
 
 @pytest.mark.parametrize("validate", [

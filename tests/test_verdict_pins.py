@@ -214,24 +214,24 @@ CHAIN_PINS = {
     "tent2-up-coarse": ([0.2, 0.4, 0.8], [*range(3, 33)], 3),
     "tent2-up-fine-tight": ([0.2, 0.4, 0.8], [3, *range(5, 33)], 5),
     "tent2-down-fine": ([0.9, 0.1], [*range(2, 33)], 2),
-    "tent2-edges-coarse-tight": ([0.05, 0.11595394736841909, 0.2375, 0.475, 0.95],
+    "tent2-edges-coarse-tight": ([0.05, 0.11595394736841982, 0.2375, 0.475, 0.95],
                                  [*range(5, 33)], 5),
-    "tent2-narrow-coarse": ([0.3, 0.5993568497474764, 0.8015625, 0.396875, 0.79375, 0.4125,
+    "tent2-narrow-coarse": ([0.3, 0.5993568497474759, 0.8015625, 0.396875, 0.79375, 0.4125,
                              0.825, 0.35, 0.7], [*range(9, 33)], 9),
-    "sqrt2-up-coarse": ([0.2, 0.3321926604863742, 0.4935590024087009, 0.8],
+    "sqrt2-up-coarse": ([0.2, 0.3321926604863743, 0.4935590024086997, 0.8],
                         [*range(4, 33)], 4),
     "sqrt2-core-fine-tight": ([0.3, 0.42426406871192845, 0.6], [*range(3, 33)], 3),
-    "sqrt2-outward-fine": ([0.5, 0.8170551113500745, 0.14925645217058764,
-                            0.10462051161054081, 0.05], [*range(5, 33)], 5),
-    "sqrt2-narrow-coarse": ([0.45, 0.63733586478001, 0.5119739123934922,
-                             0.6909018557031843, 0.43691648507217545, 0.6178932188134525,
+    "sqrt2-outward-fine": ([0.5, 0.8170551113500766, 0.1492564521705828,
+                            0.10462051161053487, 0.05], [*range(5, 33)], 5),
+    "sqrt2-narrow-coarse": ([0.45, 0.6373358647800114, 0.5119739123934894,
+                             0.6909018557031877, 0.43691648507217545, 0.6178932188134525,
                              0.5403805922287441, 0.65], [8, 10, 12, 14, 16, *range(18, 33)], 18),
-    "e43-up-coarse": ([0.2, 0.30478768333332984, 0.3922387314814759, 0.4646880092592519,
-                       0.524351414609045, 0.5902163065843473, 0.6861662665751989, 0.8],
+    "e43-up-coarse": ([0.2, 0.30478768333333084, 0.3922387314814781, 0.46468800925925524,
+                       0.5243514146090493, 0.5902163065843553, 0.6861662665752088, 0.8],
                       [*range(8, 33)], 8),
-    "e43-up-fine-tight": ([0.3, 0.3683041700982468, 0.422253121761775, 0.4647909766263358,
-                           0.49828914189118845, 0.5246018748895174, 0.5640137904681647,
-                           0.6237678861480134, 0.7102998960399146, 0.8222455046034158, 0.9],
+    "e43-up-fine-tight": ([0.3, 0.3683041700982481, 0.42225312176177765, 0.4647909766263395,
+                           0.49828914189119317, 0.5246018748895229, 0.564013790468175,
+                           0.6237678861480307, 0.71029989603994, 0.8222455046034448, 0.9],
                           [*range(11, 33)], 11),
     "e43-down-fine": (None, [], None),
     "e43-singleton-coarse": (None, [], None),
